@@ -18,7 +18,7 @@ from meip.fem import (
     mutual_energy,
     generalized_eigenpairs,
 )
-from meip.dataset import Dataset, Sample, load_idx_images, load_idx_labels, preprocess
+from meip.dataset import Dataset, load_idx_images, load_idx_labels, preprocess
 from meip.lp import MoveLimitLp, LpSolution, solve_move_limit_lp
 from meip.optimizer import OptimizerConfig, AxisResult, optimize
 from meip.forest import AxisBundle, generate_axes, orthonormalize

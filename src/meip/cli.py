@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-axes", help="grow the configured axis forests")
     _add_config(p)
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel forests (default 1)")
 
     p = sub.add_parser("train", help="fit the Gaussian classifier")
     _add_config(p)
@@ -48,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="train-axes + train + eval, end to end")
     _add_config(p)
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     return parser
 
 
@@ -68,7 +65,7 @@ def main(argv=None) -> int:
         cfg = pipeline.load_config(args.config)
         out = Path(args.out) if args.out else cfg.resolve(cfg.out_dir)
         if stage == "train-axes":
-            print(pipeline.cmd_train_axes(cfg, out, jobs=args.jobs))
+            print(pipeline.cmd_train_axes(cfg, out))
         elif stage == "train":
             bundle = args.bundle or out / "axes.txt"
             print(pipeline.cmd_train(cfg, bundle, out))
@@ -79,7 +76,7 @@ def main(argv=None) -> int:
                   else report.test_confusion)
             print(f"{args.split} accuracy: {cm['accuracy']:.6f}")
         elif stage == "pipeline":
-            report = pipeline.cmd_pipeline(cfg, out, jobs=args.jobs)
+            report = pipeline.cmd_pipeline(cfg, out)
             print(f"train accuracy: {report.train_confusion['accuracy']:.6f}")
             print(f"test accuracy: {report.test_confusion['accuracy']:.6f}")
     except Exception as exc:  # CLI boundary: attribute the failing stage

@@ -11,7 +11,6 @@ element numbering).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +22,15 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "centroid_shift",
+    "NORMS",
     "preprocess",
-    "Sample",
     "Dataset",
 ]
 
 MAGIC_IMAGES = 2051
 MAGIC_LABELS = 2049
+
+NORMS = ("l2", "l1", "max", "none")
 
 
 class IdxFormatError(ValueError):
@@ -160,18 +161,10 @@ def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
     elif norm == "none":
         scale = 1.0
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
     if scale <= 0:
         raise BlankImageError("blank image after centroid alignment")
     return gray / scale
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One preprocessed sample: grayscale element vector plus class label."""
-
-    gray: np.ndarray
-    label: int
 
 
 class Dataset:
@@ -195,9 +188,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.gray.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(gray=self.gray[i], label=int(self.labels[i]))
 
     @classmethod
     def from_arrays(cls, images: np.ndarray, labels: np.ndarray,

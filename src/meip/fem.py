@@ -26,11 +26,9 @@ __all__ = [
     "build_mesh",
     "element_matrices",
     "element_matrices_rational",
-    "boundary_edge_matrix",
     "uniform_design",
     "assemble_stiffness",
     "grayscale_to_force",
-    "solve",
     "mutual_energy",
     "assemble_mass",
     "generalized_eigenpairs",
@@ -112,18 +110,6 @@ def element_matrices_rational() -> tuple[list, list]:
     return kp, kq
 
 
-def boundary_edge_matrix(sigma: float) -> np.ndarray:
-    """2x2 stiffness of a boundary line element with coefficient sigma.
-
-    Contributes to the two end nodes of an element side lying on the
-    domain boundary.  The experiments realize fixed boundaries through the
-    sigma0 diagonal penalty instead; this routine exists for general
-    Robin-type boundary terms.
-    """
-    return sigma * np.array([[2.0 / 3.0, 1.0 / 3.0],
-                             [1.0 / 3.0, 2.0 / 3.0]])
-
-
 @dataclass
 class DesignField:
     """Per-element design variables with lower bounds and budget totals."""
@@ -181,9 +167,6 @@ class StiffnessOperator:
         self.bandwidth = bandwidth
         self._chol = chol_upper
         self.shape = K.shape
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.K @ x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs to a relative residual of at most 1e-10."""
@@ -262,11 +245,6 @@ def grayscale_to_force(mesh: GridMesh, gray: np.ndarray) -> np.ndarray:
     contrib = np.repeat(0.25 * gray, 4)
     return np.bincount(mesh.theta.ravel(), weights=contrib,
                        minlength=mesh.n_nodes)
-
-
-def solve(op: StiffnessOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs using the operator's cached factorization."""
-    return op.solve(rhs)
 
 
 def mutual_energy(op: StiffnessOperator, a: np.ndarray, b: np.ndarray) -> float:

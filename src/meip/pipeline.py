@@ -15,14 +15,14 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from meip import classifier, fem, forest
-from meip.dataset import Dataset, load_idx_images, load_idx_labels
+from meip.dataset import NORMS, Dataset, load_idx_images, load_idx_labels
 from meip.optimizer import OptimizerConfig
 
 __all__ = ["PipelineConfig", "RunReport", "load_config", "save_axes",
@@ -36,13 +36,6 @@ AXES_MAGIC = "MEIP-AXES 1"
 MODEL_MAGIC = "MEIP-MODEL 1"
 FIELDS_MAGIC = "MEIP-FIELDS 1"
 
-_FLOAT_KEYS = {"lambda", "tolp", "tolq", "p_min", "q_min", "sigma0",
-               "dx_max", "eps_x", "eps_j", "gamma", "ridge"}
-_INT_KEYS = {"n1", "n2", "max_iters", "n_axes", "svd_k", "seed"}
-_STR_KEYS = {"ref_kind", "class_pairs", "one_vs_rest", "train_images",
-             "train_labels", "test_images", "test_labels", "out_dir", "norm"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -50,22 +43,27 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class PipelineConfig:
-    """Parsed run configuration with the published experiment defaults."""
+    """Parsed run configuration with the published experiment defaults.
+
+    The fields are the config schema: every field but ``base_dir`` is a
+    config key of the field's name and type (``lam`` is spelled
+    ``lambda``).  The optimizer settings default to ``OptimizerConfig``.
+    """
 
     n1: int = 28
     n2: int = 28
-    lam: float = 0.3
-    tolp: float = 2.0
-    tolq: float = 2.0
-    p_min: float = 1e-3
-    q_min: float = 1e-3
-    sigma0: float = 1e5
-    dx_max: float = 0.08
-    eps_x: float = 8e-4
-    eps_j: float = 1e-7
-    gamma: float = 0.7
-    max_iters: int = 500
-    ref_kind: str = "u_minus_v"     # comma list runs one forest per kind
+    lam: float = OptimizerConfig.lam
+    tolp: float = OptimizerConfig.tolp
+    tolq: float = OptimizerConfig.tolq
+    p_min: float = OptimizerConfig.p_min
+    q_min: float = OptimizerConfig.q_min
+    sigma0: float = OptimizerConfig.sigma0
+    dx_max: float = OptimizerConfig.dx_max
+    eps_x: float = OptimizerConfig.eps_x
+    eps_j: float = OptimizerConfig.eps_j
+    gamma: float = OptimizerConfig.gamma
+    max_iters: int = OptimizerConfig.max_iters
+    ref_kind: str = OptimizerConfig.ref_kind  # comma list: one forest per kind
     n_axes: int = 1
     ridge: float = 1e-6
     svd_k: int = 0
@@ -82,10 +80,8 @@ class PipelineConfig:
 
     def optimizer_config(self, ref_kind: str) -> OptimizerConfig:
         cfg = OptimizerConfig(
-            lam=self.lam, tolp=self.tolp, tolq=self.tolq, p_min=self.p_min,
-            q_min=self.q_min, sigma0=self.sigma0, dx_max=self.dx_max,
-            eps_x=self.eps_x, eps_j=self.eps_j, gamma=self.gamma,
-            max_iters=self.max_iters, ref_kind=ref_kind)
+            **{name: getattr(self, name) for name in _OPTIMIZER_FIELDS})
+        cfg.ref_kind = ref_kind
         cfg.validate()
         return cfg
 
@@ -95,7 +91,11 @@ class PipelineConfig:
     def classes(self) -> list[int]:
         """Digits participating in classification, in declared order."""
         if self.one_vs_rest:
-            return [int(t) for t in self.one_vs_rest.split(",")]
+            digits = [int(t) for t in self.one_vs_rest.split(",")]
+            if len(set(digits)) != len(digits) or len(digits) < 2:
+                raise ValueError("one_vs_rest must list at least 2 distinct "
+                                 "digits")
+            return digits
         digits: list[int] = []
         for pair in self.pairs():
             for d in pair:
@@ -112,8 +112,10 @@ class PipelineConfig:
             return []
         out = []
         for tok in self.class_pairs.split(","):
-            a, b = tok.split(":")
-            out.append((int(a), int(b)))
+            digits = tok.split(":")
+            if len(digits) != 2:
+                raise ValueError(f"expected a digit pair 'a:b', got {tok!r}")
+            out.append((int(digits[0]), int(digits[1])))
         return out
 
     def resolve(self, path: str) -> Path:
@@ -123,21 +125,47 @@ class PipelineConfig:
     def echo_items(self) -> list[tuple[str, str]]:
         """Canonical key = value view sufficient to reproduce the run."""
         items = []
-        for key in sorted(_ALL_KEYS):
-            attr = "lam" if key == "lambda" else key
+        for key in sorted(CONFIG_KEYS):
+            attr, typ = CONFIG_KEYS[key]
             val = getattr(self, attr)
-            if key in _FLOAT_KEYS:
-                items.append((key, _fmt(val)))
-            else:
-                items.append((key, str(val)))
+            items.append((key, _fmt(val) if typ is float else str(val)))
         return items
+
+    def _check(self, attr: str) -> None:
+        """Raise ValueError if the value of ``attr`` cannot run."""
+        value = getattr(self, attr)
+        if attr in ("n1", "n2", "n_axes") and value < 1:
+            raise ValueError("must be at least 1")
+        if attr == "svd_k" and value < 0:
+            raise ValueError("must not be negative")
+        if attr == "norm" and value not in NORMS:
+            raise ValueError(f"must be one of {NORMS}")
+        if attr in ("class_pairs", "one_vs_rest") and value:
+            PipelineConfig(**{attr: value}).classes()
+        if attr == "ref_kind" and not self.ref_kinds():
+            raise ValueError("names no reference kind")
+        if attr in _OPTIMIZER_FIELDS:
+            for ref in self.ref_kinds():
+                self.optimizer_config(ref)
+
+
+_OPTIMIZER_FIELDS = ({f.name for f in dc_fields(OptimizerConfig)}
+                     & {f.name for f in dc_fields(PipelineConfig)})
+_TYPES = get_type_hints(PipelineConfig)
+# config key -> (PipelineConfig attribute, value type)
+CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name):
+               (f.name, _TYPES[f.name])
+               for f in dc_fields(PipelineConfig) if f.name != "base_dir"}
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a key = value config file; unknown keys are hard errors."""
+    """Parse a key = value config file.
+
+    Unknown keys and values that cannot run are hard errors that name the
+    file, the line and the key.
+    """
     path = Path(path)
     cfg = PipelineConfig(base_dir=path.parent)
-    valid = {f.name for f in dc_fields(PipelineConfig)}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,16 +174,16 @@ def load_config(path) -> PipelineConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        attr = "lam" if key == "lambda" else key
-        assert attr in valid
-        if key in _FLOAT_KEYS:
-            setattr(cfg, attr, float(value))
-        elif key in _INT_KEYS:
-            setattr(cfg, attr, int(value))
-        else:
-            setattr(cfg, attr, value)
+        attr, typ = CONFIG_KEYS[key]
+        # Every earlier line passed its check, so a failure here is this
+        # line's fault.
+        try:
+            setattr(cfg, attr, typ(value))
+            cfg._check(attr)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if bool(cfg.class_pairs) == bool(cfg.one_vs_rest):
         raise ValueError(
             f"{path}: exactly one of class_pairs / one_vs_rest must be set")
@@ -355,19 +383,14 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
+    counts = np.stack([np.histogram(z[targets == j], bins=edges)[0]
+                       for j in range(n_classes)], axis=1)
     with open(path, "w") as f:
         f.write("MEIP-HIST 1,bin_lo,bin_hi," + ",".join(
             f"count_{j}" for j in range(n_classes)) + "\n")
         for b in range(bins):
             row = [str(b), _fmt(edges[b]), _fmt(edges[b + 1])]
-            for j in range(n_classes):
-                zj = z[targets == j]
-                if b == bins - 1:
-                    cnt = int(((zj >= edges[b]) & (zj <= edges[b + 1])).sum())
-                else:
-                    cnt = int(((zj >= edges[b]) & (zj < edges[b + 1])).sum())
-                row.append(str(cnt))
-            f.write(",".join(row) + "\n")
+            f.write(",".join(row + [str(c) for c in counts[b]]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +504,7 @@ def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
 # commands
 
 
-def cmd_train_axes(cfg: PipelineConfig, out_dir, jobs: int = 1) -> Path:
+def cmd_train_axes(cfg: PipelineConfig, out_dir) -> Path:
     """Grow every configured forest and write the combined axis bundle."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -491,31 +514,19 @@ def cmd_train_axes(cfg: PipelineConfig, out_dir, jobs: int = 1) -> Path:
         raise ValueError(
             f"dataset images are {data.n1}x{data.n2}, config says "
             f"{cfg.n1}x{cfg.n2}")
-    specs = _forest_specs(cfg)
-
-    def run(spec: dict) -> forest.AxisBundle:
+    bundles, provenance = [], []
+    for spec in _forest_specs(cfg):
         mask, ybin = _binary_labels(spec, data.labels)
         ocfg = cfg.optimizer_config(spec["ref"])
         log.info("forest %s: %d samples (%d/%d per class)", spec["name"],
                  int(mask.sum()), int((ybin == 0).sum()), int((ybin == 1).sum()))
-        return forest.generate_axes(data.gray[mask], ybin, cfg.n_axes,
-                                    ocfg, mesh)
-
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bundles = list(pool.map(run, specs))
-    else:
-        bundles = [run(spec) for spec in specs]
-
-    for spec, b in zip(specs, bundles):
+        b = forest.generate_axes(data.gray[mask], ybin, cfg.n_axes, ocfg, mesh)
         save_fields(out / f"fields_{spec['name']}.txt", cfg.n1, cfg.n2,
                     b.fields)
+        provenance += [{"forest": spec["name"], **prov} for prov in b.provenance]
+        bundles.append(b)
 
     axes = np.vstack([b.axes for b in bundles])
-    provenance = []
-    for spec, b in zip(specs, bundles):
-        for prov in b.provenance:
-            provenance.append({"forest": spec["name"], **prov})
     combined = forest.AxisBundle(
         axes=axes, n1=cfg.n1, n2=cfg.n2, provenance=provenance,
         pool_exhausted=any(b.pool_exhausted for b in bundles))
@@ -625,12 +636,12 @@ def cmd_inspect(path, out_dir) -> list[Path]:
     return written
 
 
-def cmd_pipeline(cfg: PipelineConfig, out_dir, jobs: int = 1) -> RunReport:
+def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     """train-axes, train, and eval on both splits, composed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    bundle_path = cmd_train_axes(cfg, out, jobs=jobs)
+    bundle_path = cmd_train_axes(cfg, out)
     t1 = time.perf_counter()
     model_path = cmd_train(cfg, bundle_path, out)
     t2 = time.perf_counter()

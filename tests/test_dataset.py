@@ -198,9 +198,8 @@ class TestDataset:
         assert len(ds) == 6
         assert ds.gray.shape == (6, 36)
         assert ds.class_counts.tolist() == [3, 3]
-        s = ds.sample(2)
-        assert s.label == 0
-        assert np.array_equal(s.gray, ds.gray[2])
+        assert ds.labels[2] == 0
+        assert np.array_equal(ds.gray[2], preprocess(images[2]))
 
     def test_count_mismatch_is_hard_error(self):
         rng = np.random.default_rng(6)

@@ -104,10 +104,6 @@ class TestElementMatrices:
         assert np.linalg.eigvalsh(kp).min() > -1e-15
         assert np.linalg.eigvalsh(kq).min() > 0
 
-    def test_boundary_edge_matrix(self):
-        ks = fem.boundary_edge_matrix(3.0)
-        assert np.allclose(ks, [[2.0, 1.0], [1.0, 2.0]])
-
 
 class TestAssembly:
     def test_single_element_hand_oracle(self):

@@ -1,6 +1,8 @@
 """Config parsing, artifact formats, commands, and the CLI."""
 
+import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from meip import cli, fem, pipeline
 from meip.classifier import fit
 from meip.dataset import write_idx_images, write_idx_labels
 from meip.forest import AxisBundle
+from meip.optimizer import REF_KINDS, OptimizerConfig
 from conftest import bar_images
 
 
@@ -83,6 +86,37 @@ class TestConfig:
         assert float(echo["lambda"]) == cfg.lam
         assert echo["class_pairs"] == "0:1"
         assert int(echo["max_iters"]) == cfg.max_iters
+
+    @pytest.mark.parametrize("line", [
+        "svd_k = -2", "n_axes = 0", "lambda = 7", "lambda = abc",
+        "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
+        "norm = l7", "class_pairs = 3", "class_pairs = 3:3",
+        "one_vs_rest = 0,x", "one_vs_rest = 2,2",
+    ])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, line):
+        cfg_file = tmp_path / "c.cfg"
+        key = line.split("=")[0].strip()
+        task_keys = ("class_pairs", "one_vs_rest")
+        task = "" if key in task_keys else "class_pairs = 0:1\n"
+        cfg_file.write_text(f"n1 = 6\n{line}\n{task}")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{cfg_file}:2: {key}: ")):
+            pipeline.load_config(cfg_file)
+
+    def test_optimizer_defaults_have_one_source(self):
+        for kind in REF_KINDS:
+            got = pipeline.PipelineConfig().optimizer_config(kind)
+            want = OptimizerConfig(ref_kind=kind)
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+    def test_echo_keys_are_the_accepted_keys(self, tmp_path):
+        cfg = pipeline.PipelineConfig(class_pairs="0:1", lam=0.1 + 0.2,
+                                      base_dir=tmp_path)
+        echo = cfg.echo_items()
+        assert {k for k, _ in echo} == set(pipeline.CONFIG_KEYS)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in echo))
+        assert pipeline.load_config(cfg_file) == cfg
 
 
 class TestAxisBundleFormat:
@@ -181,6 +215,48 @@ class TestRasterAndCsv:
         egrid = pipeline.element_grid(elems, 2, 3)
         assert egrid.shape == (2, 3)
         assert egrid[1, 0] == 1 and egrid[0, 1] == 2
+
+
+def _histogram_csv_by_mask(path, z, targets, n_classes, bins=50):
+    """Reference tally: one range mask per bin and class."""
+    lo, hi = float(z.min()), float(z.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bins + 1)
+    fmt = "{:.17g}".format
+    with open(path, "w") as f:
+        f.write("MEIP-HIST 1,bin_lo,bin_hi," + ",".join(
+            f"count_{j}" for j in range(n_classes)) + "\n")
+        for b in range(bins):
+            row = [str(b), fmt(edges[b]), fmt(edges[b + 1])]
+            for j in range(n_classes):
+                zj = z[targets == j]
+                if b == bins - 1:
+                    cnt = int(((zj >= edges[b]) & (zj <= edges[b + 1])).sum())
+                else:
+                    cnt = int(((zj >= edges[b]) & (zj < edges[b + 1])).sum())
+                row.append(str(cnt))
+            f.write(",".join(row) + "\n")
+
+
+class TestHistogramCsv:
+    def test_matches_mask_reference(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for case in range(60):
+            n, n_classes = int(rng.integers(1, 200)), int(rng.integers(1, 5))
+            bins = int(rng.integers(1, 60))
+            targets = rng.integers(0, n_classes, n)
+            if case % 4 == 0:
+                z = np.full(n, rng.standard_normal())      # constant feature
+            elif case % 4 == 1:
+                lo, hi = sorted(rng.standard_normal(2))
+                z = rng.choice(np.linspace(lo, hi, bins + 1), n)  # on edges
+            else:
+                z = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            pipeline.write_histogram_csv(got, z, targets, n_classes, bins)
+            _histogram_csv_by_mask(want, z, targets, n_classes, bins)
+            assert got.read_bytes() == want.read_bytes(), case
 
 
 class TestFieldsFormat:
@@ -354,19 +430,3 @@ class TestCli:
                        "--out", str(out), "--split", "test"])
         assert rc == 0
         assert "test accuracy" in capsys.readouterr().out
-
-    def test_jobs_flag_matches_sequential(self, bars_workspace):
-        cfg_text = (bars_workspace / "run.cfg").read_text()
-        (bars_workspace / "par.cfg").write_text(
-            cfg_text.replace("n_axes = 2", "n_axes = 1") + "ref_kind = u,v\n")
-        assert cli.main(["train-axes", "--config",
-                         str(bars_workspace / "par.cfg"),
-                         "--out", str(bars_workspace / "seq"),
-                         "--jobs", "1"]) == 0
-        assert cli.main(["train-axes", "--config",
-                         str(bars_workspace / "par.cfg"),
-                         "--out", str(bars_workspace / "par"),
-                         "--jobs", "2"]) == 0
-        b1 = (bars_workspace / "seq" / "axes.txt").read_bytes()
-        b2 = (bars_workspace / "par" / "axes.txt").read_bytes()
-        assert b1 == b2
