@@ -107,6 +107,10 @@ def fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n, dim = features.shape
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise ValueError(f"features hold non-finite values in {bad.sum()} "
+                         f"row(s), first row {bad.argmax()}")
     counts = np.bincount(labels, minlength=n_classes)
     if len(counts) > n_classes:
         raise ValueError("labels exceed the declared class count")

@@ -12,6 +12,7 @@ for small meshes backs the spectral test oracles.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,11 +226,14 @@ def assemble_stiffness(mesh: GridMesh, design: DesignField,
     return StiffnessOperator(K=K, sigma0=sigma0, bandwidth=bw, chol_upper=chol)
 
 
+_PIVOT_MESSAGE = re.compile(r"(\d+)-th leading minor not positive definite")
+
+
 def _failed_pivot(exc: Exception) -> int:
-    # LAPACK reports the 1-based index of the non-positive leading minor.
-    msg = str(exc)
-    digits = "".join(ch for ch in msg if ch.isdigit())
-    return int(digits) if digits else -1
+    # LAPACK reports the 1-based index of the non-positive leading minor;
+    # any other message yields -1.
+    match = _PIVOT_MESSAGE.search(str(exc))
+    return int(match.group(1)) if match else -1
 
 
 def grayscale_to_force(mesh: GridMesh, gray: np.ndarray) -> np.ndarray:

@@ -8,13 +8,22 @@ The problem has a fixed tiny row structure:
          sum(x_q) = tolx_q                 (q budget row)
          lower <= x <= dx_max              (move limits, per variable)
 
-solved by a bounded-variable revised primal simplex with an explicit 3x3
-basis inverse.  The constraint row carries a nonnegative violation
-variable penalized big-M style, so a design whose current point violates
-the constraint (G0 > 0) still yields a step that drives G down as far as
-the move limits allow.  Pivoting uses Bland's rule (lowest index enters,
-lowest index leaves among ties), which makes the solver deterministic and
-immune to cycling.
+The constraint row is priced by a multiplier y in [0, M] (Lagrangian
+relaxation; Everett 1963, Geoffrion 1974).  For fixed y each budget row is
+a continuous knapsack (Dantzig 1957), solved by sort-and-fill: every
+variable starts at its lower bound and the budget goes out in ascending
+order of c + y a.  The dual L(y) is concave and piecewise linear with
+slope a'x(y) + G0; a breakpoint search keeps one fill that violates the
+row and one that meets it, probes where their two lines meet, and stops
+when the probe lies on both.  The optimum is then the convex combination
+of the two fills that makes the row tight.
+
+M is the big-M weight of a violation variable on the constraint row.  If
+the fill at y = M still violates the row, it minimizes c'x + M * violation
+and is returned with that violation as ``slack_used``: a design that
+violates the constraint (G0 > 0) still steps to drive G down as far as the
+move limits allow.  Sorting is stable, so equal costs fill lowest index
+first and the solver is deterministic.
 """
 
 from __future__ import annotations
@@ -25,9 +34,6 @@ import numpy as np
 
 __all__ = ["MoveLimitLp", "LpSolution", "LpInfeasibleError",
            "solve_move_limit_lp"]
-
-_AT_LOWER = 0
-_AT_UPPER = 1
 
 
 class LpInfeasibleError(RuntimeError):
@@ -52,7 +58,7 @@ class MoveLimitLp:
 
 @dataclass
 class LpSolution:
-    """Vertex-optimal increments plus diagnostics of the returned basis."""
+    """Optimal increments plus the dual certificate of the solution."""
 
     x_p: np.ndarray
     x_q: np.ndarray
@@ -74,138 +80,95 @@ def default_penalty(problem: MoveLimitLp) -> float:
     return 1e3 * (cmax + 1.0)
 
 
+def _fill(key: np.ndarray, lower: np.ndarray, upper: float,
+          budget: float) -> np.ndarray:
+    """Continuous knapsack: raise from ``lower`` in ascending ``key`` order."""
+    order = np.argsort(key, kind="stable")
+    cap = upper - lower[order]
+    before = np.concatenate(([0.0], np.cumsum(cap)[:-1]))
+    take = np.clip(budget - before, 0.0, cap)
+    x = np.empty_like(lower)
+    x[order] = np.where(take >= cap, upper, lower[order] + take)
+    return x
+
+
 def solve_move_limit_lp(problem: MoveLimitLp,
-                        penalty: float | None = None,
-                        max_pivots: int = 200_000) -> LpSolution:
+                        penalty: float | None = None) -> LpSolution:
     """Solve the move-limit LP; deterministic for identical inputs."""
-    ne_p, ne_q = problem.c_p.size, problem.c_q.size
-    n = ne_p + ne_q
+    ne_p = problem.c_p.size
+    c = np.concatenate([problem.c_p, problem.c_q], dtype=np.float64)
+    a = np.concatenate([problem.a_p, problem.a_q], dtype=np.float64)
+    lower = np.concatenate([problem.lower_p, problem.lower_q],
+                           dtype=np.float64)
+    scalars = [problem.g0, problem.tolx_p, problem.tolx_q, problem.upper]
+    if not all(np.isfinite(v).all() for v in (c, a, lower, scalars)):
+        raise ValueError("move-limit LP has non-finite coefficients or bounds")
     if penalty is None:
         penalty = default_penalty(problem)
-
-    # Columns: [x_p | x_q | w slack | s violation | r2 artificial | r3 artificial]
-    iw, isv, ia2, ia3 = n, n + 1, n + 2, n + 3
-    ncols = n + 4
-
-    A = np.zeros((3, ncols))
-    A[0, :ne_p] = problem.a_p
-    A[0, ne_p:n] = problem.a_q
-    A[1, :ne_p] = 1.0
-    A[2, ne_p:n] = 1.0
-    A[0, iw] = 1.0
-    A[0, isv] = -1.0
-
-    b = np.array([-problem.g0, problem.tolx_p, problem.tolx_q])
-
-    c = np.zeros(ncols)
-    c[:ne_p] = problem.c_p
-    c[ne_p:n] = problem.c_q
-    c[isv] = penalty
-    c[ia2] = penalty
-    c[ia3] = penalty
-
-    lower = np.zeros(ncols)
-    lower[:ne_p] = problem.lower_p
-    lower[ne_p:n] = problem.lower_q
-    upper = np.full(ncols, np.inf)
-    upper[:n] = problem.upper
-    if np.any(lower[:n] > upper[:n] + 1e-15):
+    upper, b = float(problem.upper), -float(problem.g0)
+    if np.any(lower > upper + 1e-15):
         raise LpInfeasibleError("a move-limit box is empty (lower > upper)")
 
-    # Start: every structural variable nonbasic at its lower bound; one
-    # basic variable per row chosen so its value is nonnegative.
-    status = np.full(ncols, _AT_LOWER, dtype=np.int8)
-    x = lower.copy()
-    resid = b - A[:, :n] @ x[:n]
-    basis = np.empty(3, dtype=np.int64)
-    basis[0] = iw if resid[0] >= 0 else isv
-    basis[1], basis[2] = ia2, ia3
-    A[1, ia2] = 1.0 if resid[1] >= 0 else -1.0
-    A[2, ia3] = 1.0 if resid[2] >= 0 else -1.0
-
-    binv = np.linalg.inv(A[:, basis])
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
-    x[basis] = np.abs(resid)
-
-    scale = max(1.0, float(np.abs(c).max()))
-    tol_d = 1e-10 * scale   # reduced-cost optimality threshold
-    tol_a = 1e-11           # pivot magnitude threshold
-
-    for _ in range(max_pivots):
-        y = c[basis] @ binv
-        d = c - y @ A
-        enter_mask = (~in_basis) & (
-            ((status == _AT_LOWER) & (d < -tol_d))
-            | ((status == _AT_UPPER) & (d > tol_d)))
-        enter_idx = np.flatnonzero(enter_mask)
-        if enter_idx.size == 0:
-            break
-        j = int(enter_idx[0])  # Bland: lowest index enters
-        delta = 1.0 if status[j] == _AT_LOWER else -1.0
-        alpha = binv @ A[:, j]
-
-        # Ratio test: keep every basic variable inside its bounds while the
-        # entering variable moves by t >= 0 in direction delta.
-        step = delta * alpha
-        limits = np.full(3, np.inf)
-        for i in range(3):
-            bi = basis[i]
-            if step[i] > tol_a:
-                limits[i] = (x[bi] - lower[bi]) / step[i]
-            elif step[i] < -tol_a:
-                if np.isfinite(upper[bi]):
-                    limits[i] = (x[bi] - upper[bi]) / step[i]
-        limits = np.maximum(limits, 0.0)
-        t_flip = upper[j] - lower[j]
-        t_basic = limits.min()
-        t = min(t_flip, t_basic)
-        if not np.isfinite(t):
-            raise RuntimeError("move-limit LP unbounded: finite boxes violated")
-
-        x[basis] -= t * step
-        if t_flip <= t_basic:
-            # Entering variable runs bound to bound; basis unchanged.
-            status[j] = _AT_UPPER if delta > 0 else _AT_LOWER
-            x[j] = upper[j] if delta > 0 else lower[j]
-            continue
-
-        # Bland tie-break on leaving: lowest variable index among blockers.
-        blocking = np.flatnonzero(limits <= t_basic + 1e-15)
-        leave_row = int(blocking[np.argmin(basis[blocking])])
-        out = int(basis[leave_row])
-        x[out] = lower[out] if step[leave_row] > 0 else upper[out]
-        status[out] = _AT_LOWER if step[leave_row] > 0 else _AT_UPPER
-        x[j] = (lower[j] + t) if delta > 0 else (upper[j] - t)
-        basis[leave_row] = j
-        in_basis[out] = False
-        in_basis[j] = True
-        binv = np.linalg.inv(A[:, basis])
-    else:
-        raise RuntimeError("move-limit LP did not converge "
-                           f"within {max_pivots} pivots")
-
-    # Refresh basic values from the final basis for full accuracy.
-    nb = ~in_basis
-    x[basis] = binv @ (b - A[:, nb] @ x[nb])
-
-    art = np.abs(x[[ia2, ia3]])
     art_tol = 1e-9 * max(1.0, abs(problem.tolx_p), abs(problem.tolx_q))
-    if art[0] > art_tol:
-        raise LpInfeasibleError(
-            f"p budget row unsatisfiable within boxes (residual {art[0]:.3e})")
-    if art[1] > art_tol:
-        raise LpInfeasibleError(
-            f"q budget row unsatisfiable within boxes (residual {art[1]:.3e})")
+    blocks = (slice(0, ne_p), slice(ne_p, c.size))
+    budgets = []
+    for name, blk, tolx in zip("pq", blocks, scalars[1:3]):
+        budget = float(tolx - lower[blk].sum())
+        resid = max(-budget, budget - (upper - lower[blk]).sum(), 0.0)
+        if resid > art_tol:
+            raise LpInfeasibleError(f"{name} budget row unsatisfiable within "
+                                    f"boxes (residual {resid:.3e})")
+        budgets.append(budget)
 
-    slack_used = max(0.0, float(x[isv]))
-    x_p = x[:ne_p].copy()
-    x_q = x[ne_p:n].copy()
-    objective = float(problem.c_p @ x_p + problem.c_q @ x_q)
+    def fill(y: float) -> np.ndarray:
+        key = c + y * a
+        return np.concatenate([_fill(key[blk], lower[blk], upper, budget)
+                               for blk, budget in zip(blocks, budgets)])
+
+    # The fill x at y gives the line y' -> c'x + y' (a'x - b) touching L at
+    # y; the row is a'x <= b.
+    x_lo = fill(0.0)
+    y_star, x, slack = 0.0, x_lo, 0.0
+    if a @ x_lo > b:
+        x_hi = fill(penalty)
+        if a @ x_hi > b:
+            y_star, x, slack = penalty, x_hi, float(a @ x_hi - b)
+        else:
+            y_lo, y_hi = 0.0, penalty
+            while True:
+                viol_lo, viol_hi = a @ x_lo - b, a @ x_hi - b
+                y = float((c @ x_hi - c @ x_lo) / (viol_lo - viol_hi))
+                if not y_lo < y < y_hi:   # rounding: no bracket left
+                    break
+                x_mid = fill(y)
+                dual = (c + y * a) @ x_mid - y * b
+                line = c @ x_lo + y * viol_lo
+                scale = np.abs(c) @ np.abs(x_lo) + y * (
+                    np.abs(a) @ np.abs(x_lo) + abs(b))
+                # On both lines up to rounding; the combination below is
+                # then within line - dual of the optimum.
+                if dual >= line - 1e-13 * scale:
+                    break
+                if a @ x_mid > b:
+                    y_lo, x_lo = y, x_mid
+                else:
+                    y_hi, x_hi = y, x_mid
+            y_star = min(max(y, y_lo), y_hi)
+            # Where the endpoints agree the combination keeps their value
+            # bit for bit, so variables at a bound stay exactly there.
+            theta = min(max((b - a @ x_hi) / (a @ x_lo - a @ x_hi), 0.0), 1.0)
+            x = x_hi + theta * (x_lo - x_hi)
+
+    # Dual certificate: each block's threshold is the largest cost that
+    # received budget, or the smallest cost when none did.
+    key = c + y_star * a
+    filled = x > lower
+    reduced = np.concatenate([
+        key[blk] - key[blk].max(where=filled[blk], initial=key.min())
+        for blk in blocks])
+    x_p, x_q = x[:ne_p].copy(), x[ne_p:].copy()
     return LpSolution(
-        x_p=x_p, x_q=x_q, objective=objective,
-        feasible=slack_used <= 1e-9,
-        slack_used=slack_used,
-        reduced_costs=(c - (c[basis] @ binv) @ A)[:n],
-        at_upper=(status[:n] == _AT_UPPER),
-        basic=in_basis[:n].copy())
+        x_p=x_p, x_q=x_q,
+        objective=float(problem.c_p @ x_p + problem.c_q @ x_q),
+        feasible=slack <= 1e-9, slack_used=slack, reduced_costs=reduced,
+        at_upper=x >= upper, basic=filled & (x < upper))

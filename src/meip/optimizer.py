@@ -210,6 +210,9 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
     cfg.validate()
     if gray1.ndim != 2 or gray0.ndim != 2:
         raise ValueError("class slices must be (N, Ne) arrays")
+    for name, gray in (("gray1", gray1), ("gray0", gray0)):
+        if not np.all(np.isfinite(gray)):
+            raise ValueError(f"{name} holds non-finite gray values")
 
     f, g = mean_forces(gray1, gray0, mesh)
     design = fem.uniform_design(mesh, cfg.tolp, cfg.tolq, cfg.p_min, cfg.q_min)

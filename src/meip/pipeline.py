@@ -91,7 +91,7 @@ class PipelineConfig:
     def classes(self) -> list[int]:
         """Digits participating in classification, in declared order."""
         if self.one_vs_rest:
-            digits = [int(t) for t in self.one_vs_rest.split(",")]
+            digits = [_digit(t) for t in self.one_vs_rest.split(",")]
             if len(set(digits)) != len(digits) or len(digits) < 2:
                 raise ValueError("one_vs_rest must list at least 2 distinct "
                                  "digits")
@@ -115,7 +115,7 @@ class PipelineConfig:
             digits = tok.split(":")
             if len(digits) != 2:
                 raise ValueError(f"expected a digit pair 'a:b', got {tok!r}")
-            out.append((int(digits[0]), int(digits[1])))
+            out.append((_digit(digits[0]), _digit(digits[1])))
         return out
 
     def resolve(self, path: str) -> Path:
@@ -147,6 +147,14 @@ class PipelineConfig:
         if attr in _OPTIMIZER_FIELDS:
             for ref in self.ref_kinds():
                 self.optimizer_config(ref)
+
+
+def _digit(token: str) -> int:
+    digit = int(token)
+    if not 0 <= digit <= 255:
+        raise ValueError(f"digit {digit} outside 0..255 (IDX labels are "
+                         "bytes)")
+    return digit
 
 
 _OPTIMIZER_FIELDS = ({f.name for f in dc_fields(OptimizerConfig)}
@@ -414,6 +422,11 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
             f"{split}: image/label count mismatch ({len(images)} images, "
             f"{len(labels)} labels)")
     digits = cfg.classes()
+    if split == "train":
+        missing = [d for d in digits if not np.any(labels == d)]
+        if missing:
+            raise ValueError(f"{cfg.resolve(lbl_path)}: no training images "
+                             f"of configured digit(s) {missing}")
     keep = np.isin(labels, digits)
     return Dataset.from_arrays(images[keep], labels[keep], norm=cfg.norm)
 

@@ -2,7 +2,8 @@
 
 Criteria 1-4 need the real MNIST IDX files (see conftest.mnist_dir) and
 skip cleanly when the dataset is absent.  Criterion 5 is the dataset-free
-property suite and always runs.
+property suite and criterion 6 an offline end-to-end run on generated
+stroke images; both always run.
 """
 
 import json
@@ -270,3 +271,72 @@ class TestCriterion5PropertySuite:
         assert round(cm.accuracy, 4) == 0.9991
         announce("5g (classifier contracts)",
                  "posterior normalization 1e-12, reference confusion layout")
+
+
+# Two-stroke glyphs as (x0, y0, x1, y1) segments in unit coordinates, y
+# pointing down: a "7" and an "L".
+STROKES = {
+    2: [(0.2, 0.25, 0.8, 0.25), (0.8, 0.25, 0.35, 0.85)],
+    3: [(0.3, 0.15, 0.3, 0.8), (0.3, 0.8, 0.8, 0.8)],
+}
+
+
+def render_strokes(strokes, side, rng) -> np.ndarray:
+    """Anti-aliased strokes in [0, 1] with jittered ends and width."""
+    yy, xx = np.mgrid[0:side, 0:side] + 0.5
+    img = np.zeros((side, side))
+    width = rng.uniform(0.8, 1.6)
+    jitter = rng.normal(0.0, 0.04, (len(strokes), 4))
+    for seg, jit in zip(strokes, jitter):
+        x0, y0, x1, y1 = (np.array(seg) + jit) * side
+        dx, dy = x1 - x0, y1 - y0
+        t = np.clip(((xx - x0) * dx + (yy - y0) * dy) / (dx * dx + dy * dy),
+                    0.0, 1.0)
+        d = np.hypot(xx - x0 - t * dx, yy - y0 - t * dy)
+        img = np.maximum(img, np.clip(0.5 * width + 0.5 - d, 0.0, 1.0))
+    return img
+
+
+def stroke_dataset(rng, side: int, count: int):
+    """Overlapping two-class images: each blends in up to 60% of the other
+    glyph, shifts by up to a pixel and adds noise, so that a 2-axis forest
+    still finds mixed subsets after its first split."""
+    labels = rng.choice(np.array(sorted(STROKES)), count)
+    images = np.empty((count, side, side), dtype=np.uint8)
+    for i, label in enumerate(labels):
+        other = next(d for d in STROKES if d != label)
+        w = rng.uniform(0.0, 0.6)
+        img = ((1.0 - w) * render_strokes(STROKES[label], side, rng)
+               + w * render_strokes(STROKES[other], side, rng))
+        img = np.roll(img, rng.integers(-1, 2, 2), axis=(0, 1))
+        img += rng.uniform(0.0, 0.15, img.shape)
+        images[i] = np.clip(255.0 * img, 0, 255).astype(np.uint8)
+    return images, labels
+
+
+class TestCriterion6OfflineEndToEnd:
+    # The code before the structured LP solver scored 0.8125 test accuracy
+    # on this data; the floor leaves a margin of 13 of the 400 test images.
+    TEST_ACCURACY_FLOOR = 0.78
+
+    def test_stroke_pair_pipeline(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for split, count in (("train", 160), ("test", 400)):
+            images, labels = stroke_dataset(rng, 12, count)
+            write_idx_images(tmp_path / f"{split}-img.idx", images)
+            write_idx_labels(tmp_path / f"{split}-lab.idx", labels)
+        (tmp_path / "run.cfg").write_text(
+            "n1 = 12\nn2 = 12\nclass_pairs = 2:3\nn_axes = 2\n"
+            "train_images = train-img.idx\ntrain_labels = train-lab.idx\n"
+            "test_images = test-img.idx\ntest_labels = test-lab.idx\n")
+        cfg = pipeline.load_config(tmp_path / "run.cfg")
+        report = pipeline.cmd_pipeline(cfg, tmp_path / "out")
+        prov = json.loads((tmp_path / "out" / "axes_provenance.json")
+                          .read_text())
+        assert report.n_axes == 2
+        assert all(axis["iterations"] >= 1 for axis in prov)
+        test_acc = report.test_confusion["accuracy"]
+        assert test_acc >= self.TEST_ACCURACY_FLOOR
+        announce("6 (offline stroke pair, 2 axes)",
+                 f"test {test_acc:.4f} >= {self.TEST_ACCURACY_FLOOR}, "
+                 f"iterations {[axis['iterations'] for axis in prov]}")

@@ -103,6 +103,12 @@ class TestFit:
         with pytest.raises(ValueError, match="class 1 has 1"):
             fit(z, labels, 2)
 
+    def test_non_finite_features_rejected(self):
+        z = np.arange(8.0).reshape(4, 2)
+        z[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite.*first row 2"):
+            fit(z, np.array([0, 0, 1, 1]), 2)
+
     def test_ridge_rescues_singular_covariance(self):
         z = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # rank-1 spread
         labels = np.zeros(3, dtype=int)

@@ -175,6 +175,18 @@ class TestAssembly:
             fem.assemble_stiffness(mesh3, random_design(mesh3, rng), -1.0)
 
 
+class TestFailedPivot:
+    @pytest.mark.parametrize("msg, pivot", [
+        ("7-th leading minor not positive definite", 7),
+        ("LAPACK dpbtrf (error 21): 13-th leading minor not positive "
+         "definite", 13),
+        ("illegal value in 4-th argument of internal pbtrf", -1),
+        ("", -1),
+    ], ids=["scipy", "prefixed", "other digits", "empty"])
+    def test_parses_only_the_minor_index(self, msg, pivot):
+        assert fem._failed_pivot(RuntimeError(msg)) == pivot
+
+
 class TestForceMapping:
     def test_single_element(self):
         mesh = fem.build_mesh(1, 1)

@@ -5,6 +5,9 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from conftest import blob_grays
+from lp_simplex_oracle import simplex_solve
+from meip import fem, optimizer
 from meip.lp import (LpInfeasibleError, MoveLimitLp, default_penalty,
                      solve_move_limit_lp)
 
@@ -147,6 +150,24 @@ class TestDeterminism:
         assert s1.objective == s2.objective
 
 
+    def test_ties_fill_lowest_index_first(self):
+        # Two tied cost levels; numpy's quicksort would fill index 6
+        # before 4.  Filled variables sit exactly at the move limit
+        # (-0.3 + 0.38 rounds above 0.08), unfilled ones at their lower bound.
+        n = 40
+        prob = MoveLimitLp(
+            c_p=np.tile([0.0, 1.0], n // 2), c_q=np.zeros(1), a_p=np.zeros(n),
+            a_q=np.zeros(1), g0=-1.0, tolx_p=n * -0.3 + 2.5 * 0.38,
+            tolx_q=-0.3, lower_p=np.full(n, -0.3), lower_q=np.full(1, -0.3),
+            upper=0.08)
+        sol = solve_move_limit_lp(prob)
+        assert np.all(sol.x_p[[0, 2]] == 0.08)
+        assert sol.x_p[4] == pytest.approx(-0.3 + 0.19, abs=1e-12)
+        rest = np.delete(sol.x_p, [0, 2, 4])
+        assert np.all(rest == -0.3)
+        assert sol.x_q[0] == -0.3
+
+
 class TestInfeasibleAndPenalty:
     def test_equality_row_infeasible(self):
         prob = MoveLimitLp(
@@ -191,4 +212,174 @@ class TestInfeasibleAndPenalty:
             tolx_p=0.0, tolx_q=0.0,
             lower_p=np.array([0.5]), lower_q=np.array([0.0]), upper=0.1)
         with pytest.raises(LpInfeasibleError):
+            solve_move_limit_lp(prob)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the simplex the structured solver replaced
+
+
+def _penalized(prob: MoveLimitLp, sol) -> float:
+    return sol.objective + default_penalty(prob) * sol.slack_used
+
+
+def _assert_feasible(prob: MoveLimitLp, sol):
+    """Boxes and budgets hold; the G row holds up to the reported slack."""
+    for x, lo, tolx in ((sol.x_p, prob.lower_p, prob.tolx_p),
+                        (sol.x_q, prob.lower_q, prob.tolx_q)):
+        assert np.all(x >= lo - 1e-9)
+        assert np.all(x <= prob.upper + 1e-9)
+        assert x.sum() == pytest.approx(tolx, abs=1e-9)
+    row = prob.a_p @ sol.x_p + prob.a_q @ sol.x_q
+    assert row - sol.slack_used <= -prob.g0 + 1e-9
+
+
+def _lp(c_p, c_q, a_p, a_q, g0, lo_p, lo_q, up, fill_p=0.5, fill_q=0.5):
+    """Instance whose budgets sit at ``fill`` of the way from sum(lower)."""
+    lo_p, lo_q = np.asarray(lo_p, float), np.asarray(lo_q, float)
+    tolx_p = lo_p.sum() + fill_p * (up - lo_p).sum()
+    tolx_q = lo_q.sum() + fill_q * (up - lo_q).sum()
+    return MoveLimitLp(c_p=np.asarray(c_p, float), c_q=np.asarray(c_q, float),
+                       a_p=np.asarray(a_p, float), a_q=np.asarray(a_q, float),
+                       g0=float(g0), tolx_p=float(tolx_p),
+                       tolx_q=float(tolx_q), lower_p=lo_p, lower_q=lo_q,
+                       upper=float(up))
+
+
+def _shrink_row(prob: MoveLimitLp):
+    """Scale the G row to |a| < 1, where the simplex oracle is exact.
+
+    The simplex prices the budget-row artificials with the same big-M as
+    the violation variable, so when the row is violated and some |a_j| >= 1
+    it prefers to break a budget row and reports it unsatisfiable.
+    """
+    top = max(np.abs(prob.a_p).max(), np.abs(prob.a_q).max())
+    prob.a_p = prob.a_p * (0.9 / top)
+    prob.a_q = prob.a_q * (0.9 / top)
+
+
+def degenerate_problems(rng):
+    n = 6
+    lo = -rng.uniform(0.2, 1.0, n)
+    up = 0.5
+    c, a = rng.standard_normal(n), rng.standard_normal(n)
+    a *= 0.9 / np.abs(a).max()
+    tied = np.repeat(rng.standard_normal(2), 3)
+    yield "tied costs", _lp(tied, tied, a, a, -0.1, lo, lo, up)
+    yield "tied costs and rows", _lp(tied, tied, tied, tied, 0.2, lo, lo, up)
+    yield "a = 0, row met", _lp(c, c, np.zeros(n), np.zeros(n), -1.0,
+                                lo, lo, up)
+    yield "a = 0, row violated", _lp(c, c, np.zeros(n), np.zeros(n), 1.0,
+                                     lo, lo, up)
+    yield "budgets at sum(lower)", _lp(c, c, a, a, 0.3, lo, lo, up,
+                                       fill_p=0.0, fill_q=0.0)
+    yield "budgets at sum(upper)", _lp(c, c, a, a, -0.3, lo, lo, up,
+                                       fill_p=1.0, fill_q=1.0)
+    yield "mixed budget extremes", _lp(c, -c, a, a, 0.0, lo, lo, up,
+                                       fill_p=0.0, fill_q=1.0)
+    yield "slack forced", _lp(c, c, np.full(n, 0.1), np.full(n, 0.1), 5.0,
+                              lo, lo, up)
+    free = solve_move_limit_lp(_lp(c, c, a, a, -1e9, lo, lo, up))
+    row0 = a @ free.x_p + a @ free.x_q
+    yield "row tight at y = 0", _lp(c, c, a, a, -row0, lo, lo, up)
+    yield "row barely violated at y = 0", _lp(c, c, a, a, 1e-7 - row0,
+                                              lo, lo, up)
+    yield "one-variable blocks", _lp(c[:1], c[1:2], a[:1], a[1:2], 0.0,
+                                     lo[:1], lo[1:2], up, 0.3, 0.7)
+    yield "one-variable blocks, row violated", _lp(
+        [1.0], [2.0], [0.5], [0.5], 5.0, [-0.5], [-0.5], up, 0.3, 0.7)
+
+
+def optimizer_problems(monkeypatch):
+    """LPs that a short real optimize run hands to the solver."""
+    captured = []
+
+    def record(prob, *args, **kwargs):
+        captured.append(prob)
+        return solve_move_limit_lp(prob, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "solve_move_limit_lp", record)
+    mesh = fem.build_mesh(4, 4)
+    g1, g0 = blob_grays(mesh, 12, np.random.default_rng(31))
+    optimizer.optimize(g1, g0, mesh,
+                       optimizer.OptimizerConfig(tolp=0.15, tolq=0.15,
+                                                 max_iters=6))
+    return captured
+
+
+class TestAgainstSimplex:
+    def test_random_instances(self):
+        rng = np.random.default_rng(301)
+        for trial in range(120):
+            n_p, n_q = rng.integers(1, 9, size=2)
+            prob = random_feasible_problem(rng, n_p=n_p, n_q=n_q,
+                                           force_tight=(trial % 3 == 0))
+            if trial % 5 == 0:  # a row the boxes may not meet
+                prob.g0 = abs(prob.g0) + 3.0
+                _shrink_row(prob)
+            sol, ref = solve_move_limit_lp(prob), simplex_solve(prob)
+            assert _penalized(prob, sol) == pytest.approx(
+                _penalized(prob, ref), rel=1e-9, abs=1e-9), f"trial {trial}"
+            assert sol.slack_used == pytest.approx(ref.slack_used, abs=1e-9)
+            _assert_feasible(prob, sol)
+
+    def test_degenerate_instances(self):
+        rng = np.random.default_rng(302)
+        for name, prob in degenerate_problems(rng):
+            sol, ref = solve_move_limit_lp(prob), simplex_solve(prob)
+            assert _penalized(prob, sol) == pytest.approx(
+                _penalized(prob, ref), rel=1e-9, abs=1e-9), name
+            assert sol.slack_used == pytest.approx(ref.slack_used,
+                                                   abs=1e-9), name
+            _assert_feasible(prob, sol)
+
+    def test_violated_row_with_large_coefficients(self):
+        # Outside the simplex's domain (see _shrink_row): the penalized
+        # optimum is the sort-and-fill of c + M a, checked by enumeration.
+        rng = np.random.default_rng(303)
+        for trial in range(20):
+            prob = random_feasible_problem(rng)
+            prob.a_p = prob.a_p * 3.0
+            prob.a_q = prob.a_q * 3.0
+            prob.g0 = 50.0
+            sol = solve_move_limit_lp(prob)
+            pen = default_penalty(prob)
+            shifted = MoveLimitLp(
+                c_p=prob.c_p + pen * prob.a_p, c_q=prob.c_q + pen * prob.a_q,
+                a_p=np.zeros_like(prob.a_p), a_q=np.zeros_like(prob.a_q),
+                g0=-1e9, tolx_p=prob.tolx_p, tolx_q=prob.tolx_q,
+                lower_p=prob.lower_p, lower_q=prob.lower_q,
+                upper=prob.upper)
+            got = _penalized(prob, sol) - pen * prob.g0
+            assert got == pytest.approx(enumerate_vertices(shifted),
+                                        rel=1e-9, abs=1e-8), f"trial {trial}"
+            assert not sol.feasible
+            _assert_feasible(prob, sol)
+
+    def test_optimizer_instances(self, monkeypatch):
+        problems = optimizer_problems(monkeypatch)
+        assert len(problems) >= 3
+        for k, prob in enumerate(problems):
+            sol, ref = solve_move_limit_lp(prob), simplex_solve(prob)
+            got, want = _penalized(prob, sol), _penalized(prob, ref)
+            scale = max(1.0, abs(want))
+            assert got <= want + 1e-9 * scale, f"LP {k}"
+            _assert_feasible(prob, sol)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field, value", [
+        ("c_p", np.nan), ("c_q", np.inf), ("a_p", -np.inf), ("a_q", np.nan),
+        ("lower_p", np.nan), ("lower_q", -np.inf), ("g0", np.nan),
+        ("tolx_p", np.inf), ("tolx_q", np.nan), ("upper", np.inf)])
+    def test_rejected(self, field, value):
+        prob = random_feasible_problem(np.random.default_rng(17))
+        old = getattr(prob, field)
+        if np.ndim(old):
+            new = old.copy()
+            new[1] = value
+        else:
+            new = value
+        setattr(prob, field, new)
+        with pytest.raises(ValueError, match="non-finite"):
             solve_move_limit_lp(prob)

@@ -252,6 +252,17 @@ class TestOptimize:
             res = optimize(g1, g0, mesh4, cfg)
             assert res.alpha.shape == (mesh4.n_nodes,)
 
+    def test_non_finite_gray_rejected_before_assembly(self, mesh4,
+                                                      monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled a non-finite problem")
+
+        monkeypatch.setattr(fem, "assemble_stiffness", no_assembly)
+        g1, g0 = blob_grays(mesh4, 5, np.random.default_rng(8))
+        g0[3, 2] = np.inf
+        with pytest.raises(ValueError, match="gray0 holds non-finite"):
+            optimize(g1, g0, mesh4, OptimizerConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="lam"):
             OptimizerConfig(lam=1.5).validate()

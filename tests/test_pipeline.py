@@ -91,7 +91,8 @@ class TestConfig:
         "svd_k = -2", "n_axes = 0", "lambda = 7", "lambda = abc",
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
         "norm = l7", "class_pairs = 3", "class_pairs = 3:3",
-        "one_vs_rest = 0,x", "one_vs_rest = 2,2",
+        "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
+        "class_pairs = 2:256",
     ])
     def test_bad_value_names_file_line_and_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
@@ -275,6 +276,16 @@ class TestFieldsFormat:
 
 
 class TestCommands:
+    def test_digit_absent_from_training_labels(self, bars_workspace):
+        cfg_file = bars_workspace / "run.cfg"
+        cfg_file.write_text(cfg_file.read_text().replace(
+            "class_pairs = 3:7", "class_pairs = 4:7"))
+        cfg = pipeline.load_config(cfg_file)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bars_workspace / 'train-lab.idx'}: no training images "
+                "of configured digit(s) [4]")):
+            pipeline.cmd_train_axes(cfg, bars_workspace / "out")
+
     def test_full_pipeline_separable(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         report = pipeline.cmd_pipeline(cfg, bars_workspace / "out")
