@@ -22,6 +22,6 @@ from meip.dataset import Dataset, load_idx_images, load_idx_labels, preprocess
 from meip.lp import MoveLimitLp, LpSolution, solve_move_limit_lp
 from meip.optimizer import OptimizerConfig, AxisResult, optimize
 from meip.forest import AxisBundle, generate_axes, orthonormalize
-from meip.classifier import ClassGaussian, ConfusionMatrix, fit, predict, evaluate
+from meip.classifier import ClassGaussian, ConfusionMatrix, fit, predict_batch
 
 __version__ = "0.1.0"

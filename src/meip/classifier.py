@@ -20,8 +20,7 @@ from meip.optimizer import element_projection
 
 __all__ = ["ClassGaussian", "ConfusionMatrix", "extract_features",
            "features_from_gray", "gaussian_from_moments", "fit",
-           "predict_posterior", "predict", "predict_batch", "evaluate",
-           "confusion_from_predictions"]
+           "predict_posterior", "predict_batch", "confusion_from_predictions"]
 
 
 @dataclass
@@ -155,13 +154,9 @@ def predict_posterior(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
     return post[0] if np.asarray(z).ndim == 1 else post
 
 
-def predict(model: list[ClassGaussian], z: np.ndarray) -> int:
-    """Most probable class; ties resolve to the lowest class index."""
-    beta = _discriminants(model, z)
-    return int(beta[0].argmax())
-
-
 def predict_batch(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
+    """Most probable class of each row of ``z``; ties resolve to the lowest
+    class index."""
     beta = _discriminants(model, z)
     return beta.argmax(axis=1)
 
@@ -187,12 +182,3 @@ def confusion_from_predictions(outputs: np.ndarray, targets: np.ndarray,
     return ConfusionMatrix(counts=counts, precision=precision, recall=recall,
                            accuracy=accuracy, total=total)
 
-
-def evaluate(model: list[ClassGaussian], bundle: AxisBundle,
-             gray: np.ndarray, targets: np.ndarray) -> ConfusionMatrix:
-    """Extract features for every sample, predict, and tabulate."""
-    if len(gray) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    z = features_from_gray(bundle, gray)
-    outputs = predict_batch(model, z)
-    return confusion_from_predictions(outputs, np.asarray(targets), len(model))

@@ -4,9 +4,12 @@ Artifacts are plain text with versioned headers so every file is
 self-describing and diffs cleanly: axis bundles (MEIP-AXES), Gaussian
 models (MEIP-MODEL), per-axis design/force fields (MEIP-FIELDS),
 confusion matrices, per-sample predictions, per-axis feature histograms
-(CSV), and raster snapshots as binary PGM.  Reports are JSON and
-deterministic: rerunning a config byte-reproduces them (wall-clock timing
-goes to a separate file).
+(CSV), and raster snapshots as binary PGM.  A text artifact is a magic
+line, then rows of an optional tag and values joined by one separator (a
+space, or a comma in the CSVs); a missing, extra or malformed row fails
+to load with ``ValueError("<path>:<line>: expected ...")``.  Reports are
+JSON and deterministic: rerunning a config byte-reproduces them
+(wall-clock timing goes to a separate file).
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -35,10 +39,19 @@ log = logging.getLogger(__name__)
 AXES_MAGIC = "MEIP-AXES 1"
 MODEL_MAGIC = "MEIP-MODEL 1"
 FIELDS_MAGIC = "MEIP-FIELDS 1"
+FIELD_MAGIC = "MEIP-FIELD 1"
+CONFUSION_MAGIC = "MEIP-CONFUSION 1"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(value) -> str:
+    # 17 significant digits round-trip every float64 exactly
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _fmt(values, tag: str | None = None, sep: str = " ") -> str:
+    """Artifact row: ``tag`` (if any), then ``values``, joined by ``sep``."""
+    cells = map(_cell, values)
+    return sep.join(cells if tag is None else [tag, *cells]) + "\n"
 
 
 @dataclass
@@ -74,7 +87,6 @@ class PipelineConfig:
     test_images: str = ""
     test_labels: str = ""
     out_dir: str = "out"
-    seed: int = 0                   # reserved; the pipeline is deterministic
     norm: str = "l2"
     base_dir: Path = field(default_factory=Path)
 
@@ -124,12 +136,8 @@ class PipelineConfig:
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Canonical key = value view sufficient to reproduce the run."""
-        items = []
-        for key in sorted(CONFIG_KEYS):
-            attr, typ = CONFIG_KEYS[key]
-            val = getattr(self, attr)
-            items.append((key, _fmt(val) if typ is float else str(val)))
-        return items
+        return [(key, _cell(getattr(self, CONFIG_KEYS[key][0])))
+                for key in sorted(CONFIG_KEYS)]
 
     def _check(self, attr: str) -> None:
         """Raise ValueError if the value of ``attr`` cannot run."""
@@ -202,80 +210,120 @@ def load_config(path) -> PipelineConfig:
 # artifact formats
 
 
+def _counts(toks: list[str]) -> list[int]:
+    if not all(t.isdigit() for t in toks):
+        raise ValueError(f"invalid count in {toks}")
+    return [int(t) for t in toks]
+
+
+class _Reader:
+    """Rows of one text artifact, split on ``sep`` (None: whitespace)."""
+
+    def __init__(self, f, path, sep: str | None, header: str):
+        self.f, self.path, self.sep, self.header = f, path, sep, header
+        self.lineno = 1
+
+    def error(self, msg: str) -> ValueError:
+        return ValueError(f"{self.path}:{self.lineno}: {msg}")
+
+    def text(self, tag: str | None = None) -> str:
+        """The next line after ``tag`` and one separator, verbatim."""
+        raw, self.lineno = self.f.readline(), self.lineno + 1
+        line, sep = raw.strip(), self.sep or " "
+        if not raw or tag and not (line + sep).startswith(tag + sep):
+            raise self.error(f"expected {repr(tag) if tag else 'a row'}, got "
+                             + (repr(line[:40]) if raw else "end of file"))
+        return line[len(tag) + 1:] if tag else line
+
+    def row(self, tag: str | None, count: int, parse=None, text=None):
+        """``count`` values of the next row after ``tag`` (or of ``text``),
+        as floats or through ``parse``."""
+        text = self.text(tag) if text is None else text
+        toks = text.split(self.sep) if text else []
+        if len(toks) != count:
+            raise self.error(f"expected {count} values, got {len(toks)}")
+        try:
+            return parse(toks) if parse else np.array(toks, dtype=np.float64)
+        except ValueError as exc:
+            raise self.error(f"expected numbers: {exc}") from None
+
+
+@contextmanager
+def _reading(path, magic: str, kind: str, sep: str | None = None):
+    """Yield a reader past the magic line, whose rest (a CSV's header
+    fields) is ``reader.header``; nothing may follow the rows read."""
+    with open(path) as f:
+        found, _, header = f.readline().strip().partition(sep or "\n")
+        r = _Reader(f, path, sep, header)
+        if found != magic:
+            raise r.error(f"not {kind} ({found[:40]!r})")
+        yield r
+        if f.readline():
+            r.lineno += 1
+            raise r.error("expected end of file")
+
+
 def save_axes(path, bundle: forest.AxisBundle) -> None:
-    m = bundle.axes.shape[1]
     with open(path, "w") as f:
         f.write(AXES_MAGIC + "\n")
-        f.write(f"{bundle.n1} {bundle.n2} {m} {bundle.n_axes}\n")
-        for axis in bundle.axes:
-            f.write(" ".join(_fmt(v) for v in axis) + "\n")
+        f.write(_fmt([bundle.n1, bundle.n2, bundle.axes.shape[1],
+                      bundle.n_axes]))
+        f.writelines(_fmt(axis) for axis in bundle.axes)
 
 
 def load_axes(path) -> forest.AxisBundle:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != AXES_MAGIC:
-            raise ValueError(f"{path}: not an axis bundle file ({header!r})")
-        n1, n2, m, n_axes = (int(t) for t in f.readline().split())
-        axes = np.empty((n_axes, m))
-        for i in range(n_axes):
-            row = np.array(f.readline().split(), dtype=np.float64)
-            if row.size != m:
-                raise ValueError(f"{path}: axis {i} has {row.size} values, "
-                                 f"expected {m}")
-            axes[i] = row
-    if m != (n1 + 1) * (n2 + 1):
-        raise ValueError(f"{path}: node count {m} does not match mesh "
-                         f"{n1}x{n2}")
-    return forest.AxisBundle(axes=axes, n1=n1, n2=n2)
+    with _reading(path, AXES_MAGIC, "an axis bundle file") as r:
+        n1, n2, m, n_axes = r.row(None, 4, _counts)
+        if m != (n1 + 1) * (n2 + 1):
+            raise r.error(f"expected {(n1 + 1) * (n2 + 1)} nodes for a "
+                          f"{n1}x{n2} mesh, got {m}")
+        axes = [r.row(None, m) for _ in range(n_axes)]
+    return forest.AxisBundle(axes=np.reshape(axes, (n_axes, m)), n1=n1, n2=n2)
 
 
 def save_model(path, model: list[classifier.ClassGaussian],
                bundle_ref: str, config_items: list[tuple[str, str]]) -> None:
-    dim = model[0].mean.shape[0]
     with open(path, "w") as f:
         f.write(MODEL_MAGIC + "\n")
-        f.write(f"bundle {bundle_ref}\n")
-        f.write(f"config {len(config_items)}\n")
-        for key, value in config_items:
-            f.write(f"{key} = {value}\n")
-        f.write(f"classes {len(model)} dim {dim}\n")
+        f.write(_fmt([bundle_ref], "bundle"))
+        f.write(_fmt([len(config_items)], "config"))
+        f.writelines(f"{key} = {value}\n" for key, value in config_items)
+        f.write(_fmt([len(model), "dim", model[0].mean.shape[0]], "classes"))
         for j, g in enumerate(model):
-            f.write(f"class {j}\n")
-            f.write(f"prior {_fmt(g.prior)}\n")
-            f.write("mean " + " ".join(_fmt(v) for v in g.mean) + "\n")
-            for row in g.cov:
-                f.write("cov " + " ".join(_fmt(v) for v in row) + "\n")
+            f.write(_fmt([j], "class"))
+            f.write(_fmt([g.prior], "prior"))
+            f.write(_fmt(g.mean, "mean"))
+            f.writelines(_fmt(row, "cov") for row in g.cov)
 
 
 def load_model(path):
     """Load a model file; returns (model, bundle_ref, config_items).
 
-    The discriminant terms are recomputed from the stored moments, which
-    reproduces the fitted parameters bit for bit.
+    The bundle reference and config values are read verbatim (paths may
+    hold spaces).  The discriminant terms are recomputed from the stored
+    moments, which reproduces the fitted parameters bit for bit.
     """
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file ({header!r})")
-        bundle_ref = f.readline().strip().split(" ", 1)[1]
-        n_cfg = int(f.readline().split()[1])
+    with _reading(path, MODEL_MAGIC, "a model file") as r:
+        bundle_ref = r.text("bundle")
         config_items = []
-        for _ in range(n_cfg):
-            key, _, value = f.readline().strip().partition("=")
+        for _ in range(r.row("config", 1, _counts)[0]):
+            key, eq, value = r.text().partition("=")
+            if not eq:
+                raise r.error(f"expected 'key = value', got {key[:40]!r}")
             config_items.append((key.strip(), value.strip()))
-        tok = f.readline().split()
-        n_classes, dim = int(tok[1]), int(tok[3])
+        # classes <count> dim <dim>
+        n_classes, dim = r.row("classes", 3, lambda t: _counts(t[::2]))
         model = []
         for j in range(n_classes):
-            if f.readline().split() != ["class", str(j)]:
-                raise ValueError(f"{path}: malformed class block {j}")
-            prior = float(f.readline().split()[1])
-            mean = np.array(f.readline().split()[1:], dtype=np.float64)
-            cov = np.empty((dim, dim))
-            for r in range(dim):
-                cov[r] = np.array(f.readline().split()[1:], dtype=np.float64)
-            model.append(classifier.gaussian_from_moments(mean, cov, prior))
+            r.row(f"class {j}", 0)
+            prior = float(r.row("prior", 1)[0])
+            mean = r.row("mean", dim)
+            cov = np.array([r.row("cov", dim) for _ in range(dim)])
+            try:
+                model.append(
+                    classifier.gaussian_from_moments(mean, cov, prior))
+            except ValueError as exc:
+                raise r.error(f"expected a valid class {j}: {exc}") from None
     return model, bundle_ref, config_items
 
 
@@ -283,32 +331,22 @@ def save_fields(path, n1: int, n2: int, records: list[dict]) -> None:
     """Per-axis mean forces and final designs of one forest."""
     with open(path, "w") as f:
         f.write(FIELDS_MAGIC + "\n")
-        f.write(f"{n1} {n2} {len(records)}\n")
+        f.write(_fmt([n1, n2, len(records)]))
         for i, rec in enumerate(records):
-            f.write(f"axis {i}\n")
-            for name in ("f", "g"):
-                f.write(name + " " + " ".join(_fmt(v) for v in rec[name]) + "\n")
-            for name in ("p", "q"):
-                f.write(name + " " + " ".join(_fmt(v) for v in rec[name]) + "\n")
+            f.write(_fmt([i], "axis"))
+            f.writelines(_fmt(rec[name], name) for name in "fgpq")
 
 
 def load_fields(path):
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != FIELDS_MAGIC:
-            raise ValueError(f"{path}: not a fields file ({header!r})")
-        n1, n2, count = (int(t) for t in f.readline().split())
+    with _reading(path, FIELDS_MAGIC, "a fields file") as r:
+        n1, n2, count = r.row(None, 3, _counts)
+        nodes, elements = (n1 + 1) * (n2 + 1), n1 * n2
         records = []
         for i in range(count):
-            if f.readline().split() != ["axis", str(i)]:
-                raise ValueError(f"{path}: malformed axis block {i}")
-            rec = {}
-            for name in ("f", "g", "p", "q"):
-                tag, _, rest = f.readline().partition(" ")
-                if tag != name:
-                    raise ValueError(f"{path}: expected field {name!r}")
-                rec[name] = np.array(rest.split(), dtype=np.float64)
-            records.append(rec)
+            r.row(f"axis {i}", 0)
+            # mean forces live on nodes, designs on elements
+            records.append({name: r.row(name, nodes if name in "fg" else
+                                        elements) for name in "fgpq"})
     return n1, n2, records
 
 
@@ -330,21 +368,15 @@ def write_pgm(path, grid: np.ndarray) -> None:
 def write_field_csv(path, name: str, grid: np.ndarray) -> None:
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
     with open(path, "w") as f:
-        f.write(f"MEIP-FIELD 1,{name},{grid.shape[0]},{grid.shape[1]}\n")
-        for row in grid:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(_fmt([name, *grid.shape], FIELD_MAGIC, ","))
+        f.writelines(_fmt(row, sep=",") for row in grid)
 
 
 def read_field_csv(path) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header[0] != "MEIP-FIELD 1":
-            raise ValueError(f"{path}: not a field CSV")
-        rows, cols = int(header[2]), int(header[3])
-        grid = np.empty((rows, cols))
-        for r in range(rows):
-            grid[r] = np.array(f.readline().split(","), dtype=np.float64)
-    return grid
+    with _reading(path, FIELD_MAGIC, "a field CSV", ",") as r:
+        rows, cols = r.row(None, 2, _counts, r.header.partition(",")[2])
+        grid = [r.row(None, cols) for _ in range(rows)]
+    return np.reshape(grid, (rows, cols))
 
 
 def node_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -359,29 +391,28 @@ def element_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
 def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
                         class_names: list[str]) -> None:
     """Confusion matrix with precision/recall margins and total accuracy."""
-    n = len(class_names)
     with open(path, "w") as f:
-        f.write("MEIP-CONFUSION 1," + ",".join(
-            f"target_{c}" for c in class_names) + ",precision\n")
-        for i in range(n):
-            row = ",".join(str(int(v)) for v in cm.counts[i])
-            f.write(f"output_{class_names[i]},{row},{_fmt(cm.precision[i])}\n")
-        f.write("recall," + ",".join(_fmt(v) for v in cm.recall)
-                + f",{_fmt(cm.accuracy)}\n")
+        f.write(_fmt([*(f"target_{c}" for c in class_names), "precision"],
+                     CONFUSION_MAGIC, ","))
+        f.writelines(_fmt([*cm.counts[i], cm.precision[i]], f"output_{c}", ",")
+                     for i, c in enumerate(class_names))
+        f.write(_fmt([*cm.recall, cm.accuracy], "recall", ","))
 
 
 def read_confusion_csv(path):
     """Return (counts, precision, recall, accuracy) parsed back from CSV."""
-    lines = Path(path).read_text().splitlines()
-    if not lines[0].startswith("MEIP-CONFUSION 1"):
-        raise ValueError(f"{path}: not a confusion CSV")
-    n = len(lines[0].split(",")) - 2
-    counts = np.array([[int(v) for v in line.split(",")[1:n + 1]]
-                       for line in lines[1:n + 1]])
-    precision = np.array([float(line.split(",")[-1]) for line in lines[1:n + 1]])
-    tail = lines[n + 1].split(",")
-    recall = np.array([float(v) for v in tail[1:n + 1]])
-    return counts, precision, recall, float(tail[-1])
+    with _reading(path, CONFUSION_MAGIC, "a confusion CSV", ",") as r:
+        *targets, last = r.header.split(",")
+        if last != "precision" or not all(t.startswith("target_")
+                                          for t in targets):
+            raise r.error("expected 'target_<class>,...,precision' columns")
+        n = len(targets)
+        rows = [r.row("output_" + t[len("target_"):], n + 1,
+                      lambda v: (_counts(v[:n]), float(v[n])))
+                for t in targets]
+        tail = r.row("recall", n + 1)
+    return (np.array([c for c, _ in rows]), np.array([p for _, p in rows]),
+            tail[:n], float(tail[n]))
 
 
 def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
@@ -394,11 +425,10 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
     counts = np.stack([np.histogram(z[targets == j], bins=edges)[0]
                        for j in range(n_classes)], axis=1)
     with open(path, "w") as f:
-        f.write("MEIP-HIST 1,bin_lo,bin_hi," + ",".join(
-            f"count_{j}" for j in range(n_classes)) + "\n")
-        for b in range(bins):
-            row = [str(b), _fmt(edges[b]), _fmt(edges[b + 1])]
-            f.write(",".join(row + [str(c) for c in counts[b]]) + "\n")
+        names = [f"count_{j}" for j in range(n_classes)]
+        f.write(_fmt(["bin_lo", "bin_hi", *names], "MEIP-HIST 1", ","))
+        f.writelines(_fmt([b, edges[b], edges[b + 1], *counts[b]], sep=",")
+                     for b in range(bins))
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +452,12 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
             f"{split}: image/label count mismatch ({len(images)} images, "
             f"{len(labels)} labels)")
     digits = cfg.classes()
-    if split == "train":
-        missing = [d for d in digits if not np.any(labels == d)]
-        if missing:
-            raise ValueError(f"{cfg.resolve(lbl_path)}: no training images "
-                             f"of configured digit(s) {missing}")
+    missing = [d for d in digits if not np.any(labels == d)]
+    # training needs every configured digit, an eval split at least one
+    if missing and (split == "train" or missing == digits):
+        raise ValueError(f"{cfg.resolve(lbl_path)}: no "
+                         f"{'training' if split == 'train' else split} "
+                         f"images of configured digit(s) {missing}")
     keep = np.isin(labels, digits)
     return Dataset.from_arrays(images[keep], labels[keep], norm=cfg.norm)
 
@@ -486,23 +517,11 @@ class RunReport:
     test_confusion: dict | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "n_axes": self.n_axes,
-            "feature_dim": self.feature_dim,
-            "axes": self.axes,
-            "train_confusion": self.train_confusion,
-            "test_confusion": self.test_confusion,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        d = json.loads(text)
-        return cls(config=d["config"], n_axes=d["n_axes"],
-                   feature_dim=d["feature_dim"], axes=d["axes"],
-                   train_confusion=d["train_confusion"],
-                   test_confusion=d["test_confusion"])
+        return cls(**json.loads(text))
 
 
 def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
@@ -590,22 +609,17 @@ def cmd_eval(cfg: PipelineConfig, model_path, split: str, out_dir) -> RunReport:
     write_confusion_csv(out / f"confusion_{split}.csv", cm, names)
     post = classifier.predict_posterior(model, z)
     with open(out / f"predictions_{split}.csv", "w") as f:
-        f.write("MEIP-PRED 1,index,target,output," + ",".join(
-            f"posterior_{c}" for c in names) + "\n")
-        for i in range(len(targets)):
-            f.write(f"{i},{targets[i]},{outputs[i]},"
-                    + ",".join(_fmt(v) for v in post[i]) + "\n")
+        f.write(_fmt(["index", "target", "output",
+                      *(f"posterior_{c}" for c in names)], "MEIP-PRED 1", ","))
+        f.writelines(_fmt([i, targets[i], outputs[i], *post[i]], sep=",")
+                     for i in range(len(targets)))
     for m in range(z.shape[1]):
         write_histogram_csv(out / f"hist_axis_{m}_{split}.csv", z[:, m],
                             targets, len(model))
 
     report = RunReport(config=dict(cfg.echo_items()),
-                       n_axes=bundle.n_axes, feature_dim=z.shape[1])
-    cmd_dict = _confusion_dict(cm)
-    if split == "train":
-        report.train_confusion = cmd_dict
-    else:
-        report.test_confusion = cmd_dict
+                       n_axes=bundle.n_axes, feature_dim=z.shape[1],
+                       **{f"{split}_confusion": _confusion_dict(cm)})
     (out / f"report_{split}.json").write_text(report.to_json())
     return report
 
@@ -615,14 +629,16 @@ def cmd_inspect(path, out_dir) -> list[Path]:
     path = Path(path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = open(path).readline().strip()
+    with open(path) as f:
+        header = f.readline().strip()
     written: list[Path] = []
 
-    def emit(stem: str, grid: np.ndarray):
-        pgm, csv = out / f"{stem}.pgm", out / f"{stem}.csv"
-        write_pgm(pgm, grid)
-        write_field_csv(csv, stem, grid)
-        written.extend([pgm, csv])
+    def emit(stem: str, grid: np.ndarray, raster: bool = True):
+        if raster:
+            write_pgm(out / f"{stem}.pgm", grid)
+            written.append(out / f"{stem}.pgm")
+        write_field_csv(out / f"{stem}.csv", stem, grid)
+        written.append(out / f"{stem}.csv")
 
     if header == AXES_MAGIC:
         bundle = load_axes(path)
@@ -638,14 +654,10 @@ def cmd_inspect(path, out_dir) -> list[Path]:
     elif header == MODEL_MAGIC:
         model, _, _ = load_model(path)
         for j, g in enumerate(model):
-            write_field_csv(out / f"class_{j}_mean.csv", f"class_{j}_mean",
-                            g.mean[None, :])
-            write_field_csv(out / f"class_{j}_cov.csv", f"class_{j}_cov",
-                            g.cov)
-            written.extend([out / f"class_{j}_mean.csv",
-                            out / f"class_{j}_cov.csv"])
+            emit(f"class_{j}_mean", g.mean[None, :], raster=False)
+            emit(f"class_{j}_cov", g.cov, raster=False)
     else:
-        raise ValueError(f"{path}: unrecognized artifact header {header!r}")
+        raise ValueError(f"{path}:1: unrecognized artifact header {header!r}")
     return written
 
 

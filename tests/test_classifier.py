@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from meip import fem
-from meip.classifier import (confusion_from_predictions, evaluate,
-                             extract_features, features_from_gray, fit,
-                             predict, predict_batch, predict_posterior)
+from meip.classifier import (confusion_from_predictions, extract_features,
+                             features_from_gray, fit, predict_batch,
+                             predict_posterior)
 from meip.forest import AxisBundle
 from conftest import random_design
 
@@ -159,12 +159,12 @@ class TestPredict:
 
     def test_argmax_and_ties(self):
         model = self.two_class_model()
-        assert predict(model, np.array([-5.0, 0.0])) == 0
-        assert predict(model, np.array([5.0, 0.0])) == 1
+        assert predict_batch(model, np.array([[-5.0, 0.0]]))[0] == 0
+        assert predict_batch(model, np.array([[5.0, 0.0]]))[0] == 1
         # exact tie from identical Gaussians resolves to class 0
         z = np.array([[-1.0], [1.0]])
         tie_model = fit(np.vstack([z, z]), np.array([0, 0, 1, 1]), 2)
-        assert predict(tie_model, np.array([0.3])) == 0
+        assert predict_batch(tie_model, np.array([[0.3]]))[0] == 0
 
     def test_agrees_with_raw_discriminant(self):
         model = self.two_class_model()
@@ -188,13 +188,13 @@ class TestPredict:
 
     def test_class_mean_recovered(self):
         model = self.two_class_model(sep=10.0)
-        assert predict(model, model[0].mean) == 0
-        assert predict(model, model[1].mean) == 1
+        assert predict_batch(model, model[0].mean[None])[0] == 0
+        assert predict_batch(model, model[1].mean[None])[0] == 1
 
     def test_dimension_mismatch(self):
         model = self.two_class_model()
         with pytest.raises(ValueError, match="dimension"):
-            predict(model, np.zeros(5))
+            predict_batch(model, np.zeros((1, 5)))
 
 
 class TestConfusion:
@@ -244,23 +244,3 @@ class TestConfusion:
             if col:
                 assert cm.recall[i] == cm.counts[i, i] / col
         assert cm.accuracy == np.trace(cm.counts) / 200
-
-    def test_evaluate_wrapper(self, mesh4):
-        rng = np.random.default_rng(11)
-        axes = rng.standard_normal((2, mesh4.n_nodes))
-        bundle = simple_bundle(mesh4, axes)
-        gray = rng.random((30, mesh4.ne))
-        z = features_from_gray(bundle, gray, mesh4)
-        targets = (z[:, 0] > np.median(z[:, 0])).astype(int)
-        model = fit(z, targets, 2)
-        cm = evaluate(model, bundle, gray, targets)
-        assert cm.total == 30
-        ref = confusion_from_predictions(predict_batch(model, z), targets, 2)
-        assert np.array_equal(cm.counts, ref.counts)
-
-    def test_evaluate_empty(self, mesh4):
-        bundle = simple_bundle(mesh4, np.ones((1, mesh4.n_nodes)))
-        model = fit(np.array([[0.0], [1.0], [0.5], [1.5]]),
-                    np.array([0, 0, 1, 1]), 2)
-        with pytest.raises(ValueError, match="empty"):
-            evaluate(model, bundle, np.empty((0, mesh4.ne)), np.empty(0, int))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from meip import cli, fem, pipeline
-from meip.classifier import fit
-from meip.dataset import write_idx_images, write_idx_labels
+from meip.classifier import confusion_from_predictions, fit
+from meip.dataset import load_idx_labels, write_idx_images, write_idx_labels
 from meip.forest import AxisBundle
 from meip.optimizer import REF_KINDS, OptimizerConfig
 from conftest import bar_images
@@ -60,6 +60,13 @@ class TestConfig:
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("class_pairs = 0:1\nn_axis = 3\n")
         with pytest.raises(ValueError, match="unknown config key 'n_axis'"):
+            pipeline.load_config(cfg_file)
+
+    def test_seed_is_not_a_key(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("class_pairs = 0:1\nseed = 0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg_file}:2: unknown config key 'seed'")):
             pipeline.load_config(cfg_file)
 
     def test_requires_exactly_one_task_key(self, tmp_path):
@@ -275,7 +282,105 @@ class TestFieldsFormat:
                 assert np.array_equal(orig[key], rec[key])
 
 
+def _save_model(path, rng):
+    z = rng.standard_normal((20, 2))
+    model = fit(z, np.arange(20) % 2, 2)
+    # config values are verbatim text: a path with a space, and a key
+    # (seed) that older versions echoed
+    pipeline.save_model(path, model, "my bundle/axes.txt",
+                        [("ridge", "1e-06"), ("seed", "0"),
+                         ("train_images", "my data/train.idx")])
+
+
+def _save_confusion(path, rng):
+    cm = confusion_from_predictions(rng.integers(0, 3, 50),
+                                    rng.integers(0, 3, 50), 3)
+    pipeline.write_confusion_csv(path, cm, ["3", "5", "7"])
+
+
+# format -> (writer of a real file, loader)
+ARTIFACTS = {
+    "axes": (lambda path, rng: pipeline.save_axes(
+        path, AxisBundle(axes=rng.standard_normal((2, 16)), n1=3, n2=3)),
+        pipeline.load_axes),
+    "model": (_save_model, pipeline.load_model),
+    "fields": (lambda path, rng: pipeline.save_fields(path, 2, 2, [
+        {"f": rng.random(9), "g": rng.random(9), "p": rng.random(4),
+         "q": rng.random(4)} for _ in range(2)]), pipeline.load_fields),
+    "field_csv": (lambda path, rng: pipeline.write_field_csv(
+        path, "grid", rng.standard_normal((3, 4))), pipeline.read_field_csv),
+    "confusion": (_save_confusion, pipeline.read_confusion_csv),
+}
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _corruptions(line):
+    """The line with its first or last number replaced by a non-number or
+    removed with the separator before it."""
+    parts = re.split(r"([ ,])", line)
+    numbers = [j for j in range(0, len(parts), 2) if _is_number(parts[j])]
+    for j in sorted({numbers[0], numbers[-1]} if numbers else set()):
+        yield "".join(parts[:j] + ["x"] + parts[j + 1:])
+        cut = slice(j - 1, j + 1) if j else slice(0, 2)
+        yield "".join(parts[:cut.start] + parts[cut.stop:])
+
+
+@pytest.mark.parametrize("fmt", sorted(ARTIFACTS))
+class TestDamagedArtifacts:
+    """Every damaged artifact fails with a ValueError naming file and line."""
+
+    def real_file(self, tmp_path, fmt):
+        write, load = ARTIFACTS[fmt]
+        path = tmp_path / f"{fmt}.txt"
+        write(path, np.random.default_rng(5))
+        load(path)
+        return path, load, path.read_text().splitlines(keepends=True)
+
+    def test_truncated_and_extended(self, tmp_path, fmt):
+        path, load, lines = self.real_file(tmp_path, fmt)
+        for k in range(len(lines) + 1):
+            damaged = lines[:k] if k < len(lines) else lines + ["1 2\n"]
+            path.write_text("".join(damaged))
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(path))}:{k + 1}: "):
+                load(path)
+
+    def test_corrupted_numbers(self, tmp_path, fmt):
+        path, load, lines = self.real_file(tmp_path, fmt)
+        for i, line in enumerate(lines):
+            if " = " in line or line.startswith("bundle "):
+                continue    # model bundle reference and config: verbatim text
+            bad_lines = list(_corruptions(line.rstrip("\n")))
+            assert len(bad_lines) >= 2, line
+            for bad in bad_lines:
+                path.write_text("".join(lines[:i] + [bad + "\n"]
+                                        + lines[i + 1:]))
+                with pytest.raises(ValueError,
+                                   match=f"^{re.escape(str(path))}:{i + 1}: "):
+                    load(path)
+
+
 class TestCommands:
+    def test_eval_split_without_configured_digits(self, bars_workspace):
+        labels_path = bars_workspace / "test-lab.idx"
+        labels = load_idx_labels(labels_path)
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        # a test split that lacks one of the digits is fine
+        write_idx_labels(labels_path, np.full_like(labels, 7))
+        assert len(pipeline.load_split(cfg, "test").labels) == len(labels)
+        write_idx_labels(labels_path, np.full_like(labels, 5))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{labels_path}: no test images of configured digit(s) "
+                "[3, 7]")):
+            pipeline.load_split(cfg, "test")
+
     def test_digit_absent_from_training_labels(self, bars_workspace):
         cfg_file = bars_workspace / "run.cfg"
         cfg_file.write_text(cfg_file.read_text().replace(
