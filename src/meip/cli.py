@@ -64,14 +64,16 @@ def main(argv=None) -> int:
 
         cfg = pipeline.load_config(args.config)
         out = Path(args.out) if args.out else cfg.resolve(cfg.out_dir)
+        if stage != "pipeline":  # eval reads --split, the others train
+            data = pipeline.load_split(cfg, getattr(args, "split", "train"))
         if stage == "train-axes":
-            print(pipeline.cmd_train_axes(cfg, out))
+            print(pipeline.cmd_train_axes(cfg, data, out))
         elif stage == "train":
             bundle = args.bundle or out / "axes.txt"
-            print(pipeline.cmd_train(cfg, bundle, out))
+            print(pipeline.cmd_train(cfg, bundle, data, out))
         elif stage == "eval":
             model = args.model or out / "model.txt"
-            report = pipeline.cmd_eval(cfg, model, args.split, out)
+            report = pipeline.cmd_eval(cfg, model, data, args.split, out)
             cm = (report.train_confusion if args.split == "train"
                   else report.test_confusion)
             print(f"{args.split} accuracy: {cm['accuracy']:.6f}")

@@ -168,7 +168,7 @@ def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
 
 
 class Dataset:
-    """Preprocessed samples as a (N, Ne) matrix with per-class counts."""
+    """Preprocessed samples as a (N, Ne) matrix with their labels."""
 
     def __init__(self, gray: np.ndarray, labels: np.ndarray, n1: int, n2: int):
         gray = np.asarray(gray, dtype=np.float64)
@@ -183,8 +183,6 @@ class Dataset:
         self.labels = labels
         self.n1 = n1
         self.n2 = n2
-        self.class_counts = np.bincount(
-            labels, minlength=int(labels.max()) + 1 if labels.size else 0)
 
     def __len__(self) -> int:
         return self.gray.shape[0]
@@ -201,14 +199,3 @@ class Dataset:
         for i, img in enumerate(images):
             gray[i] = preprocess(img, norm=norm)
         return cls(gray, labels, n1, n2)
-
-    @classmethod
-    def from_files(cls, image_path, label_path, norm: str = "l2") -> "Dataset":
-        images = load_idx_images(image_path)
-        labels = load_idx_labels(label_path)
-        return cls.from_arrays(images, labels, norm=norm)
-
-    def select(self, mask_or_indices) -> "Dataset":
-        """Subset view (copying) of the dataset."""
-        return Dataset(self.gray[mask_or_indices], self.labels[mask_or_indices],
-                       self.n1, self.n2)

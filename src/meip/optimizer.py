@@ -97,7 +97,7 @@ class AxisResult:
     design: fem.DesignField
     j_history: list
     iterations: int
-    converged_by: str      # "eps_J" | "eps_x" | "max_iters"
+    converged_by: str      # "eps_J" | "eps_x" | "max_shrinks" | "max_iters"
     state_evals: int = 0
     g_final: float = 0.0
 
@@ -265,7 +265,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             dx_max *= cfg.gamma
             shrinks += 1
             if shrinks >= cfg.max_shrinks:
-                terminated = "eps_x"
+                terminated = "max_shrinks"
                 break
         if terminated:
             converged_by = terminated

@@ -197,7 +197,6 @@ class TestDataset:
         ds = Dataset.from_arrays(images, labels)
         assert len(ds) == 6
         assert ds.gray.shape == (6, 36)
-        assert ds.class_counts.tolist() == [3, 3]
         assert ds.labels[2] == 0
         assert np.array_equal(ds.gray[2], preprocess(images[2]))
 
@@ -206,24 +205,6 @@ class TestDataset:
         images, labels = self.make(rng)
         with pytest.raises(ValueError, match="count mismatch"):
             Dataset.from_arrays(images, labels[:-1])
-
-    def test_from_files(self, tmp_path):
-        rng = np.random.default_rng(7)
-        images, labels = self.make(rng)
-        write_idx_images(tmp_path / "i.idx", images)
-        write_idx_labels(tmp_path / "l.idx", labels)
-        ds = Dataset.from_files(tmp_path / "i.idx", tmp_path / "l.idx")
-        ref = Dataset.from_arrays(images, labels)
-        assert np.array_equal(ds.gray, ref.gray)
-        assert np.array_equal(ds.labels, ref.labels)
-
-    def test_select(self):
-        rng = np.random.default_rng(8)
-        images, labels = self.make(rng)
-        ds = Dataset.from_arrays(images, labels)
-        sub = ds.select(ds.labels == 1)
-        assert len(sub) == 3
-        assert set(sub.labels.tolist()) == {1}
 
 
 class TestMnistCounts:

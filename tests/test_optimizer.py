@@ -216,7 +216,8 @@ class TestOptimize:
         assert seen == res.j_history[1:]
         assert all(b < a for a, b in
                    zip(res.j_history, res.j_history[1:]))
-        assert res.converged_by in ("eps_J", "eps_x", "max_iters")
+        assert res.converged_by in ("eps_J", "eps_x", "max_shrinks",
+                                    "max_iters")
 
     def test_max_iters_flag(self, mesh4):
         rng = np.random.default_rng(14)
@@ -225,6 +226,17 @@ class TestOptimize:
                               eps_j=1e-30, eps_x=1e-12)
         res = optimize(g1, g0, mesh4, cfg)
         assert res.iterations <= 1
+
+    def test_max_shrinks_is_reported(self, mesh4):
+        # a step larger than eps_x is rejected and the move limit may
+        # shrink only once, so the loop stops on the shrink count
+        g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(0))
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, eps_j=1e-30,
+                              max_shrinks=1)
+        res = optimize(g1, g0, mesh4, cfg)
+        assert res.converged_by == "max_shrinks"
+        # the start, every accepted step and the one rejected step
+        assert res.state_evals == res.iterations + 2
 
     def test_empty_s_side_is_tolerated(self, mesh4):
         # identical rows inside a class put every projection exactly at the

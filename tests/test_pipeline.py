@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from meip import cli, fem, pipeline
+from meip import cli, fem, forest, pipeline
 from meip.classifier import confusion_from_predictions, fit
 from meip.dataset import load_idx_labels, write_idx_images, write_idx_labels
 from meip.forest import AxisBundle
@@ -389,7 +389,7 @@ class TestCommands:
         with pytest.raises(ValueError, match=re.escape(
                 f"{bars_workspace / 'train-lab.idx'}: no training images "
                 "of configured digit(s) [4]")):
-            pipeline.cmd_train_axes(cfg, bars_workspace / "out")
+            pipeline.load_split(cfg, "train")
 
     def test_full_pipeline_separable(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
@@ -431,7 +431,8 @@ class TestCommands:
             cfg_text.replace("n_axes = 2", "n_axes = 1")
             + "ref_kind = u,v\nsvd_k = 2\n")
         cfg = pipeline.load_config(bars_workspace / "run2.cfg")
-        bundle_path = pipeline.cmd_train_axes(cfg, bars_workspace / "out_svd")
+        bundle_path = pipeline.cmd_train_axes(
+            cfg, pipeline.load_split(cfg, "train"), bars_workspace / "out_svd")
         bundle = pipeline.load_axes(bundle_path)
         assert bundle.n_axes == 2  # 2 forests x 1 axis, svd keeps 2
         gram = bundle.axes @ bundle.axes.T
@@ -442,7 +443,8 @@ class TestCommands:
         (bars_workspace / "run3.cfg").write_text(
             cfg_text.replace("n_axes = 2", "n_axes = 1") + "ref_kind = u,v\n")
         cfg = pipeline.load_config(bars_workspace / "run3.cfg")
-        bundle_path = pipeline.cmd_train_axes(cfg, bars_workspace / "out_raw")
+        bundle_path = pipeline.cmd_train_axes(
+            cfg, pipeline.load_split(cfg, "train"), bars_workspace / "out_raw")
         assert pipeline.load_axes(bundle_path).n_axes == 2
 
     def test_report_round_trip(self, bars_workspace):
@@ -455,19 +457,23 @@ class TestCommands:
 
     def test_external_bundle_location(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
-        bundle_path = pipeline.cmd_train_axes(cfg, bars_workspace / "bndl")
-        model_path = pipeline.cmd_train(cfg, bundle_path,
+        train = pipeline.load_split(cfg, "train")
+        bundle_path = pipeline.cmd_train_axes(cfg, train,
+                                              bars_workspace / "bndl")
+        model_path = pipeline.cmd_train(cfg, bundle_path, train,
                                         bars_workspace / "mdl")
-        report = pipeline.cmd_eval(cfg, model_path, "test",
+        report = pipeline.cmd_eval(cfg, model_path,
+                                   pipeline.load_split(cfg, "test"), "test",
                                    bars_workspace / "mdl")
         assert report.test_confusion["accuracy"] == 1.0
 
     def test_eval_train_split(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
-        bundle_path = pipeline.cmd_train_axes(cfg, out)
-        model_path = pipeline.cmd_train(cfg, bundle_path, out)
-        report = pipeline.cmd_eval(cfg, model_path, "train", out)
+        train = pipeline.load_split(cfg, "train")
+        bundle_path = pipeline.cmd_train_axes(cfg, train, out)
+        model_path = pipeline.cmd_train(cfg, bundle_path, train, out)
+        report = pipeline.cmd_eval(cfg, model_path, train, "train", out)
         assert report.train_confusion is not None
         assert report.test_confusion is None
         counts, _, _, acc = pipeline.read_confusion_csv(
@@ -509,8 +515,73 @@ class TestCommands:
         (bars_workspace / "bad.cfg").write_text(
             cfg_text.replace("n1 = 6", "n1 = 8"))
         cfg = pipeline.load_config(bars_workspace / "bad.cfg")
-        with pytest.raises(ValueError, match="config says"):
-            pipeline.cmd_train_axes(cfg, bars_workspace / "out_bad")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bars_workspace / 'train-img.idx'}: images are 6x6, "
+                "config says 8x6")):
+            pipeline.load_split(cfg, "train")
+
+    def test_test_image_size_checked_before_forests(self, bars_workspace):
+        images, _ = bar_images(8, 30, np.random.default_rng(3))
+        write_idx_images(bars_workspace / "test-img.idx", images)
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bars_workspace / 'test-img.idx'}: images are 8x8, "
+                "config says 6x6")):
+            pipeline.cmd_pipeline(cfg, out)
+        assert not (out / "axes.txt").exists()
+
+    def test_unusable_test_split_fails_before_forests(self, bars_workspace):
+        labels_path = bars_workspace / "test-lab.idx"
+        write_idx_labels(labels_path,
+                         np.full_like(load_idx_labels(labels_path), 5))
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{labels_path}: no test images of configured digit(s)")):
+            pipeline.cmd_pipeline(cfg, out)
+        assert not (out / "axes.txt").exists()
+        assert not (out / "report_train.json").exists()
+        assert list(out.iterdir()) == []
+
+    def test_pipeline_loads_each_split_once(self, bars_workspace,
+                                            monkeypatch):
+        events = []
+        load_split, generate_axes = pipeline.load_split, forest.generate_axes
+
+        def counting_load(cfg, split):
+            events.append(split)
+            return load_split(cfg, split)
+
+        def noting_forest(*args, **kwargs):
+            events.append("forest")
+            return generate_axes(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_split", counting_load)
+        monkeypatch.setattr(forest, "generate_axes", noting_forest)
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        pipeline.cmd_pipeline(cfg, bars_workspace / "out")
+        assert events == ["train", "test", "forest"]
+
+    @pytest.mark.parametrize("extra", ["", "ref_kind = u,v\nsvd_k = 2\n"],
+                             ids=["one_forest", "two_forests_svd"])
+    def test_cli_steps_match_pipeline(self, bars_workspace, capsys, extra):
+        cfg_path = bars_workspace / "steps.cfg"
+        cfg_path.write_text((bars_workspace / "run.cfg").read_text() + extra)
+        pipe, steps = bars_workspace / "pipe", bars_workspace / "steps"
+        pipeline.cmd_pipeline(pipeline.load_config(cfg_path), pipe)
+        common = ["--config", str(cfg_path), "--out", str(steps)]
+        for argv in (["train-axes"], ["train"], ["eval", "--split", "train"],
+                     ["eval", "--split", "test"]):
+            assert cli.main(argv + common) == 0
+        capsys.readouterr()
+        names = {f.name for f in pipe.iterdir()}
+        assert {"timing.txt", "report.json", "axes.txt"} <= names
+        names -= {"timing.txt", "report.json"}
+        assert names == {f.name for f in steps.iterdir()}
+        for name in sorted(names):
+            assert (pipe / name).read_bytes() == \
+                (steps / name).read_bytes(), name
 
 
 class TestCli:
