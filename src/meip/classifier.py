@@ -18,8 +18,8 @@ from meip import fem
 from meip.forest import AxisBundle
 from meip.optimizer import element_projection
 
-__all__ = ["ClassGaussian", "ConfusionMatrix", "extract_features",
-           "features_from_gray", "gaussian_from_moments", "fit",
+__all__ = ["ClassGaussian", "ConfusionMatrix", "features_from_gray",
+           "gaussian_from_moments", "fit", "discriminants", "softmax",
            "predict_posterior", "predict_batch", "confusion_from_predictions"]
 
 
@@ -45,16 +45,6 @@ class ConfusionMatrix:
     recall: np.ndarray       # per target column
     accuracy: float
     total: int
-
-
-def extract_features(bundle: AxisBundle, force: np.ndarray) -> np.ndarray:
-    """Feature vector of one sample: axis m dotted with the force vector."""
-    force = np.asarray(force, dtype=np.float64)
-    if force.shape != (bundle.axes.shape[1],):
-        raise ValueError(
-            f"force has shape {force.shape}, expected "
-            f"({bundle.axes.shape[1]},)")
-    return bundle.axes @ force
 
 
 def features_from_gray(bundle: AxisBundle, gray: np.ndarray,
@@ -133,7 +123,9 @@ def fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     return model
 
 
-def _discriminants(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
+def discriminants(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
+    """Discriminant of each class (columns) for each row of ``z``: the log of
+    prior times density, up to a constant shared by the classes."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1] != model[0].mean.shape[0]:
         raise ValueError(
@@ -145,20 +137,22 @@ def _discriminants(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
     return beta
 
 
+def softmax(beta: np.ndarray) -> np.ndarray:
+    """Posterior class probabilities from rows of discriminants."""
+    e = np.exp(beta - beta.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def predict_posterior(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
     """Posterior class probabilities (softmax of the discriminants)."""
-    beta = _discriminants(model, np.atleast_2d(z))
-    beta -= beta.max(axis=1, keepdims=True)
-    e = np.exp(beta)
-    post = e / e.sum(axis=1, keepdims=True)
+    post = softmax(discriminants(model, np.atleast_2d(z)))
     return post[0] if np.asarray(z).ndim == 1 else post
 
 
 def predict_batch(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
     """Most probable class of each row of ``z``; ties resolve to the lowest
     class index."""
-    beta = _discriminants(model, z)
-    return beta.argmax(axis=1)
+    return discriminants(model, z).argmax(axis=1)
 
 
 def confusion_from_predictions(outputs: np.ndarray, targets: np.ndarray,

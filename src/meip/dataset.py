@@ -5,7 +5,7 @@ Images are stored row-major in the IDX files; internally every image is a
 intensity centroid to the grid center by an integer pixel shift, scales to
 [0, 1], and normalizes each sample, producing a per-element grayscale
 vector in column-major pixel order (matching the mesh's column-priority
-element numbering).
+element numbering).  A whole stack is preprocessed in one pass.
 """
 
 from __future__ import annotations
@@ -103,40 +103,59 @@ def write_idx_labels(path, labels) -> None:
         f.write(labels.astype(np.uint8).tobytes())
 
 
-def _round_half_up(x: float) -> int:
-    # Fixed rule (no banker's rounding) so the shift is reproducible.
-    return int(np.floor(x + 0.5))
+def _centroid_shifts(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (row, column) shifts moving each image's intensity centroid
+    to the grid center ((n1-1)/2, (n2-1)/2); halves round up.  The float64
+    moments of integer pixels are exact: their sums stay below 2**53."""
+    _, n1, n2 = images.shape
+    row_sums = images.sum(axis=2, dtype=np.float64)
+    total = row_sums.sum(axis=1)
+    if np.any(total <= 0):
+        raise BlankImageError(f"blank image {np.argmax(total <= 0)}: "
+                              "cannot align centroid")
+    r_bar = row_sums @ np.arange(n1) / total
+    c_bar = images.sum(axis=1, dtype=np.float64) @ np.arange(n2) / total
+    # fixed rule (no banker's rounding) so the shift is reproducible
+    return (np.floor((n1 - 1) / 2.0 - r_bar + 0.5).astype(np.int64),
+            np.floor((n2 - 1) / 2.0 - c_bar + 0.5).astype(np.int64))
+
+
+def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
+    """Centroid-align, scale to [0, 1] and normalize a (count, n1, n2)
+    stack; returns the (count, n1*n2) grayscale matrix, column-major per
+    image (see ``preprocess``)."""
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    n, n1, n2 = images.shape
+    dr, dc = _centroid_shifts(images)
+    # One slice assignment per distinct shift into a (column, row) stack;
+    # dropped pixels vanish and vacated ones stay 0.
+    shifted = np.zeros((n, n2, n1), dtype=images.dtype)
+    _, first, group = np.unique(dr * (2 * n2 + 1) + dc, return_index=True,
+                                return_inverse=True)
+    for k, (r, c) in enumerate(zip(dr[first].tolist(), dc[first].tolist())):
+        idx = np.flatnonzero(group == k)
+        shifted[idx, max(0, c):n2 + min(0, c), max(0, r):n1 + min(0, r)] = \
+            images[idx, max(0, -r):n1 - max(0, r),
+                   max(0, -c):n2 - max(0, c)].transpose(0, 2, 1)
+    gray = shifted.reshape(n, n1 * n2) / 255.0
+    # Bit for bit as one image at a time: l2 is the per-row BLAS dot that
+    # np.linalg.norm takes (a row-wise einsum rounds differently).  Pixels
+    # are >= 0 and an aligned image keeps a nonzero one: no scale is 0.
+    if norm == "l2":
+        gray /= np.sqrt(np.matmul(gray[:, None, :], gray[:, :, None]))[:, 0]
+    elif norm == "l1":
+        gray /= gray.sum(axis=1)[:, None]
+    elif norm == "max":
+        gray /= gray.max(axis=1)[:, None]
+    return gray
 
 
 def centroid_shift(pixels: np.ndarray) -> tuple[int, int]:
-    """Integer (row, column) shift moving the intensity centroid to center.
-
-    The target is the geometric grid center ((n1-1)/2, (n2-1)/2); halves
-    round up.  Raises BlankImageError on an all-zero image.
-    """
-    pixels = np.asarray(pixels, dtype=np.float64)
-    total = pixels.sum()
-    if total <= 0:
-        raise BlankImageError("blank image: cannot align centroid")
-    n1, n2 = pixels.shape
-    rows = np.arange(n1)[:, None]
-    cols = np.arange(n2)[None, :]
-    r_bar = (pixels * rows).sum() / total
-    c_bar = (pixels * cols).sum() / total
-    return (_round_half_up((n1 - 1) / 2.0 - r_bar),
-            _round_half_up((n2 - 1) / 2.0 - c_bar))
-
-
-def _shift_image(pixels: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """Translate by integer offsets; dropped pixels vanish, vacated are 0."""
-    n1, n2 = pixels.shape
-    out = np.zeros_like(pixels)
-    src_r = slice(max(0, -dr), min(n1, n1 - dr))
-    src_c = slice(max(0, -dc), min(n2, n2 - dc))
-    dst_r = slice(max(0, dr), min(n1, n1 + dr))
-    dst_c = slice(max(0, dc), min(n2, n2 + dc))
-    out[dst_r, dst_c] = pixels[src_r, src_c]
-    return out
+    """Integer (row, column) shift moving one image's intensity centroid to
+    the grid center; halves round up."""
+    dr, dc = _centroid_shifts(np.asarray(pixels)[None])
+    return int(dr[0]), int(dc[0])
 
 
 def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
@@ -149,22 +168,7 @@ def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ValueError("expected a 2-D pixel grid")
-    dr, dc = centroid_shift(pixels)
-    shifted = _shift_image(pixels.astype(np.float64), dr, dc)
-    gray = shifted.ravel(order="F") / 255.0
-    if norm == "l2":
-        scale = np.linalg.norm(gray)
-    elif norm == "l1":
-        scale = np.abs(gray).sum()
-    elif norm == "max":
-        scale = gray.max()
-    elif norm == "none":
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
-    if scale <= 0:
-        raise BlankImageError("blank image after centroid alignment")
-    return gray / scale
+    return _preprocess_stack(pixels[None], norm)[0]
 
 
 class Dataset:
@@ -174,7 +178,8 @@ class Dataset:
         gray = np.asarray(gray, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if gray.ndim != 2 or gray.shape[0] != labels.shape[0]:
-            raise ValueError("gray matrix and labels disagree on sample count")
+            raise ValueError(f"sample/label count mismatch: gray matrix "
+                             f"{gray.shape}, labels {labels.shape}")
         if gray.shape[1] != n1 * n2:
             raise ValueError("gray vector length does not match n1*n2")
         if labels.size and labels.min() < 0:
@@ -190,12 +195,4 @@ class Dataset:
     @classmethod
     def from_arrays(cls, images: np.ndarray, labels: np.ndarray,
                     norm: str = "l2") -> "Dataset":
-        if len(images) != len(labels):
-            raise ValueError(
-                f"image/label count mismatch: {len(images)} images, "
-                f"{len(labels)} labels")
-        n1, n2 = images.shape[1], images.shape[2]
-        gray = np.empty((len(images), n1 * n2))
-        for i, img in enumerate(images):
-            gray[i] = preprocess(img, norm=norm)
-        return cls(gray, labels, n1, n2)
+        return cls(_preprocess_stack(images, norm), labels, *images.shape[1:])

@@ -20,13 +20,15 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields as dc_fields
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
 from meip import classifier, fem, forest
-from meip.dataset import NORMS, Dataset, load_idx_images, load_idx_labels
+from meip.dataset import (NORMS, BlankImageError, Dataset, load_idx_images,
+                          load_idx_labels)
 from meip.optimizer import OptimizerConfig
 
 __all__ = ["PipelineConfig", "RunReport", "load_config", "save_axes",
@@ -43,15 +45,15 @@ FIELD_MAGIC = "MEIP-FIELD 1"
 CONFUSION_MAGIC = "MEIP-CONFUSION 1"
 
 
-def _cell(value) -> str:
-    # 17 significant digits round-trip every float64 exactly
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
-def _fmt(values, tag: str | None = None, sep: str = " ") -> str:
-    """Artifact row: ``tag`` (if any), then ``values``, joined by ``sep``."""
-    cells = map(_cell, values)
-    return sep.join(cells if tag is None else [tag, *cells]) + "\n"
+def _fmt(rows, tag: str | None = None, sep: str = " ") -> str:
+    """Artifact rows: ``tag`` (if any), then a row's values, joined by
+    ``sep``.  One %-format per table: ``%.17g`` (round-trips every float64)
+    for a column whose first value is a float, ``%s`` for the others."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    cells = ["%.17g" if isinstance(v, float) else "%s"
+             for row in rows[:1] for v in row]
+    line = sep.join(cells if tag is None else [tag.replace("%", "%%"), *cells])
+    return ((line + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 @dataclass
@@ -136,7 +138,7 @@ class PipelineConfig:
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Canonical key = value view sufficient to reproduce the run."""
-        return [(key, _cell(getattr(self, CONFIG_KEYS[key][0])))
+        return [(key, _fmt([[getattr(self, CONFIG_KEYS[key][0])]])[:-1])
                 for key in sorted(CONFIG_KEYS)]
 
     def _check(self, attr: str) -> None:
@@ -266,9 +268,9 @@ def _reading(path, magic: str, kind: str, sep: str | None = None):
 def save_axes(path, bundle: forest.AxisBundle) -> None:
     with open(path, "w") as f:
         f.write(AXES_MAGIC + "\n")
-        f.write(_fmt([bundle.n1, bundle.n2, bundle.axes.shape[1],
-                      bundle.n_axes]))
-        f.writelines(_fmt(axis) for axis in bundle.axes)
+        f.write(_fmt([[bundle.n1, bundle.n2, bundle.axes.shape[1],
+                       bundle.n_axes]]))
+        f.write(_fmt(bundle.axes))
 
 
 def load_axes(path) -> forest.AxisBundle:
@@ -285,15 +287,15 @@ def save_model(path, model: list[classifier.ClassGaussian],
                bundle_ref: str, config_items: list[tuple[str, str]]) -> None:
     with open(path, "w") as f:
         f.write(MODEL_MAGIC + "\n")
-        f.write(_fmt([bundle_ref], "bundle"))
-        f.write(_fmt([len(config_items)], "config"))
-        f.writelines(f"{key} = {value}\n" for key, value in config_items)
-        f.write(_fmt([len(model), "dim", model[0].mean.shape[0]], "classes"))
+        f.write(_fmt([[bundle_ref]], "bundle"))
+        f.write(_fmt([[len(config_items)]], "config"))
+        f.write(_fmt(config_items, sep=" = "))
+        f.write(_fmt([[len(model), "dim", model[0].mean.shape[0]]], "classes"))
         for j, g in enumerate(model):
-            f.write(_fmt([j], "class"))
-            f.write(_fmt([g.prior], "prior"))
-            f.write(_fmt(g.mean, "mean"))
-            f.writelines(_fmt(row, "cov") for row in g.cov)
+            f.write(_fmt([[j]], "class"))
+            f.write(_fmt([[g.prior]], "prior"))
+            f.write(_fmt(g.mean[None], "mean"))
+            f.write(_fmt(g.cov, "cov"))
 
 
 def load_model(path):
@@ -311,8 +313,10 @@ def load_model(path):
             if not eq:
                 raise r.error(f"expected 'key = value', got {key[:40]!r}")
             config_items.append((key.strip(), value.strip()))
-        # classes <count> dim <dim>
-        n_classes, dim = r.row("classes", 3, lambda t: _counts(t[::2]))
+        text = r.text("classes")
+        if text.split()[1:2] != ["dim"]:
+            raise r.error(f"expected '<count> dim <dim>', got {text[:40]!r}")
+        n_classes, dim = r.row(None, 3, lambda t: _counts(t[::2]), text)
         model = []
         for j in range(n_classes):
             r.row(f"class {j}", 0)
@@ -331,10 +335,10 @@ def save_fields(path, n1: int, n2: int, records: list[dict]) -> None:
     """Per-axis mean forces and final designs of one forest."""
     with open(path, "w") as f:
         f.write(FIELDS_MAGIC + "\n")
-        f.write(_fmt([n1, n2, len(records)]))
+        f.write(_fmt([[n1, n2, len(records)]]))
         for i, rec in enumerate(records):
-            f.write(_fmt([i], "axis"))
-            f.writelines(_fmt(rec[name], name) for name in "fgpq")
+            f.write(_fmt([[i]], "axis"))
+            f.writelines(_fmt([rec[name]], name) for name in "fgpq")
 
 
 def load_fields(path):
@@ -368,8 +372,8 @@ def write_pgm(path, grid: np.ndarray) -> None:
 def write_field_csv(path, name: str, grid: np.ndarray) -> None:
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
     with open(path, "w") as f:
-        f.write(_fmt([name, *grid.shape], FIELD_MAGIC, ","))
-        f.writelines(_fmt(row, sep=",") for row in grid)
+        f.write(_fmt([[name, *grid.shape]], FIELD_MAGIC, ","))
+        f.write(_fmt(grid, sep=","))
 
 
 def read_field_csv(path) -> np.ndarray:
@@ -392,11 +396,11 @@ def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
                         class_names: list[str]) -> None:
     """Confusion matrix with precision/recall margins and total accuracy."""
     with open(path, "w") as f:
-        f.write(_fmt([*(f"target_{c}" for c in class_names), "precision"],
+        f.write(_fmt([[*(f"target_{c}" for c in class_names), "precision"]],
                      CONFUSION_MAGIC, ","))
-        f.writelines(_fmt([*cm.counts[i], cm.precision[i]], f"output_{c}", ",")
-                     for i, c in enumerate(class_names))
-        f.write(_fmt([*cm.recall, cm.accuracy], "recall", ","))
+        f.write(_fmt([(f"output_{c}", *cm.counts[i], cm.precision[i])
+                      for i, c in enumerate(class_names)], sep=","))
+        f.write(_fmt([[*cm.recall, cm.accuracy]], "recall", ","))
 
 
 def read_confusion_csv(path):
@@ -426,9 +430,9 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
                        for j in range(n_classes)], axis=1)
     with open(path, "w") as f:
         names = [f"count_{j}" for j in range(n_classes)]
-        f.write(_fmt(["bin_lo", "bin_hi", *names], "MEIP-HIST 1", ","))
-        f.writelines(_fmt([b, edges[b], edges[b + 1], *counts[b]], sep=",")
-                     for b in range(bins))
+        f.write(_fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ","))
+        f.write(_fmt(zip(range(bins), edges[:-1].tolist(), edges[1:].tolist(),
+                         *counts.T.tolist()), sep=","))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +456,8 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
                          f"{images.shape[2]}, config says {cfg.n1}x{cfg.n2}")
     labels = load_idx_labels(lbl_path)
     if len(images) != len(labels):
-        raise ValueError(
-            f"{split}: image/label count mismatch ({len(images)} images, "
-            f"{len(labels)} labels)")
+        raise ValueError(f"{img_path} holds {len(images)} images but "
+                         f"{lbl_path} holds {len(labels)} labels")
     digits = cfg.classes()
     missing = [d for d in digits if not np.any(labels == d)]
     # training needs every configured digit, an eval split at least one
@@ -463,7 +466,11 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
                          f"{'training' if split == 'train' else split} "
                          f"images of configured digit(s) {missing}")
     keep = np.isin(labels, digits)
-    return Dataset.from_arrays(images[keep], labels[keep], norm=cfg.norm)
+    try:
+        return Dataset.from_arrays(images[keep], labels[keep], norm=cfg.norm)
+    except BlankImageError:  # name the first one as the file counts it
+        blank = np.flatnonzero(keep & ~images.any(axis=(1, 2)))[0]
+        raise BlankImageError(f"{img_path}: image {blank} is blank") from None
 
 
 def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
@@ -601,17 +608,19 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     bundle = load_axes(Path(model_path).parent / bundle_ref)
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
-    outputs = classifier.predict_batch(model, z)
+    beta = classifier.discriminants(model, z)
+    # the argmax of beta, not of the posteriors: exp can merge near-ties
+    outputs, post = beta.argmax(axis=1), classifier.softmax(beta)
     cm = classifier.confusion_from_predictions(outputs, targets, len(model))
 
     names = [str(d) for d in cfg.classes()]
     write_confusion_csv(out / f"confusion_{split}.csv", cm, names)
-    post = classifier.predict_posterior(model, z)
     with open(out / f"predictions_{split}.csv", "w") as f:
-        f.write(_fmt(["index", "target", "output",
-                      *(f"posterior_{c}" for c in names)], "MEIP-PRED 1", ","))
-        f.writelines(_fmt([i, targets[i], outputs[i], *post[i]], sep=",")
-                     for i in range(len(targets)))
+        f.write(_fmt([["index", "target", "output",
+                       *(f"posterior_{c}" for c in names)]], "MEIP-PRED 1",
+                     ","))
+        f.write(_fmt(zip(range(len(targets)), targets.tolist(),
+                         outputs.tolist(), *post.T.tolist()), sep=","))
     for m in range(z.shape[1]):
         write_histogram_csv(out / f"hist_axis_{m}_{split}.csv", z[:, m],
                             targets, len(model))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from meip import fem
-from meip.classifier import (confusion_from_predictions, extract_features,
-                             features_from_gray, fit, predict_batch,
-                             predict_posterior)
+from meip.classifier import (confusion_from_predictions, features_from_gray,
+                             fit, predict_batch, predict_posterior)
 from meip.forest import AxisBundle
 from conftest import random_design
 
@@ -20,14 +19,15 @@ class TestExtractFeatures:
     def test_zero_force(self, mesh4):
         rng = np.random.default_rng(0)
         bundle = simple_bundle(mesh4, rng.standard_normal((3, mesh4.n_nodes)))
-        z = extract_features(bundle, np.zeros(mesh4.n_nodes))
-        assert np.array_equal(z, np.zeros(3))
+        z = features_from_gray(bundle, np.zeros((1, mesh4.ne)), mesh4)
+        assert np.array_equal(z, np.zeros((1, 3)))
 
     def test_aligned_axis_returns_norm(self, mesh4):
         rng = np.random.default_rng(1)
-        force = rng.standard_normal(mesh4.n_nodes)
+        gray = rng.random(mesh4.ne)
+        force = fem.grayscale_to_force(mesh4, gray)
         bundle = simple_bundle(mesh4, [force / np.linalg.norm(force)])
-        z = extract_features(bundle, force)
+        z = features_from_gray(bundle, gray[None], mesh4)[0]
         assert z[0] == pytest.approx(np.linalg.norm(force), rel=1e-12)
 
     def test_solve_based_identity_oracle(self, mesh4):
@@ -36,10 +36,11 @@ class TestExtractFeatures:
         rng = np.random.default_rng(2)
         design = random_design(mesh4, rng)
         op = fem.assemble_stiffness(mesh4, design, 1e4)
-        force = fem.grayscale_to_force(mesh4, rng.random(mesh4.ne))
+        gray = rng.random(mesh4.ne)
+        force = fem.grayscale_to_force(mesh4, gray)
         axes = rng.standard_normal((4, mesh4.n_nodes))
         bundle = simple_bundle(mesh4, axes)
-        z = extract_features(bundle, force)
+        z = features_from_gray(bundle, gray[None], mesh4)[0]
         d = op.solve(force)
         for m in range(4):
             ref = fem.mutual_energy(op, d, axes[m])
@@ -53,13 +54,14 @@ class TestExtractFeatures:
         zb = features_from_gray(bundle, gray, mesh4)
         for i in range(6):
             force = fem.grayscale_to_force(mesh4, gray[i])
-            assert np.allclose(zb[i], extract_features(bundle, force),
+            # per sample: each axis dotted with the node-force vector
+            assert np.allclose(zb[i], bundle.axes @ force,
                                rtol=1e-12, atol=1e-15)
 
     def test_dimension_mismatch(self, mesh4):
         bundle = simple_bundle(mesh4, np.ones((1, mesh4.n_nodes)))
         with pytest.raises(ValueError):
-            extract_features(bundle, np.zeros(7))
+            features_from_gray(bundle, np.zeros((1, 7)), mesh4)
 
 
 class TestFit:

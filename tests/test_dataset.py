@@ -5,9 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from meip.dataset import (BlankImageError, Dataset, IdxFormatError,
+from meip.dataset import (NORMS, BlankImageError, Dataset, IdxFormatError,
                           centroid_shift, load_idx_images, load_idx_labels,
                           preprocess, write_idx_images, write_idx_labels)
+import preprocess_oracle as oracle
 
 
 def pack_images(images: np.ndarray) -> bytes:
@@ -205,6 +206,76 @@ class TestDataset:
         images, labels = self.make(rng)
         with pytest.raises(ValueError, match="count mismatch"):
             Dataset.from_arrays(images, labels[:-1])
+
+
+def _stacks(rng):
+    """(name, stack of 0..255 pixels) cases for the batched preprocessing."""
+    for n1, n2 in ((12, 12), (5, 9), (9, 4), (1, 7), (6, 1), (1, 1), (28, 28)):
+        yield f"random {n1}x{n2}", rng.integers(0, 256, (25, n1, n2))
+        sparse = rng.integers(1, 256, (25, n1, n2)) * (
+            rng.random((25, n1, n2)) < 0.15)
+        sparse[:, 0, 0] |= 1            # no blank image
+        yield f"sparse {n1}x{n2}", sparse
+        # one or two lit corners: the largest shifts either way
+        corners = np.zeros((12, n1, n2), dtype=np.int64)
+        for i, (r, c) in enumerate([(0, 0), (0, -1), (-1, 0), (-1, -1)] * 3):
+            corners[i, r, c] = 1 + 20 * i
+            if i >= 4:
+                corners[i, -1 - r, c] = 1 + 20 * i  # centroid midway
+            if i >= 8:
+                corners[i, r, -1 - c] = 7
+        yield f"corners {n1}x{n2}", corners
+        # two equal pixels: centroids at exact halves, which round up
+        halves = np.zeros((30, n1, n2), dtype=np.int64)
+        for i in range(30):
+            for _ in range(2):
+                halves[i, rng.integers(n1), rng.integers(n2)] = 100
+        yield f"halves {n1}x{n2}", halves
+
+
+class TestBatchedPreprocess:
+    """One pass over a stack equals the per-image oracle bit for bit."""
+
+    def test_matches_per_image_oracle(self):
+        rng = np.random.default_rng(17)
+        for name, stack in _stacks(rng):
+            stack = stack.astype(np.uint8)
+            labels = np.zeros(len(stack), dtype=np.int64)
+            for norm in NORMS:
+                got = Dataset.from_arrays(stack, labels, norm).gray
+                want = np.array([oracle.preprocess(img, norm)
+                                 for img in stack])
+                assert np.array_equal(got, want), (name, norm)
+                assert np.array_equal(got[0], preprocess(stack[0], norm))
+            for img in stack:
+                assert centroid_shift(img) == oracle.centroid_shift(img)
+
+    def test_halves_round_up(self):
+        # centroid (0, 0.5), grid center (0.5, 1.5): the row offset 0.5
+        # rounds up to 1 (round-half-even would give 0)
+        img = np.zeros((2, 4), dtype=np.uint8)
+        img[0, 0] = img[0, 1] = 9
+        assert centroid_shift(img) == oracle.centroid_shift(img) == (1, 1)
+
+    def test_blank_images_rejected_with_index(self):
+        rng = np.random.default_rng(18)
+        stack = rng.integers(1, 256, (20, 6, 5)).astype(np.uint8)
+        stack[[13, 17]] = 0
+        with pytest.raises(BlankImageError, match="^blank image 13: "):
+            Dataset.from_arrays(stack, np.zeros(20, dtype=np.int64))
+        for norm in NORMS:
+            with pytest.raises(BlankImageError):
+                oracle.preprocess(stack[13], norm)
+            with pytest.raises(BlankImageError):
+                preprocess(stack[13], norm)
+
+    def test_integer_and_float_pixels_agree(self):
+        rng = np.random.default_rng(19)
+        stack = rng.integers(0, 256, (10, 7, 8))
+        want = Dataset.from_arrays(stack.astype(np.uint8), np.zeros(10)).gray
+        for dtype in (np.int64, np.float64):
+            got = Dataset.from_arrays(stack.astype(dtype), np.zeros(10)).gray
+            assert np.array_equal(got, want), dtype
 
 
 class TestMnistCounts:

@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from meip import cli, fem, forest, pipeline
+from meip import classifier, cli, fem, forest, pipeline
 from meip.classifier import confusion_from_predictions, fit
-from meip.dataset import load_idx_labels, write_idx_images, write_idx_labels
+from meip.dataset import (load_idx_images, load_idx_labels, write_idx_images,
+                          write_idx_labels)
 from meip.forest import AxisBundle
 from meip.optimizer import REF_KINDS, OptimizerConfig
 from conftest import bar_images
@@ -165,6 +166,75 @@ class TestModelFormat:
             assert np.array_equal(orig.b, back.b)
             assert orig.c == back.c
             assert orig.log_det == back.log_det
+
+    def test_classes_row_needs_the_word_dim(self, tmp_path):
+        path = tmp_path / "model.txt"
+        _save_model(path, np.random.default_rng(5))
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith("classes "))
+        assert lines[i] == "classes 2 dim 2\n"
+        for bad in ("classes 2 dims 3", "classes 2 dims 2", "classes 2 2 2"):
+            path.write_text("".join(lines[:i] + [bad + "\n"] + lines[i + 1:]))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:{i + 1}: expected '<count> dim <dim>'")):
+                pipeline.load_model(path)
+
+
+def _cell(value) -> str:
+    # the per-cell writer that one %-format per table replaced
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _rows_by_cell(rows, tag, sep) -> str:
+    return "".join(sep.join(([] if tag is None else [tag])
+                            + [_cell(v) for v in row]) + "\n"
+                   for row in rows)
+
+
+class TestRowWriter:
+    """One %-format per table writes what a per-cell writer wrote."""
+
+    SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                -2.2250738585072014e-308, 1e-310, np.finfo(float).max,
+                0.1, 1 / 3, -123456789.0, 1e16, 2.0 ** 53 + 2]
+
+    def column(self, rng, kind, n):
+        floats = self.SPECIALS + list(rng.standard_normal(8)
+                                      * 10.0 ** rng.integers(-300, 300, 8))
+        picks = [floats[i] for i in rng.integers(0, len(floats), n)]
+        if kind == 0:
+            return picks                                  # Python floats
+        if kind == 1:
+            return list(np.array(picks))                  # np.float64
+        if kind == 2:
+            return list(rng.integers(-2**62, 2**62, n))   # np.int64
+        if kind == 3:
+            return [int(v) for v in rng.integers(-99, 99, n)]
+        words = ["", "x", "a b", "1,5", "%s", "100%", "nan", "7"]
+        return [words[i] for i in rng.integers(0, len(words), n)]
+
+    def test_matches_per_cell_reference(self):
+        rng = np.random.default_rng(23)
+        for case in range(300):
+            n_rows, n_cols = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+            cols = [self.column(rng, int(k), n_rows)
+                    for k in rng.integers(0, 5, n_cols)]
+            rows = [tuple(c[i] for c in cols) for i in range(n_rows)]
+            tag = [None, "cov", "MEIP-PRED 1", "50%"][case % 4]
+            sep = [" ", ","][case % 2]
+            want = _rows_by_cell(rows, tag, sep)
+            assert pipeline._fmt(rows, tag, sep) == want, case
+            assert pipeline._fmt(iter(rows), tag, sep) == want, case
+
+    def test_float_matrix(self):
+        rng = np.random.default_rng(24)
+        table = rng.choice(self.SPECIALS, (5, 4))
+        table[2] = rng.standard_normal(4)
+        for tag in (None, "cov"):
+            assert pipeline._fmt(table, tag) == \
+                _rows_by_cell(table, tag, " ")
+        assert pipeline._fmt(np.empty((0, 3))) == ""
 
 
 class TestRasterAndCsv:
@@ -380,6 +450,61 @@ class TestCommands:
                 f"{labels_path}: no test images of configured digit(s) "
                 "[3, 7]")):
             pipeline.load_split(cfg, "test")
+
+    def test_count_mismatch_names_both_files(self, bars_workspace):
+        labels_path = bars_workspace / "test-lab.idx"
+        write_idx_labels(labels_path, load_idx_labels(labels_path)[:-1])
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bars_workspace / 'test-img.idx'} holds 30 images but "
+                f"{labels_path} holds 29 labels")):
+            pipeline.load_split(cfg, "test")
+
+    def test_blank_image_named_before_forests(self, bars_workspace):
+        images_path = bars_workspace / "train-img.idx"
+        labels_path = bars_workspace / "train-lab.idx"
+        images, labels = load_idx_images(images_path), load_idx_labels(
+            labels_path)
+        # image 5 is blank but of no configured digit, so it is skipped;
+        # the message counts images as the file does
+        images[[5, 17, 40]] = 0
+        labels[5] = 9
+        write_idx_images(images_path, images)
+        write_idx_labels(labels_path, labels)
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{images_path}: image 17 is blank")):
+            pipeline.cmd_pipeline(cfg, out)
+        assert not (out / "axes.txt").exists()
+
+    def test_eval_scores_each_split_once(self, bars_workspace, monkeypatch):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        calls, discriminants = [], classifier.discriminants
+
+        def counting(model, z):
+            calls.append(len(z))
+            return discriminants(model, z)
+
+        monkeypatch.setattr(classifier, "discriminants", counting)
+        pipeline.cmd_pipeline(cfg, out)
+        assert calls == [80, 30]            # the train split, then test
+
+        # outputs come from the discriminants: an exact tie goes to the
+        # lowest class, and a gap exp() rounds away still decides
+        def near_ties(model, z):
+            beta = np.zeros((len(z), len(model)))
+            beta[::2, 1] = 1e-300
+            return beta
+
+        monkeypatch.setattr(classifier, "discriminants", near_ties)
+        pipeline.cmd_eval(cfg, out / "model.txt",
+                          pipeline.load_split(cfg, "test"), "test", out)
+        rows = (out / "predictions_test.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["1", "0"] * 15
+        assert {row.partition(",")[2].partition(",")[2][2:]
+                for row in rows} == {"0.5,0.5"}
 
     def test_digit_absent_from_training_labels(self, bars_workspace):
         cfg_file = bars_workspace / "run.cfg"
