@@ -110,11 +110,7 @@ class PipelineConfig:
                 raise ValueError("one_vs_rest must list at least 2 distinct "
                                  "digits")
             return digits
-        digits: list[int] = []
-        for pair in self.pairs():
-            for d in pair:
-                if d not in digits:
-                    digits.append(d)
+        digits = list(dict.fromkeys(d for pair in self.pairs() for d in pair))
         if len(digits) != 2:
             raise ValueError(
                 "class_pairs must involve exactly 2 digits for a binary "
@@ -214,8 +210,18 @@ def load_config(path) -> PipelineConfig:
 
 def _counts(toks: list[str]) -> list[int]:
     if not all(t.isdigit() for t in toks):
-        raise ValueError(f"invalid count in {toks}")
+        raise ValueError(f"counts, got {toks}")
     return [int(t) for t in toks]
+
+
+def _floats(toks: list[str]) -> np.ndarray:
+    try:
+        values = np.array(toks, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"numbers: {exc}") from None
+    if np.isfinite(values).all():
+        return values
+    raise ValueError("finite numbers")
 
 
 class _Reader:
@@ -239,15 +245,15 @@ class _Reader:
 
     def row(self, tag: str | None, count: int, parse=None, text=None):
         """``count`` values of the next row after ``tag`` (or of ``text``),
-        as floats or through ``parse``."""
+        as finite floats or through ``parse``."""
         text = self.text(tag) if text is None else text
         toks = text.split(self.sep) if text else []
         if len(toks) != count:
             raise self.error(f"expected {count} values, got {len(toks)}")
         try:
-            return parse(toks) if parse else np.array(toks, dtype=np.float64)
+            return (parse or _floats)(toks)
         except ValueError as exc:
-            raise self.error(f"expected numbers: {exc}") from None
+            raise self.error(f"expected {exc}") from None
 
 
 @contextmanager
@@ -412,7 +418,7 @@ def read_confusion_csv(path):
             raise r.error("expected 'target_<class>,...,precision' columns")
         n = len(targets)
         rows = [r.row("output_" + t[len("target_"):], n + 1,
-                      lambda v: (_counts(v[:n]), float(v[n])))
+                      lambda v: (_counts(v[:n]), _floats(v[n:])[0]))
                 for t in targets]
         tail = r.row("recall", n + 1)
     return (np.array([c for c, _ in rows]), np.array([p for _, p in rows]),
@@ -426,8 +432,10 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    counts = np.stack([np.histogram(z[targets == j], bins=edges)[0]
-                       for j in range(n_classes)], axis=1)
+    # bins [e_i, e_i+1) as in np.histogram, the last one closed
+    bin_of = np.minimum(np.searchsorted(edges, z, side="right") - 1, bins - 1)
+    counts = np.bincount(bin_of * n_classes + targets,
+                         minlength=bins * n_classes).reshape(bins, n_classes)
     with open(path, "w") as f:
         names = [f"count_{j}" for j in range(n_classes)]
         f.write(_fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ","))
@@ -441,12 +449,10 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
 
 def load_split(cfg: PipelineConfig, split: str) -> Dataset:
     """Load and preprocess one split restricted to the configured digits."""
-    if split == "train":
-        img_path, lbl_path = cfg.train_images, cfg.train_labels
-    elif split == "test":
-        img_path, lbl_path = cfg.test_images, cfg.test_labels
-    else:
+    if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
+    img_path = getattr(cfg, f"{split}_images")
+    lbl_path = getattr(cfg, f"{split}_labels")
     if not img_path or not lbl_path:
         raise ValueError(f"config does not define {split} dataset paths")
     img_path, lbl_path = cfg.resolve(img_path), cfg.resolve(lbl_path)
@@ -476,9 +482,8 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
 def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
     """Map digit labels to 0-based class indices in config order."""
     digits = cfg.classes()
-    lut = np.full(int(max(digits)) + 1, -1, dtype=np.int64)
-    for idx, d in enumerate(digits):
-        lut[d] = idx
+    lut = np.full(max(digits) + 1, -1, dtype=np.int64)
+    lut[digits] = np.arange(len(digits))
     targets = lut[labels]
     if np.any(targets < 0):
         raise ValueError("dataset contains labels outside configured classes")
@@ -487,19 +492,13 @@ def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
 
 def _forest_specs(cfg: PipelineConfig) -> list[dict]:
     """One entry per forest: binary labeling rule plus reference kind."""
-    specs = []
     refs = cfg.ref_kinds()
     if cfg.class_pairs:
-        for a, b in cfg.pairs():
-            for ref in refs:
-                specs.append({"kind": "pair", "a": a, "b": b, "ref": ref,
-                              "name": f"{a}v{b}_{ref}"})
-    else:
-        for d in cfg.classes():
-            for ref in refs:
-                specs.append({"kind": "ovr", "digit": d, "ref": ref,
-                              "name": f"{d}vrest_{ref}"})
-    return specs
+        return [{"kind": "pair", "a": a, "b": b, "ref": ref,
+                 "name": f"{a}v{b}_{ref}"} for a, b in cfg.pairs()
+                for ref in refs]
+    return [{"kind": "ovr", "digit": d, "ref": ref, "name": f"{d}vrest_{ref}"}
+            for d in cfg.classes() for ref in refs]
 
 
 def _binary_labels(spec: dict, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -584,12 +583,20 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset, out_dir) -> Path:
     return bundle_path
 
 
+def _load_bundle(cfg: PipelineConfig, path) -> forest.AxisBundle:
+    bundle = load_axes(path)
+    if (bundle.n1, bundle.n2) != (cfg.n1, cfg.n2):
+        raise ValueError(f"{path}: bundle is {bundle.n1}x{bundle.n2}, config "
+                         f"says {cfg.n1}x{cfg.n2}")
+    return bundle
+
+
 def cmd_train(cfg: PipelineConfig, bundle_path, data: Dataset,
               out_dir) -> Path:
     """Fit the per-class Gaussian model on the training split ``data``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = load_axes(bundle_path)
+    bundle = _load_bundle(cfg, bundle_path)
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
     model = classifier.fit(z, targets, len(cfg.classes()), ridge=cfg.ridge)
@@ -605,7 +612,14 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, bundle_ref, _ = load_model(model_path)
-    bundle = load_axes(Path(model_path).parent / bundle_ref)
+    if len(model) != len(cfg.classes()):
+        raise ValueError(f"{model_path}: model has {len(model)} classes, "
+                         f"config says {len(cfg.classes())}")
+    bundle_path = Path(model_path).parent / bundle_ref
+    bundle = _load_bundle(cfg, bundle_path)
+    if len(model[0].mean) != bundle.n_axes:
+        raise ValueError(f"{model_path}: model has dim {len(model[0].mean)}, "
+                         f"but {bundle_path} holds {bundle.n_axes} axes")
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
     beta = classifier.discriminants(model, z)

@@ -1,13 +1,18 @@
 """Feature extraction, Gaussian fitting, prediction, and confusion counts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from meip import fem
-from meip.classifier import (confusion_from_predictions, features_from_gray,
-                             fit, predict_batch, predict_posterior)
+from meip.classifier import (confusion_from_predictions, discriminants,
+                             features_from_gray, fit, gaussian_from_moments,
+                             predict_batch, predict_posterior)
+from meip.dataset import Dataset
 from meip.forest import AxisBundle
 from conftest import random_design
+from test_acceptance import render_strokes
 
 
 def simple_bundle(mesh, axes):
@@ -197,6 +202,116 @@ class TestPredict:
         model = self.two_class_model()
         with pytest.raises(ValueError, match="dimension"):
             predict_batch(model, np.zeros((1, 5)))
+
+
+U = 2.0 ** -53     # unit roundoff of float64
+
+
+def gamma(k: int) -> float:
+    """Forward-error factor of a k-step float64 dot product (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1)."""
+    return k * U / (1 - k * U)
+
+
+def einsum_discriminants(model, z):
+    """Reference: the discriminants as the einsum computed them."""
+    return np.stack([0.5 * np.einsum("ni,ij,nj->n", z, g.H, z) + z @ g.b
+                     + g.c for g in model], axis=1)
+
+
+def abs_form(model, z):
+    """sum_ij |z_i H_ij z_j| per row (columns: classes)."""
+    return np.stack([((abs(z) @ abs(g.H)) * abs(z)).sum(axis=1)
+                     for g in model], axis=1)
+
+
+def form_bound(model, z):
+    """A-priori bound on |q_blas - q_einsum| for q = z'Hz.  Either way each
+    product z_i H_ij z_j passes through at most 2d roundings (two products,
+    then a d-term sum inside a d-term sum), so each result is within
+    gamma(2d) * sum_ij |z_i H_ij z_j| of the exact form."""
+    return 2 * gamma(2 * z.shape[1]) * abs_form(model, z)
+
+
+def discriminant_bound(model, z):
+    """Bound on |beta - beta_einsum|: half the form's bound, plus the two
+    additions of the linear and constant terms, rounded on both sides."""
+    lin = np.stack([abs(z) @ abs(g.b) + abs(g.c) for g in model], axis=1)
+    return (0.5 * form_bound(model, z)
+            + 2 * gamma(2) * (0.5 * abs_form(model, z) + lin))
+
+
+def assert_matches_einsum(model, z):
+    """The BLAS discriminants against the einsum within the a-priori
+    bounds; a class decision may differ only on a near-tie."""
+    # with b = 0 and c = 0, 2 * beta is the computed quadratic form exactly
+    forms = [replace(g, b=np.zeros_like(g.b), c=0.0) for g in model]
+    q_blas = 2 * discriminants(forms, z)
+    q_einsum = 2 * einsum_discriminants(forms, z)
+    assert np.all(abs(q_blas - q_einsum) <= form_bound(model, z))
+
+    beta, ref = discriminants(model, z), einsum_discriminants(model, z)
+    tol = discriminant_bound(model, z)
+    assert np.all(abs(beta - ref) <= tol)
+    got, want = beta.argmax(axis=1), ref.argmax(axis=1)
+    rows = np.flatnonzero(got != want)
+    gap = ref[rows, want[rows]] - ref[rows, got[rows]]
+    assert np.all(gap <= tol[rows, got[rows]] + tol[rows, want[rows]])
+
+
+# Five single-stroke glyph classes in unit coordinates (x0, y0, x1, y1).
+GLYPHS = [[(0.5, 0.15, 0.5, 0.85)], [(0.15, 0.5, 0.85, 0.5)],
+          [(0.2, 0.2, 0.8, 0.8)], [(0.8, 0.2, 0.2, 0.8)],
+          [(0.25, 0.3, 0.75, 0.3), (0.25, 0.7, 0.75, 0.7)]]
+
+
+def glyph_features(rng, count, bundle, mesh):
+    """Features of noisy, blended 28x28 glyph images on the bundle."""
+    labels = rng.integers(0, len(GLYPHS), count)
+    images = np.empty((count, 28, 28), dtype=np.uint8)
+    for i, label in enumerate(labels):
+        w = rng.uniform(0.0, 0.5)
+        img = ((1 - w) * render_strokes(GLYPHS[label], 28, rng)
+               + w * render_strokes(GLYPHS[rng.integers(5)], 28, rng))
+        img += rng.uniform(0.0, 0.2, img.shape)
+        images[i] = np.clip(255.0 * img, 0, 255).astype(np.uint8)
+    data = Dataset.from_arrays(images, labels)
+    return features_from_gray(bundle, data.gray, mesh), labels
+
+
+class TestBlasDiscriminants:
+    """``discriminants`` evaluates z'Hz by GEMM; the einsum it replaced is
+    the reference, within a bound fixed from the float64 unit roundoff."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 60])
+    def test_random_models(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 1e3):
+            model = []
+            for prior in rng.dirichlet(np.ones(5)):
+                a = rng.standard_normal((dim, dim))
+                cov = scale ** 2 * (a @ a.T / dim + 0.1 * np.eye(dim))
+                mean = scale * rng.standard_normal(dim)
+                model.append(gaussian_from_moments(mean, cov, prior))
+            z = scale * 3.0 * rng.standard_normal((2000, dim))
+            assert_matches_einsum(model, z)
+
+    def test_models_fitted_on_glyph_features(self):
+        # 60 orthonormal smooth axes on a 28x28 mesh, 5 classes
+        rng = np.random.default_rng(101)
+        mesh = fem.build_mesh(28, 28)
+        t = np.linspace(0.0, 1.0, 29)
+        x, y = np.meshgrid(t, t, indexing="ij")
+        modes = np.stack([np.cos(np.pi * a * x) * np.cos(np.pi * b * y)
+                          for a in range(8) for b in range(8)], axis=-1)
+        axes, _ = np.linalg.qr(modes.reshape(-1, 64)
+                               @ rng.standard_normal((64, 60)))
+        bundle = AxisBundle(axes=axes.T, n1=28, n2=28)
+        z_train, y_train = glyph_features(rng, 600, bundle, mesh)
+        z_test, _ = glyph_features(rng, 600, bundle, mesh)
+        model = fit(z_train, y_train, len(GLYPHS))
+        assert_matches_einsum(model, z_test)
+        assert_matches_einsum(model, z_train)
 
 
 class TestConfusion:

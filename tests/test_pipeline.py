@@ -436,6 +436,26 @@ class TestDamagedArtifacts:
                                    match=f"^{re.escape(str(path))}:{i + 1}: "):
                     load(path)
 
+    def test_non_finite_numbers(self, tmp_path, fmt):
+        path, load, lines = self.real_file(tmp_path, fmt)
+        messages = []
+        for i, line in enumerate(lines):
+            if " = " in line or line.startswith("bundle "):
+                continue    # model bundle reference and config: verbatim text
+            parts = re.split(r"([ ,])", line.rstrip("\n"))
+            numbers = [j for j in range(0, len(parts), 2)
+                       if _is_number(parts[j])]
+            for j, bad in ((numbers[0], "nan"), (numbers[-1], "inf"),
+                           (numbers[-1], "-inf")):
+                path.write_text("".join(
+                    lines[:i] + ["".join(parts[:j] + [bad] + parts[j + 1:])
+                                 + "\n"] + lines[i + 1:]))
+                with pytest.raises(ValueError, match=(
+                        f"^{re.escape(str(path))}:{i + 1}: ")) as exc:
+                    load(path)
+                messages.append(str(exc.value))
+        assert any(m.endswith(": expected finite numbers") for m in messages)
+
 
 class TestCommands:
     def test_eval_split_without_configured_digits(self, bars_workspace):
@@ -634,6 +654,53 @@ class TestCommands:
         bogus.write_text("garbage\n")
         with pytest.raises(ValueError, match="unrecognized artifact"):
             pipeline.cmd_inspect(bogus, tmp_path / "viz")
+
+    def test_bundle_size_checked_against_config(self, bars_workspace,
+                                                capsys):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        pipeline.cmd_pipeline(cfg, out)
+        bundle = bars_workspace / "big.txt"
+        pipeline.save_axes(bundle, AxisBundle(axes=np.ones((2, 81)), n1=8,
+                                              n2=8))
+        common = ["--config", str(bars_workspace / "run.cfg"), "--out",
+                  str(out)]
+        assert cli.main(["train", "--bundle", str(bundle)] + common) == 1
+        assert capsys.readouterr().err == (
+            f"[train] error: {bundle}: bundle is 8x8, config says 6x6\n")
+        # the model's own bundle, replaced by one for another mesh
+        (out / "axes.txt").write_bytes(bundle.read_bytes())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{out / 'axes.txt'}: bundle is 8x8, config says 6x6")):
+            pipeline.cmd_eval(cfg, out / "model.txt",
+                              pipeline.load_split(cfg, "test"), "test", out)
+
+    def test_model_class_count_checked_against_config(self, bars_workspace):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        report = pipeline.cmd_pipeline(cfg, out)
+        z = np.random.default_rng(0).standard_normal((30, report.n_axes))
+        model_path = out / "model3.txt"
+        pipeline.save_model(model_path, fit(z, np.arange(30) % 3, 3),
+                            "axes.txt", cfg.echo_items())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{model_path}: model has 3 classes, config says 2")):
+            pipeline.cmd_eval(cfg, model_path,
+                              pipeline.load_split(cfg, "test"), "test", out)
+
+    def test_model_dim_checked_against_bundle(self, bars_workspace):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        n_axes = pipeline.cmd_pipeline(cfg, out).n_axes
+        z = np.random.default_rng(0).standard_normal((30, n_axes + 1))
+        model_path = out / "model_wide.txt"
+        pipeline.save_model(model_path, fit(z, np.arange(30) % 2, 2),
+                            "axes.txt", cfg.echo_items())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{model_path}: model has dim {n_axes + 1}, but "
+                f"{out / 'axes.txt'} holds {n_axes} axes")):
+            pipeline.cmd_eval(cfg, model_path,
+                              pipeline.load_split(cfg, "test"), "test", out)
 
     def test_mesh_dimension_mismatch(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()
