@@ -4,7 +4,8 @@ Two classes of small images (a centered ring versus a centered bar) are
 generated, the axis optimizer runs with default parameters, and the
 script reports the objective trajectory, the constraint value, and how
 well the single coordinate separates the classes.  The axis and the
-final design fields are written as PGM rasters next to this script.
+final design fields are written as PGM rasters to ``out_single_axis/``
+under the current directory.
 """
 
 from pathlib import Path
@@ -59,7 +60,7 @@ z1, z0 = gray1 @ proj, gray0 @ proj
 print(f"\ncoordinate separation: class1 [{z1.min():.3f}, {z1.max():.3f}], "
       f"class0 [{z0.min():.3f}, {z0.max():.3f}]")
 
-out = Path(__file__).parent / "out_single_axis"
+out = Path("out_single_axis")
 out.mkdir(exist_ok=True)
 pipeline.write_pgm(out / "axis.pgm",
                    pipeline.node_grid(result.alpha, n, n))

@@ -2,23 +2,26 @@
 
 Each pixel is a unit-square bilinear element with per-element elastic
 modulus p_e and support coefficient q_e.  The module builds the mesh
-connectivity, assembles the global stiffness operator K (linear in p, q,
-plus a large boundary penalty sigma0 on boundary-node diagonals), converts
-per-pixel grayscale values to equivalent node forces, solves SPD systems
-through a cached banded Cholesky factorization, and evaluates the
-mutual-energy inner product a' K b.  A dense generalized-eigenpair routine
-for small meshes backs the spectral test oracles.
+connectivity, assembles the global stiffness K (linear in p, q, plus a
+large boundary penalty sigma0 on boundary-node diagonals) straight into
+LAPACK upper band storage, converts per-pixel grayscale values to
+equivalent node forces, solves SPD systems through the banded Cholesky
+factor (dpbtrf/dpbtrs), and evaluates products K x and the
+mutual-energy inner product a' K b from the band (dsbmv).  A sparse K is
+built only on request, for the dense generalized-eigenpair routine that
+backs the spectral test oracles.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrs
 
 __all__ = [
     "GridMesh",
@@ -26,7 +29,6 @@ __all__ = [
     "StiffnessOperator",
     "build_mesh",
     "element_matrices",
-    "element_matrices_rational",
     "uniform_design",
     "assemble_stiffness",
     "grayscale_to_force",
@@ -48,6 +50,11 @@ _KQ_NUM = np.array(
      [1, 2, 4, 2],
      [2, 1, 2, 4]], dtype=np.int64)
 
+# Flat positions i*4 + j of the element entries on or above K's diagonal
+# (theta[e, i] <= theta[e, j]): corner node numbers ascend in the order
+# 0, 1, 3, 2 in every element.
+_UPPER = np.array([0, 1, 2, 3, 5, 6, 7, 10, 14, 15])
+
 
 class FactorizationError(RuntimeError):
     """Stiffness factorization failed; carries the offending pivot index."""
@@ -66,6 +73,8 @@ class GridMesh:
     maps each element to its 4 corner nodes in cyclic order
     (upper-left, lower-left, lower-right, upper-right); node
     ``c*(n1+1) + s`` sits at grid position (row s, column c).
+    ``band_scatter[e, k]`` is where the element's upper entry ``_UPPER[k]``
+    lands in the flattened column-major (bandwidth+1, n_nodes) upper band.
     """
 
     n1: int
@@ -74,6 +83,8 @@ class GridMesh:
     n_nodes: int
     theta: np.ndarray          # (ne, 4) int64, 0-based global node numbers
     boundary_nodes: np.ndarray  # (2*(n1+n2),) int64, sorted
+    bandwidth: int              # K[i, j] = 0 where |i - j| > bandwidth
+    band_scatter: np.ndarray    # (ne, 10) int64
 
 
 def build_mesh(n1: int, n2: int) -> GridMesh:
@@ -93,22 +104,22 @@ def build_mesh(n1: int, n2: int) -> GridMesh:
     on_edge = (row == 0) | (row == n1) | (col == 0) | (col == n2)
     boundary = node[on_edge]
 
-    theta.setflags(write=False)
-    boundary.setflags(write=False)
+    # Nodes of one element differ by at most n1+2 in column-priority order;
+    # K[i, j] (i <= j) sits at ab[bw + i - j, j] in LAPACK upper band storage.
+    bw = min(n1 + 2, n_nodes - 1)
+    rows, cols = theta[:, _UPPER // 4], theta[:, _UPPER % 4]
+    scatter = cols * (bw + 1) + bw + rows - cols
+
+    for a in (theta, boundary, scatter):
+        a.setflags(write=False)
     return GridMesh(n1=n1, n2=n2, ne=ne, n_nodes=n_nodes, theta=theta,
-                    boundary_nodes=boundary)
+                    boundary_nodes=boundary, bandwidth=bw,
+                    band_scatter=scatter)
 
 
 def element_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Return (Kp, Kq): unit-square element coefficient matrices as floats."""
     return _KP_NUM / 24.0, _KQ_NUM / 36.0
-
-
-def element_matrices_rational() -> tuple[list, list]:
-    """Exact rational form of (Kp, Kq), for arithmetic-identity checks."""
-    kp = [[Fraction(int(v), 24) for v in row] for row in _KP_NUM]
-    kq = [[Fraction(int(v), 36) for v in row] for row in _KQ_NUM]
-    return kp, kq
 
 
 @dataclass
@@ -153,77 +164,75 @@ def uniform_design(mesh: GridMesh, tolp: float, tolq: float,
 
 
 class StiffnessOperator:
-    """Assembled global stiffness K with a cached banded Cholesky factor.
+    """Global stiffness K in upper band storage with its Cholesky factor.
 
     K is symmetric positive definite: sum over elements of
     p_e*Kp + q_e*Kq scattered through the connectivity table, plus sigma0
-    on boundary-node diagonals.  The factorization is computed once at
-    assembly; ``solve`` applies it with one step of iterative refinement.
+    on boundary-node diagonals.  ``ab`` holds K[i, j] (i <= j) at
+    ``ab[bandwidth + i - j, j]``; the factor is computed once at assembly.
     """
 
-    def __init__(self, K: scipy.sparse.csr_matrix, sigma0: float,
-                 bandwidth: int, chol_upper: np.ndarray):
-        self.K = K
-        self.sigma0 = sigma0
-        self.bandwidth = bandwidth
+    def __init__(self, ab: np.ndarray, chol_upper: np.ndarray):
+        self.ab = ab
+        self.bandwidth = ab.shape[0] - 1
         self._chol = chol_upper
-        self.shape = K.shape
+        self.shape = (ab.shape[1], ab.shape[1])
+
+    def _check(self, x: np.ndarray, name: str) -> None:
+        m = self.shape[0]
+        if x.ndim not in (1, 2) or x.shape[0] != m:
+            raise ValueError(
+                f"{name} has shape {x.shape}, expected ({m},) or ({m}, k)")
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """K @ x for an (m,) or (m, k) array: one dsbmv per column."""
+        self._check(x, "x")
+        if x.ndim == 1:
+            return dsbmv(self.bandwidth, 1.0, self.ab, x)
+        return np.column_stack(
+            [dsbmv(self.bandwidth, 1.0, self.ab, col) for col in x.T])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K x = rhs to a relative residual of at most 1e-10."""
-        if rhs.shape != (self.shape[0],):
-            raise ValueError(
-                f"rhs has shape {rhs.shape}, expected ({self.shape[0]},)")
-        x = scipy.linalg.cho_solve_banded((self._chol, False), rhs)
+        """Solve K x = rhs for an (m,) or (m, k) right-hand side, to a
+        relative residual of at most 1e-10 in every column."""
+        self._check(rhs, "rhs")
+        x = dpbtrs(self._chol, rhs)[0]
         # One refinement pass cleans up the residual for ill-scaled designs
         # (sigma0 is typically 1e5 against budgets of order 1e-3..1).
-        r = rhs - self.K @ x
-        x += scipy.linalg.cho_solve_banded((self._chol, False), r)
+        x += dpbtrs(self._chol, rhs - self.matvec(x))[0]
         return x
 
-
-def _band_index(mesh: GridMesh) -> int:
-    # Nodes of one element differ by at most n1+2 in column-priority order.
-    return min(mesh.n1 + 2, mesh.n_nodes - 1)
-
-
-def _element_triplets(mesh: GridMesh, design: DesignField):
-    """COO triplets of the p/q part of K (no boundary penalty)."""
-    kp, kq = element_matrices()
-    # (ne, 4, 4) stack of element matrices, then scattered via theta.
-    kse = (design.p[:, None, None] * kp[None, :, :]
-           + design.q[:, None, None] * kq[None, :, :])
-    rows = np.repeat(mesh.theta, 4, axis=1).ravel()
-    cols = np.tile(mesh.theta, (1, 4)).ravel()
-    return rows, cols, kse.reshape(mesh.ne, 16).ravel()
+    @property
+    def K(self) -> scipy.sparse.csr_matrix:
+        """K as a sparse matrix, built from the band on every access."""
+        upper = scipy.sparse.dia_matrix(
+            (self.ab, np.arange(self.bandwidth, -1, -1)),
+            shape=self.shape).tocsr()
+        return upper + scipy.sparse.triu(upper, k=1).T
 
 
 def assemble_stiffness(mesh: GridMesh, design: DesignField,
                        sigma0: float) -> StiffnessOperator:
-    """Assemble and factorize the global stiffness operator."""
+    """Assemble K's upper band and factorize it."""
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
     if design.p.shape != (mesh.ne,) or design.q.shape != (mesh.ne,):
         raise ValueError("design variable length does not match element count")
 
-    rows, cols, vals = _element_triplets(mesh, design)
-    rows = np.concatenate([rows, mesh.boundary_nodes])
-    cols = np.concatenate([cols, mesh.boundary_nodes])
-    vals = np.concatenate([vals, np.full(len(mesh.boundary_nodes), sigma0)])
-
-    m = mesh.n_nodes
-    K = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
-
-    bw = _band_index(mesh)
-    ab = np.zeros((bw + 1, m))
-    upper = rows <= cols
-    np.add.at(ab, (bw + rows[upper] - cols[upper], cols[upper]), vals[upper])
+    kp, kq = element_matrices()
+    vals = (design.p[:, None] * kp.ravel()[_UPPER]
+            + design.q[:, None] * kq.ravel()[_UPPER])
+    m, bw = mesh.n_nodes, mesh.bandwidth
+    # bincount sums in input order: element by element, then sigma0 last
+    ab = np.bincount(mesh.band_scatter.ravel(), weights=vals.ravel(),
+                     minlength=(bw + 1) * m).reshape((bw + 1, m), order="F")
+    ab[bw, mesh.boundary_nodes] += sigma0
     try:
         chol = scipy.linalg.cholesky_banded(ab, lower=False)
     except scipy.linalg.LinAlgError as exc:
         pivot = _failed_pivot(exc)
         raise FactorizationError(pivot) from exc
-    return StiffnessOperator(K=K, sigma0=sigma0, bandwidth=bw, chol_upper=chol)
+    return StiffnessOperator(ab, chol)
 
 
 _PIVOT_MESSAGE = re.compile(r"(\d+)-th leading minor not positive definite")
@@ -257,7 +266,7 @@ def mutual_energy(op: StiffnessOperator, a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != (op.shape[0],) or b.shape != (op.shape[0],):
         raise ValueError("node vector length does not match operator size")
-    return float(a @ (op.K @ b))
+    return float(a @ op.matvec(b))
 
 
 def assemble_mass(mesh: GridMesh) -> scipy.sparse.csr_matrix:

@@ -128,8 +128,7 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
         f, g = mean_forces(gray1, gray0, mesh)
 
     op = fem.assemble_stiffness(mesh, design, cfg.sigma0)
-    u = op.solve(f)
-    v = op.solve(g)
+    u, v = op.solve(np.column_stack([f, g])).T
 
     if cfg.ref_kind == "u":
         alpha = u
@@ -138,12 +137,14 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
     else:
         alpha = u - v
 
-    mu1 = float(alpha @ f)
-    mu0 = float(alpha @ g)
-
     proj = element_projection(mesh, alpha)
     z1 = gray1 @ proj
     z0 = gray0 @ proj
+    # The class means of the coordinates (alpha'f and alpha'g in exact
+    # arithmetic), taken from z itself: a sample at its class mean, such as
+    # the only one of a slice, is then never selected by round-off.
+    mu1 = float(z1.mean())
+    mu0 = float(z0.mean())
     s1_mask = z1 < mu1
     s0_mask = z0 > mu0
 
@@ -157,8 +158,8 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
     w = op.solve(h)
 
     c = (1.0 - 2.0 * cfg.lam) * (u - v) + (1.0 - cfg.lam) * w
-    j0 = float(c @ (op.K @ alpha))
-    g0 = float(u @ (op.K @ v))
+    j0 = float(c @ op.matvec(alpha))
+    g0 = float(u @ op.matvec(v))
 
     return OptimizerState(design=design, op=op, u=u, v=v, w=w, c=c,
                           alpha=alpha, f=f, g=g, h=h, mu1=mu1, mu0=mu0,

@@ -382,13 +382,6 @@ def write_field_csv(path, name: str, grid: np.ndarray) -> None:
         f.write(_fmt(grid, sep=","))
 
 
-def read_field_csv(path) -> np.ndarray:
-    with _reading(path, FIELD_MAGIC, "a field CSV", ",") as r:
-        rows, cols = r.row(None, 2, _counts, r.header.partition(",")[2])
-        grid = [r.row(None, cols) for _ in range(rows)]
-    return np.reshape(grid, (rows, cols))
-
-
 def node_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Node vector -> (n1+1, n2+1) grid in mesh (row, column) layout."""
     return np.asarray(values).reshape((n2 + 1, n1 + 1)).T
@@ -407,22 +400,6 @@ def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
         f.write(_fmt([(f"output_{c}", *cm.counts[i], cm.precision[i])
                       for i, c in enumerate(class_names)], sep=","))
         f.write(_fmt([[*cm.recall, cm.accuracy]], "recall", ","))
-
-
-def read_confusion_csv(path):
-    """Return (counts, precision, recall, accuracy) parsed back from CSV."""
-    with _reading(path, CONFUSION_MAGIC, "a confusion CSV", ",") as r:
-        *targets, last = r.header.split(",")
-        if last != "precision" or not all(t.startswith("target_")
-                                          for t in targets):
-            raise r.error("expected 'target_<class>,...,precision' columns")
-        n = len(targets)
-        rows = [r.row("output_" + t[len("target_"):], n + 1,
-                      lambda v: (_counts(v[:n]), _floats(v[n:])[0]))
-                for t in targets]
-        tail = r.row("recall", n + 1)
-    return (np.array([c for c, _ in rows]), np.array([p for _, p in rows]),
-            tail[:n], float(tail[n]))
 
 
 def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
@@ -611,10 +588,21 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     """Evaluate a model on the ``split`` ``data``; writes CSVs and a report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, bundle_ref, _ = load_model(model_path)
+    model, bundle_ref, echo = load_model(model_path)
     if len(model) != len(cfg.classes()):
         raise ValueError(f"{model_path}: model has {len(model)} classes, "
                          f"config says {len(cfg.classes())}")
+    echo = dict(echo)
+    trained = PipelineConfig(**{k: echo.get(k, "") for k in
+                                ("class_pairs", "one_vs_rest", "norm")})
+    try:
+        digits = trained.classes()
+    except ValueError as exc:
+        raise ValueError(f"{model_path}: config echo: {exc}") from None
+    if (digits, trained.norm) != (cfg.classes(), cfg.norm):
+        raise ValueError(
+            f"{model_path}: model was trained on classes {digits} (norm "
+            f"{trained.norm}), config says {cfg.classes()} (norm {cfg.norm})")
     bundle_path = Path(model_path).parent / bundle_ref
     bundle = _load_bundle(cfg, bundle_path)
     if len(model[0].mean) != bundle.n_axes:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import os
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,16 @@ def mesh4() -> fem.GridMesh:
 @pytest.fixture(scope="session")
 def mesh3() -> fem.GridMesh:
     return fem.build_mesh(3, 3)
+
+
+def element_matrices_rational() -> tuple[list, list]:
+    """Exact rational (Kp, Kq) of the unit-square element, written out
+    from the published numerators for arithmetic-identity checks."""
+    kp = [[Fraction(n, 24) for n in row] for row in
+          [[4, -1, -2, -1], [-1, 4, -1, -2], [-2, -1, 4, -1], [-1, -2, -1, 4]]]
+    kq = [[Fraction(n, 36) for n in row] for row in
+          [[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]]]
+    return kp, kq
 
 
 def random_design(mesh: fem.GridMesh, rng: np.random.Generator,

@@ -19,7 +19,7 @@ from meip.dataset import (load_idx_images, load_idx_labels, write_idx_images,
                           write_idx_labels)
 from meip.lp import solve_move_limit_lp
 from meip.optimizer import OptimizerConfig, compute_state, gradients, optimize
-from conftest import MNIST_FILES, blob_grays
+from conftest import MNIST_FILES, blob_grays, element_matrices_rational
 from test_lp import enumerate_vertices, random_feasible_problem
 from test_optimizer import frozen_objective
 
@@ -199,7 +199,7 @@ class TestCriterion5PropertySuite:
 
     def test_5d_element_constants(self):
         kp, kq = fem.element_matrices()
-        kp_r, kq_r = fem.element_matrices_rational()
+        kp_r, kq_r = element_matrices_rational()
         expected_kp = [[Fraction(n, 24) for n in row] for row in
                        [[4, -1, -2, -1], [-1, 4, -1, -2],
                         [-2, -1, 4, -1], [-1, -2, -1, 4]]]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meip import fem
-from conftest import random_design
+from conftest import element_matrices_rational, random_design
 
 
 def node_position(mesh, node):
@@ -80,21 +80,21 @@ class TestElementMatrices:
 
     def test_rational_form_matches_floats(self):
         kp, kq = fem.element_matrices()
-        kp_r, kq_r = fem.element_matrices_rational()
+        kp_r, kq_r = element_matrices_rational()
         for i in range(4):
             for j in range(4):
                 assert kp[i][j] == float(kp_r[i][j])
                 assert kq[i][j] == float(kq_r[i][j])
 
     def test_row_sums_zero_exact_rational(self):
-        kp_r, _ = fem.element_matrices_rational()
+        kp_r, _ = element_matrices_rational()
         for row in kp_r:
             assert sum(row, Fraction(0)) == 0
 
     def test_kq_entries_sum_to_one(self):
         _, kq = fem.element_matrices()
         assert kq.sum() == 1.0
-        _, kq_r = fem.element_matrices_rational()
+        _, kq_r = element_matrices_rational()
         assert sum(sum(row, Fraction(0)) for row in kq_r) == 1
 
     def test_symmetry_and_psd(self):
@@ -173,6 +173,127 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
             fem.assemble_stiffness(mesh3, random_design(mesh3, rng), -1.0)
+
+
+def add_at_band(mesh, design, sigma0):
+    """Reference upper band of K: COO triplets of all 16 entries per
+    element, the upper ones summed by np.add.at in element order, then
+    sigma0 on the boundary diagonals."""
+    kp, kq = fem.element_matrices()
+    kse = (design.p[:, None, None] * kp[None, :, :]
+           + design.q[:, None, None] * kq[None, :, :])
+    rows = np.concatenate([np.repeat(mesh.theta, 4, axis=1).ravel(),
+                           mesh.boundary_nodes])
+    cols = np.concatenate([np.tile(mesh.theta, (1, 4)).ravel(),
+                           mesh.boundary_nodes])
+    vals = np.concatenate([kse.ravel(),
+                           np.full(len(mesh.boundary_nodes), sigma0)])
+    bw = int(np.abs(mesh.theta[:, :, None] - mesh.theta[:, None, :]).max())
+    ab = np.zeros((bw + 1, mesh.n_nodes))
+    upper = rows <= cols
+    np.add.at(ab, (bw + rows[upper] - cols[upper], cols[upper]), vals[upper])
+    return ab
+
+
+def dense_loop_stiffness(mesh, design, sigma0):
+    """K summed entry by entry, element after element, sigma0 last."""
+    kp, kq = fem.element_matrices()
+    dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for e in range(mesh.ne):
+        nodes = mesh.theta[e]
+        for i in range(4):
+            for j in range(4):
+                dense[nodes[i], nodes[j]] += (design.p[e] * kp[i, j]
+                                              + design.q[e] * kq[i, j])
+    for n in mesh.boundary_nodes:
+        dense[n, n] += sigma0
+    return dense
+
+
+def exact_matvec(dense, x):
+    """dense @ x in rational arithmetic, rounded once to float."""
+    return np.array([float(sum(Fraction(row[j]) * Fraction(x[j])
+                               for j in np.flatnonzero(row)))
+                     for row in dense])
+
+
+def gamma(n):
+    u = 2.0 ** -53
+    return n * u / (1 - n * u)
+
+
+BAND_MESHES = [(1, 1), (3, 4), (12, 12), (28, 28)]
+
+
+class TestBandOperator:
+    """The band-only operator against slower references it replaced."""
+
+    @pytest.mark.parametrize("n1,n2", BAND_MESHES)
+    def test_band_bit_identical_to_add_at(self, n1, n2):
+        mesh = fem.build_mesh(n1, n2)
+        for seed in range(3):
+            rng = np.random.default_rng(100 + seed)
+            design = random_design(mesh, rng, tolp=rng.uniform(0.1, 3),
+                                   tolq=rng.uniform(0.1, 3))
+            sigma0 = 10.0 ** rng.uniform(2, 6)
+            op = fem.assemble_stiffness(mesh, design, sigma0)
+            ref = add_at_band(mesh, design, sigma0)
+            assert op.bandwidth == ref.shape[0] - 1
+            assert op.ab.shape == ref.shape
+            assert np.array_equal(op.ab, ref)
+
+    @pytest.mark.parametrize("n1,n2", BAND_MESHES)
+    def test_matvec_within_dot_product_bound(self, n1, n2):
+        # dsbmv forms each row from at most 2*bw + 1 stored entries; the
+        # reference is exact up to its one final rounding.
+        mesh = fem.build_mesh(n1, n2)
+        rng = np.random.default_rng(200)
+        design = random_design(mesh, rng)
+        sigma0 = 1e5
+        op = fem.assemble_stiffness(mesh, design, sigma0)
+        dense = dense_loop_stiffness(mesh, design, sigma0)
+        x = rng.standard_normal((mesh.n_nodes, 2))
+        x[:, 1] *= 10.0 ** rng.uniform(-6, 6, mesh.n_nodes)
+        y = op.matvec(x)
+        assert y.shape == x.shape
+        bound = gamma(2 * op.bandwidth + 2) * (np.abs(dense) @ np.abs(x))
+        for k in range(2):
+            assert np.array_equal(y[:, k], op.matvec(x[:, k]))
+            assert np.all(np.abs(y[:, k] - exact_matvec(dense, x[:, k]))
+                          <= bound[:, k])
+
+    @pytest.mark.parametrize("n1,n2", BAND_MESHES)
+    def test_two_column_solve_residual(self, n1, n2):
+        mesh = fem.build_mesh(n1, n2)
+        rng = np.random.default_rng(300)
+        design = random_design(mesh, rng)
+        op = fem.assemble_stiffness(mesh, design, 1e5)
+        dense = dense_loop_stiffness(mesh, design, 1e5)
+        rhs = np.column_stack([
+            fem.grayscale_to_force(mesh, rng.random(mesh.ne)),
+            rng.standard_normal(mesh.n_nodes)])
+        x = op.solve(rhs)
+        assert x.shape == rhs.shape
+        for k in range(2):
+            resid = np.linalg.norm(dense @ x[:, k] - rhs[:, k])
+            assert resid / np.linalg.norm(rhs[:, k]) <= 1e-10
+            assert np.array_equal(x[:, k], op.solve(rhs[:, k]))
+
+    def test_wrong_shape_rejected(self, mesh3):
+        op = fem.assemble_stiffness(
+            mesh3, random_design(mesh3, np.random.default_rng(400)), 1e5)
+        m = mesh3.n_nodes
+        for shape in [(m + 1,), (m - 1, 2), (2, m), (m, 2, 1), ()]:
+            with pytest.raises(ValueError, match="expected"):
+                op.solve(np.ones(shape))
+            with pytest.raises(ValueError, match="expected"):
+                op.matvec(np.ones(shape))
+
+    def test_sparse_k_built_from_band(self, mesh4):
+        design = random_design(mesh4, np.random.default_rng(500))
+        op = fem.assemble_stiffness(mesh4, design, 1e5)
+        assert np.array_equal(op.K.toarray(),
+                              dense_loop_stiffness(mesh4, design, 1e5))
 
 
 class TestFailedPivot:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from meip import fem
-from meip.optimizer import (AxisResult, OptimizerConfig, compute_state,
-                            element_projection, gradients, mean_forces,
-                            optimize)
-from conftest import blob_grays
+from meip.optimizer import (REF_KINDS, AxisResult, OptimizerConfig,
+                            compute_state, element_projection, gradients,
+                            mean_forces, optimize)
+from conftest import blob_grays, random_design
 
 
 def frozen_objective(design, state, mesh, cfg):
@@ -116,6 +116,20 @@ class TestComputeState:
         st = compute_state(design, g1, g0, mesh4, cfg)
         assert st.mu1 == pytest.approx(float(st.alpha @ st.f), rel=1e-12)
         assert st.mu0 == pytest.approx(float(st.alpha @ st.g), rel=1e-12)
+
+    @pytest.mark.parametrize("ref_kind", REF_KINDS)
+    def test_single_sample_side_never_selected(self, mesh4, ref_kind):
+        # A one-image class slice sits exactly at its own class mean, so
+        # neither strict comparison may select it, whatever the rounding.
+        g1, g0 = self.setup_data(mesh4, seed=9)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, ref_kind=ref_kind)
+        for seed in range(12):
+            design = random_design(mesh4, np.random.default_rng(seed),
+                                   tolp=0.1, tolq=0.1)
+            st = compute_state(design, g1[:1], g0, mesh4, cfg)
+            assert st.s1_count == 0
+            st = compute_state(design, g1, g0[:1], mesh4, cfg)
+            assert st.s0_count == 0
 
 
 class TestGradients:

@@ -13,6 +13,7 @@ from meip.dataset import (load_idx_images, load_idx_labels, write_idx_images,
                           write_idx_labels)
 from meip.forest import AxisBundle
 from meip.optimizer import REF_KINDS, OptimizerConfig
+from artifact_readers import read_confusion_csv, read_field_csv
 from conftest import bar_images
 
 
@@ -265,7 +266,7 @@ class TestRasterAndCsv:
         grid = rng.standard_normal((4, 6))
         path = tmp_path / "field.csv"
         pipeline.write_field_csv(path, "field", grid)
-        back = pipeline.read_field_csv(path)
+        back = read_field_csv(path)
         assert np.abs(back - grid).max() <= 1e-12
         assert np.array_equal(back, grid)  # %.17g round-trips exactly
 
@@ -276,7 +277,7 @@ class TestRasterAndCsv:
         cm = confusion_from_predictions(outputs, targets, 2)
         path = tmp_path / "confusion.csv"
         pipeline.write_confusion_csv(path, cm, ["0", "1"])
-        counts, precision, recall, accuracy = pipeline.read_confusion_csv(path)
+        counts, precision, recall, accuracy = read_confusion_csv(path)
         assert np.array_equal(counts, cm.counts)
         assert accuracy == cm.accuracy
         assert np.array_equal(precision, cm.precision)
@@ -378,8 +379,8 @@ ARTIFACTS = {
         {"f": rng.random(9), "g": rng.random(9), "p": rng.random(4),
          "q": rng.random(4)} for _ in range(2)]), pipeline.load_fields),
     "field_csv": (lambda path, rng: pipeline.write_field_csv(
-        path, "grid", rng.standard_normal((3, 4))), pipeline.read_field_csv),
-    "confusion": (_save_confusion, pipeline.read_confusion_csv),
+        path, "grid", rng.standard_normal((3, 4))), read_field_csv),
+    "confusion": (_save_confusion, read_confusion_csv),
 }
 
 
@@ -621,7 +622,7 @@ class TestCommands:
         report = pipeline.cmd_eval(cfg, model_path, train, "train", out)
         assert report.train_confusion is not None
         assert report.test_confusion is None
-        counts, _, _, acc = pipeline.read_confusion_csv(
+        counts, _, _, acc = read_confusion_csv(
             out / "confusion_train.csv")
         assert acc == report.train_confusion["accuracy"]
         assert counts.sum() == 80
@@ -629,7 +630,7 @@ class TestCommands:
     def test_accuracy_reparse_oracle(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         report = pipeline.cmd_pipeline(cfg, bars_workspace / "out")
-        counts, _, _, acc = pipeline.read_confusion_csv(
+        counts, _, _, acc = read_confusion_csv(
             bars_workspace / "out" / "confusion_test.csv")
         assert acc == report.test_confusion["accuracy"]
         assert np.trace(counts) / counts.sum() == acc
@@ -641,7 +642,7 @@ class TestCommands:
         files = pipeline.cmd_inspect(out / "axes.txt", out / "viz")
         assert any(f.suffix == ".pgm" for f in files)
         axis_csv = next(f for f in files if f.name == "axis_0.csv")
-        grid = pipeline.read_field_csv(axis_csv)
+        grid = read_field_csv(axis_csv)
         assert grid.shape == (7, 7)
         fields_file = next(out.glob("fields_*.txt"))
         files2 = pipeline.cmd_inspect(fields_file, out / "viz2")
@@ -701,6 +702,31 @@ class TestCommands:
                 f"{out / 'axes.txt'} holds {n_axes} axes")):
             pipeline.cmd_eval(cfg, model_path,
                               pipeline.load_split(cfg, "test"), "test", out)
+
+    @pytest.mark.parametrize("old, new, message", [
+        # same digits, swapped order: every class index would swap
+        ("class_pairs = 3:7", "class_pairs = 7:3",
+         "model was trained on classes [3, 7] (norm l2), config says "
+         "[7, 3] (norm l2)"),
+        ("out_dir = out", "out_dir = out\nnorm = max",
+         "model was trained on classes [3, 7] (norm l2), config says "
+         "[3, 7] (norm max)"),
+    ], ids=["digit_order", "norm"])
+    def test_model_echo_checked_against_config(self, bars_workspace, old,
+                                               new, message):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        pipeline.cmd_pipeline(cfg, out)
+        scored = (out / "confusion_test.csv").read_bytes()
+        (bars_workspace / "other.cfg").write_text(
+            (bars_workspace / "run.cfg").read_text().replace(old, new))
+        other = pipeline.load_config(bars_workspace / "other.cfg")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{out / 'model.txt'}: {message}")):
+            pipeline.cmd_eval(other, out / "model.txt",
+                              pipeline.load_split(other, "test"), "test", out)
+        # rejected before scoring: the earlier confusion CSV is untouched
+        assert (out / "confusion_test.csv").read_bytes() == scored
 
     def test_mesh_dimension_mismatch(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()
