@@ -3,25 +3,27 @@
 Each pixel is a unit-square bilinear element with per-element elastic
 modulus p_e and support coefficient q_e.  The module builds the mesh
 connectivity, assembles the global stiffness K (linear in p, q, plus a
-large boundary penalty sigma0 on boundary-node diagonals) straight into
-LAPACK upper band storage, converts per-pixel grayscale values to
-equivalent node forces, solves SPD systems through the banded Cholesky
-factor (dpbtrf/dpbtrs), and evaluates products K x and the
-mutual-energy inner product a' K b from the band (dsbmv).  A sparse K is
-built only on request, for the dense generalized-eigenpair routine that
-backs the spectral test oracles.
+large boundary penalty sigma0 on boundary-node diagonals) from the 10
+upper entries of the element matrices straight into LAPACK upper band
+storage, converts per-pixel grayscale values to equivalent node forces,
+solves SPD systems through the banded Cholesky factor (dpbtrf/dpbtrs),
+and evaluates products K x and the mutual-energy inner product a' K b
+from the band (dsbmv).  A band that is not finite is rejected before
+factoring; a K that is not positive definite raises FactorizationError
+with the order of the first failing leading minor, as dpbtrf reports it.
+A sparse K is built only on request, for the dense generalized-eigenpair
+routine that backs the spectral test oracles.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 __all__ = [
     "GridMesh",
@@ -37,23 +39,27 @@ __all__ = [
     "generalized_eigenpairs",
 ]
 
-# Integer numerators of the 4x4 element coefficient matrices; the elastic
-# term carries denominator 24, the support term denominator 36.
-_KP_NUM = np.array(
+# The 4x4 element coefficient matrices, from their integer numerators: the
+# elastic term carries denominator 24, the support term denominator 36.
+KP = np.array(
     [[4, -1, -2, -1],
      [-1, 4, -1, -2],
      [-2, -1, 4, -1],
-     [-1, -2, -1, 4]], dtype=np.int64)
-_KQ_NUM = np.array(
+     [-1, -2, -1, 4]]) / 24.0
+KQ = np.array(
     [[4, 2, 1, 2],
      [2, 4, 2, 1],
      [1, 2, 4, 2],
-     [2, 1, 2, 4]], dtype=np.int64)
+     [2, 1, 2, 4]]) / 36.0
 
 # Flat positions i*4 + j of the element entries on or above K's diagonal
 # (theta[e, i] <= theta[e, j]): corner node numbers ascend in the order
 # 0, 1, 3, 2 in every element.
 _UPPER = np.array([0, 1, 2, 3, 5, 6, 7, 10, 14, 15])
+KP_UPPER = KP.ravel()[_UPPER]
+KQ_UPPER = KQ.ravel()[_UPPER]
+for _a in (KP, KQ, KP_UPPER, KQ_UPPER):
+    _a.setflags(write=False)
 
 
 class FactorizationError(RuntimeError):
@@ -119,7 +125,7 @@ def build_mesh(n1: int, n2: int) -> GridMesh:
 
 def element_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Return (Kp, Kq): unit-square element coefficient matrices as floats."""
-    return _KP_NUM / 24.0, _KQ_NUM / 36.0
+    return KP, KQ
 
 
 @dataclass
@@ -219,30 +225,18 @@ def assemble_stiffness(mesh: GridMesh, design: DesignField,
     if design.p.shape != (mesh.ne,) or design.q.shape != (mesh.ne,):
         raise ValueError("design variable length does not match element count")
 
-    kp, kq = element_matrices()
-    vals = (design.p[:, None] * kp.ravel()[_UPPER]
-            + design.q[:, None] * kq.ravel()[_UPPER])
+    vals = design.p[:, None] * KP_UPPER + design.q[:, None] * KQ_UPPER
     m, bw = mesh.n_nodes, mesh.bandwidth
     # bincount sums in input order: element by element, then sigma0 last
     ab = np.bincount(mesh.band_scatter.ravel(), weights=vals.ravel(),
                      minlength=(bw + 1) * m).reshape((bw + 1, m), order="F")
     ab[bw, mesh.boundary_nodes] += sigma0
-    try:
-        chol = scipy.linalg.cholesky_banded(ab, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        pivot = _failed_pivot(exc)
-        raise FactorizationError(pivot) from exc
+    if not np.isfinite(ab).all():
+        raise ValueError("stiffness band holds non-finite values")
+    chol, info = dpbtrf(ab)
+    if info > 0:   # 1-based order of the leading minor that is not PD
+        raise FactorizationError(info)
     return StiffnessOperator(ab, chol)
-
-
-_PIVOT_MESSAGE = re.compile(r"(\d+)-th leading minor not positive definite")
-
-
-def _failed_pivot(exc: Exception) -> int:
-    # LAPACK reports the 1-based index of the non-positive leading minor;
-    # any other message yields -1.
-    match = _PIVOT_MESSAGE.search(str(exc))
-    return int(match.group(1)) if match else -1
 
 
 def grayscale_to_force(mesh: GridMesh, gray: np.ndarray) -> np.ndarray:
@@ -271,10 +265,9 @@ def mutual_energy(op: StiffnessOperator, a: np.ndarray, b: np.ndarray) -> float:
 
 def assemble_mass(mesh: GridMesh) -> scipy.sparse.csr_matrix:
     """Euclidean inner-product (mass) matrix: scattered Kq blocks."""
-    _, kq = element_matrices()
     rows = np.repeat(mesh.theta, 4, axis=1).ravel()
     cols = np.tile(mesh.theta, (1, 4)).ravel()
-    vals = np.tile(kq.ravel(), mesh.ne)
+    vals = np.tile(KQ.ravel(), mesh.ne)
     m = mesh.n_nodes
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
 

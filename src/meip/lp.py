@@ -28,7 +28,7 @@ first and the solver is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,16 +58,14 @@ class MoveLimitLp:
 
 @dataclass
 class LpSolution:
-    """Optimal increments plus the dual certificate of the solution."""
+    """Optimal increments plus the multiplier that priced the G row."""
 
     x_p: np.ndarray
     x_q: np.ndarray
     objective: float
     feasible: bool        # constraint row met without violation slack
     slack_used: float     # violation absorbed on the constraint row
-    reduced_costs: np.ndarray = field(repr=False, default=None)
-    at_upper: np.ndarray = field(repr=False, default=None)
-    basic: np.ndarray = field(repr=False, default=None)
+    y: float = 0.0        # multiplier of the constraint row, in [0, M]
 
 
 def default_penalty(problem: MoveLimitLp) -> float:
@@ -80,18 +78,6 @@ def default_penalty(problem: MoveLimitLp) -> float:
     return 1e3 * (cmax + 1.0)
 
 
-def _fill(key: np.ndarray, lower: np.ndarray, upper: float,
-          budget: float) -> np.ndarray:
-    """Continuous knapsack: raise from ``lower`` in ascending ``key`` order."""
-    order = np.argsort(key, kind="stable")
-    cap = upper - lower[order]
-    before = np.concatenate(([0.0], np.cumsum(cap)[:-1]))
-    take = np.clip(budget - before, 0.0, cap)
-    x = np.empty_like(lower)
-    x[order] = np.where(take >= cap, upper, lower[order] + take)
-    return x
-
-
 def solve_move_limit_lp(problem: MoveLimitLp,
                         penalty: float | None = None) -> LpSolution:
     """Solve the move-limit LP; deterministic for identical inputs."""
@@ -100,13 +86,14 @@ def solve_move_limit_lp(problem: MoveLimitLp,
     a = np.concatenate([problem.a_p, problem.a_q], dtype=np.float64)
     lower = np.concatenate([problem.lower_p, problem.lower_q],
                            dtype=np.float64)
-    scalars = [problem.g0, problem.tolx_p, problem.tolx_q, problem.upper]
-    if not all(np.isfinite(v).all() for v in (c, a, lower, scalars)):
+    scalars = (problem.g0, problem.tolx_p, problem.tolx_q, problem.upper)
+    if not (np.isfinite(c).all() and np.isfinite(a).all()
+            and np.isfinite(lower).all() and np.isfinite(scalars).all()):
         raise ValueError("move-limit LP has non-finite coefficients or bounds")
     if penalty is None:
         penalty = default_penalty(problem)
     upper, b = float(problem.upper), -float(problem.g0)
-    if np.any(lower > upper + 1e-15):
+    if (lower > upper + 1e-15).any():
         raise LpInfeasibleError("a move-limit box is empty (lower > upper)")
 
     art_tol = 1e-9 * max(1.0, abs(problem.tolx_p), abs(problem.tolx_q))
@@ -119,11 +106,24 @@ def solve_move_limit_lp(problem: MoveLimitLp,
             raise LpInfeasibleError(f"{name} budget row unsatisfiable within "
                                     f"boxes (residual {resid:.3e})")
         budgets.append(budget)
+    block_budget = np.repeat(budgets, (ne_p, c.size - ne_p))
+    order = np.empty(c.size, dtype=np.intp)
+    before = np.zeros(c.size)
 
     def fill(y: float) -> np.ndarray:
+        # Continuous knapsack per block: raise from ``lower`` in ascending
+        # order of c + y a, both blocks in one pass over shared buffers.
         key = c + y * a
-        return np.concatenate([_fill(key[blk], lower[blk], upper, budget)
-                               for blk, budget in zip(blocks, budgets)])
+        order[:ne_p] = key[:ne_p].argsort(kind="stable")
+        order[ne_p:] = key[ne_p:].argsort(kind="stable") + ne_p
+        lo = lower[order]
+        cap = upper - lo
+        for blk in blocks:   # budget already placed before each entry
+            cap[blk][:-1].cumsum(out=before[blk][1:])
+        take = np.minimum(np.maximum(block_budget - before, 0.0), cap)
+        x = np.empty_like(lower)
+        x[order] = np.where(take >= cap, upper, lo + take)
+        return x
 
     # The fill x at y gives the line y' -> c'x + y' (a'x - b) touching L at
     # y; the row is a'x <= b.
@@ -159,16 +159,8 @@ def solve_move_limit_lp(problem: MoveLimitLp,
             theta = min(max((b - a @ x_hi) / (a @ x_lo - a @ x_hi), 0.0), 1.0)
             x = x_hi + theta * (x_lo - x_hi)
 
-    # Dual certificate: each block's threshold is the largest cost that
-    # received budget, or the smallest cost when none did.
-    key = c + y_star * a
-    filled = x > lower
-    reduced = np.concatenate([
-        key[blk] - key[blk].max(where=filled[blk], initial=key.min())
-        for blk in blocks])
     x_p, x_q = x[:ne_p].copy(), x[ne_p:].copy()
     return LpSolution(
         x_p=x_p, x_q=x_q,
         objective=float(problem.c_p @ x_p + problem.c_q @ x_q),
-        feasible=slack <= 1e-9, slack_used=slack, reduced_costs=reduced,
-        at_upper=x >= upper, basic=filled & (x < upper))
+        feasible=slack <= 1e-9, slack_used=slack, y=y_star)

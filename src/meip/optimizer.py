@@ -148,13 +148,13 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
     s1_mask = z1 < mu1
     s0_mask = z0 > mu0
 
-    # Mean gray of each selected side; an empty side contributes nothing,
-    # which happens once the axis separates the training slice perfectly.
-    h = np.zeros(mesh.n_nodes)
-    if s0_mask.any():
-        h += fem.grayscale_to_force(mesh, gray0[s0_mask].mean(axis=0))
-    if s1_mask.any():
-        h -= fem.grayscale_to_force(mesh, gray1[s1_mask].mean(axis=0))
+    # Mean gray of each selected side, one GEMV per class with weights
+    # mask/|S|; the force map is linear, so it runs once on the difference.
+    # An empty side (the axis separates the slice perfectly) has zero
+    # weights and contributes nothing.
+    w0 = s0_mask / max(np.count_nonzero(s0_mask), 1)
+    w1 = s1_mask / max(np.count_nonzero(s1_mask), 1)
+    h = fem.grayscale_to_force(mesh, w0 @ gray0 - w1 @ gray1)
     w = op.solve(h)
 
     c = (1.0 - 2.0 * cfg.lam) * (u - v) + (1.0 - cfg.lam) * w
@@ -174,7 +174,7 @@ def gradients(state: OptimizerState, mesh: fem.GridMesh):
     derivative of x'K y w.r.t. p_e is -x_e' Kp y_e with x_e, y_e the
     element's 4 node values; likewise for q_e with Kq.
     """
-    kp, kq = fem.element_matrices()
+    kp, kq = fem.KP, fem.KQ
     nc = state.c[mesh.theta]
     na = state.alpha[mesh.theta]
     nu = state.u[mesh.theta]

@@ -285,6 +285,8 @@ def load_axes(path) -> forest.AxisBundle:
         if m != (n1 + 1) * (n2 + 1):
             raise r.error(f"expected {(n1 + 1) * (n2 + 1)} nodes for a "
                           f"{n1}x{n2} mesh, got {m}")
+        if n_axes < 1:
+            raise r.error(f"expected at least 1 axis, got {n_axes}")
         axes = [r.row(None, m) for _ in range(n_axes)]
     return forest.AxisBundle(axes=np.reshape(axes, (n_axes, m)), n1=n1, n2=n2)
 

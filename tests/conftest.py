@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from meip import fem
+from meip.dataset import write_idx_images, write_idx_labels
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -130,3 +131,25 @@ def blob_grays(mesh: fem.GridMesh, count: int, rng: np.random.Generator,
     g1 = draw(n1 * 0.25, n2 * 0.25, count)
     g0 = draw(n1 * 0.7, n2 * 0.7, count)
     return g1, g0
+
+
+@pytest.fixture
+def bars_workspace(tmp_path):
+    """Synthetic two-class IDX dataset plus a ready-to-run config file."""
+    rng = np.random.default_rng(42)
+    train_images, train_labels = bar_images(6, 80, rng)
+    test_images, test_labels = bar_images(6, 30, rng)
+    # labels 0/1 -> digits 3/7 to exercise the digit mapping
+    write_idx_images(tmp_path / "train-img.idx", train_images)
+    write_idx_labels(tmp_path / "train-lab.idx",
+                     np.where(train_labels == 0, 3, 7))
+    write_idx_images(tmp_path / "test-img.idx", test_images)
+    write_idx_labels(tmp_path / "test-lab.idx",
+                     np.where(test_labels == 0, 3, 7))
+    (tmp_path / "run.cfg").write_text(
+        "n1 = 6\nn2 = 6\nclass_pairs = 3:7\nn_axes = 2\n"
+        "tolp = 0.1\ntolq = 0.1\n"
+        "train_images = train-img.idx\ntrain_labels = train-lab.idx\n"
+        "test_images = test-img.idx\ntest_labels = test-lab.idx\n"
+        "out_dir = out\n")
+    return tmp_path

@@ -163,6 +163,5 @@ def simplex_solve(problem: MoveLimitLp, penalty: float | None = None,
         x_p=x_p, x_q=x_q, objective=objective,
         feasible=slack_used <= 1e-9,
         slack_used=slack_used,
-        reduced_costs=(c - (c[basis] @ binv) @ A)[:n],
-        at_upper=(status[:n] == _AT_UPPER),
-        basic=in_basis[:n].copy())
+        # the G row's dual, sign-flipped to the solver's y >= 0
+        y=-float((c[basis] @ binv)[0]))

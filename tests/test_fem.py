@@ -296,16 +296,27 @@ class TestBandOperator:
                               dense_loop_stiffness(mesh4, design, 1e5))
 
 
-class TestFailedPivot:
-    @pytest.mark.parametrize("msg, pivot", [
-        ("7-th leading minor not positive definite", 7),
-        ("LAPACK dpbtrf (error 21): 13-th leading minor not positive "
-         "definite", 13),
-        ("illegal value in 4-th argument of internal pbtrf", -1),
-        ("", -1),
-    ], ids=["scipy", "prefixed", "other digits", "empty"])
-    def test_parses_only_the_minor_index(self, msg, pivot):
-        assert fem._failed_pivot(RuntimeError(msg)) == pivot
+class TestFactorization:
+    @pytest.mark.parametrize("element, q", [
+        (0, -1e6), (4, -2.0), (5, -3.0), (6, -3.0), (9, -50.0)])
+    def test_fails_at_first_indefinite_leading_block(self, element, q):
+        # A negative support coefficient makes K indefinite; the pivot is
+        # the order of the first leading block of K that is not PD.
+        mesh = fem.build_mesh(4, 3)
+        design = random_design(mesh, np.random.default_rng(600))
+        design.q[element] = q
+        dense = dense_loop_stiffness(mesh, design, 1e5)
+        first = next(k for k in range(1, mesh.n_nodes + 1)
+                     if np.linalg.eigvalsh(dense[:k, :k]).min() <= 0)
+        with pytest.raises(fem.FactorizationError) as info:
+            fem.assemble_stiffness(mesh, design, 1e5)
+        assert info.value.pivot == first
+
+    def test_nan_design_rejected_before_factoring(self, mesh3):
+        design = random_design(mesh3, np.random.default_rng(601))
+        design.p[4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fem.assemble_stiffness(mesh3, design, 1e5)
 
 
 class TestForceMapping:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_grays
+from lp_fill_reference import certificate, fill_reference_solve
 from lp_simplex_oracle import simplex_solve
 from meip import fem, optimizer
 from meip.lp import (LpInfeasibleError, MoveLimitLp, default_penalty,
@@ -129,11 +130,12 @@ class TestOptimalityCertificate:
         for _ in range(30):
             prob = random_feasible_problem(rng)
             sol = solve_move_limit_lp(prob)
-            d = sol.reduced_costs
+            d, at_upper, basic = certificate(
+                prob, sol.y, np.concatenate([sol.x_p, sol.x_q]))
             for j in range(d.size):
-                if sol.basic[j]:
+                if basic[j]:
                     continue
-                if sol.at_upper[j]:
+                if at_upper[j]:
                     assert d[j] <= 1e-9
                 else:
                     assert d[j] >= -1e-9
@@ -365,6 +367,66 @@ class TestAgainstSimplex:
             scale = max(1.0, abs(want))
             assert got <= want + 1e-9 * scale, f"LP {k}"
             _assert_feasible(prob, sol)
+
+
+def fill_reference_problems(rng):
+    """Random LPs of every shape: unequal blocks and blocks of size 0 and 1,
+    tied costs and rows, and a G row that is inactive, tight or violated."""
+    sizes = ((0, 3), (4, 0), (1, 1), (1, 6), (7, 2), (10, 13))
+    for trial in range(300):
+        n_p, n_q = sizes[trial % len(sizes)]
+        n = n_p + n_q
+        lo = -rng.uniform(0.2, 1.0, n)
+        up = float(rng.uniform(0.3, 1.2))
+        if trial % 2:
+            c = rng.integers(-2, 3, n).astype(float)
+            a = rng.integers(-1, 2, n).astype(float)
+        else:
+            c, a = rng.standard_normal(n), rng.standard_normal(n)
+        ref = rng.uniform(lo, up)
+        g0 = (-(a @ ref), -1e3, 1e3)[trial % 3]
+        yield MoveLimitLp(c_p=c[:n_p], c_q=c[n_p:], a_p=a[:n_p], a_q=a[n_p:],
+                          g0=float(g0), tolx_p=float(ref[:n_p].sum()),
+                          tolx_q=float(ref[n_p:].sum()), lower_p=lo[:n_p],
+                          lower_q=lo[n_p:], upper=up)
+
+
+def _assert_bit_equal(prob, label):
+    sol, ref = solve_move_limit_lp(prob), fill_reference_solve(prob)
+    assert sol.x_p.tobytes() == ref.x_p.tobytes(), label
+    assert sol.x_q.tobytes() == ref.x_q.tobytes(), label
+    assert sol.slack_used == ref.slack_used, label
+    assert sol.objective == ref.objective, label
+    assert sol.y == ref.y, label
+    return sol
+
+
+class TestAgainstFillReference:
+    """The one-pass fill of both blocks against one fill per block."""
+
+    def test_random_instances(self):
+        penalty_y = inactive = tight = 0
+        rng = np.random.default_rng(304)
+        for k, prob in enumerate(fill_reference_problems(rng)):
+            sol = _assert_bit_equal(prob, f"trial {k}")
+            if sol.slack_used > 0:
+                penalty_y += 1
+            elif sol.y == 0:
+                inactive += 1
+            else:
+                tight += 1
+        assert min(penalty_y, inactive, tight) >= 20, (penalty_y, inactive,
+                                                       tight)
+
+    def test_degenerate_instances(self):
+        for name, prob in degenerate_problems(np.random.default_rng(302)):
+            _assert_bit_equal(prob, name)
+
+    def test_optimizer_instances(self, monkeypatch):
+        problems = optimizer_problems(monkeypatch)
+        assert len(problems) >= 3
+        for k, prob in enumerate(problems):
+            _assert_bit_equal(prob, f"LP {k}")
 
 
 class TestNonFiniteInput:

@@ -8,6 +8,7 @@ from meip.optimizer import (REF_KINDS, AxisResult, OptimizerConfig,
                             compute_state, element_projection, gradients,
                             mean_forces, optimize)
 from conftest import blob_grays, random_design
+from test_fem import gamma
 
 
 def frozen_objective(design, state, mesh, cfg):
@@ -130,6 +131,34 @@ class TestComputeState:
             assert st.s1_count == 0
             st = compute_state(design, g1, g0[:1], mesh4, cfg)
             assert st.s0_count == 0
+
+    @pytest.mark.parametrize("n1, n0", [(12, 12), (1, 12), (12, 2)])
+    def test_h_matches_fancy_index_mean(self, mesh4, n1, n0):
+        # h from one weighted GEMV per class against the mean of the
+        # selected rows' copies, forced side by side.  A one-image class-1
+        # slice leaves S1 empty; a two-image class-0 slice puts one image
+        # in S0.  Each h is within gamma(N + 6) of exact, relative to the
+        # forces of the sides' mean |gray|: N + 1 roundings in the mean,
+        # one in the side difference, four in a node's force.
+        g1, g0 = self.setup_data(mesh4, seed=10)
+        g1, g0 = g1[:n1], g0[:n0]
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
+        force = lambda x: fem.grayscale_to_force(mesh4, x)  # noqa: E731
+        for seed in range(6):
+            design = random_design(mesh4, np.random.default_rng(seed),
+                                   tolp=0.1, tolq=0.1)
+            st = compute_state(design, g1, g0, mesh4, cfg)
+            assert st.s1_mask.any() == (n1 > 1)
+            assert st.s0_mask.any() and (n0 > 2 or st.s0_mask.sum() == 1)
+            ref = np.zeros(mesh4.n_nodes)
+            scale = np.zeros(mesh4.n_nodes)
+            for gray, mask, sign in ((g0, st.s0_mask, 1.0),
+                                     (g1, st.s1_mask, -1.0)):
+                if mask.any():
+                    ref += sign * force(gray[mask].mean(axis=0))
+                    scale += force(np.abs(gray[mask]).mean(axis=0))
+            n = max(n1, n0)
+            assert np.all(np.abs(st.h - ref) <= 2 * gamma(n + 6) * scale)
 
 
 class TestGradients:

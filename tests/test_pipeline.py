@@ -17,28 +17,6 @@ from artifact_readers import read_confusion_csv, read_field_csv
 from conftest import bar_images
 
 
-@pytest.fixture
-def bars_workspace(tmp_path):
-    """Synthetic two-class IDX dataset plus a ready-to-run config file."""
-    rng = np.random.default_rng(42)
-    train_images, train_labels = bar_images(6, 80, rng)
-    test_images, test_labels = bar_images(6, 30, rng)
-    # labels 0/1 -> digits 3/7 to exercise the digit mapping
-    write_idx_images(tmp_path / "train-img.idx", train_images)
-    write_idx_labels(tmp_path / "train-lab.idx",
-                     np.where(train_labels == 0, 3, 7))
-    write_idx_images(tmp_path / "test-img.idx", test_images)
-    write_idx_labels(tmp_path / "test-lab.idx",
-                     np.where(test_labels == 0, 3, 7))
-    (tmp_path / "run.cfg").write_text(
-        "n1 = 6\nn2 = 6\nclass_pairs = 3:7\nn_axes = 2\n"
-        "tolp = 0.1\ntolq = 0.1\n"
-        "train_images = train-img.idx\ntrain_labels = train-lab.idx\n"
-        "test_images = test-img.idx\ntest_labels = test-lab.idx\n"
-        "out_dir = out\n")
-    return tmp_path
-
-
 class TestConfig:
     def test_defaults_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -144,6 +122,13 @@ class TestAxisBundleFormat:
         path = tmp_path / "bogus.txt"
         path.write_text("AXES 9\n")
         with pytest.raises(ValueError, match="not an axis bundle"):
+            pipeline.load_axes(path)
+
+    def test_rejects_zero_axes(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("MEIP-AXES 1\n12 12 169 0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: expected at least 1 axis, got 0")):
             pipeline.load_axes(path)
 
 
