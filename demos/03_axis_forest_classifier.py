@@ -55,8 +55,8 @@ if bundle.n_axes > 3:
     bundle = orthonormalize(bundle, 3)
     print(f"compressed to {bundle.n_axes} orthonormal axes")
 
-z_train = features_from_gray(bundle, train_gray, mesh)
-z_test = features_from_gray(bundle, test_gray, mesh)
+z_train = features_from_gray(bundle, train_gray)
+z_test = features_from_gray(bundle, test_gray)
 model = fit(z_train, train_y, 2, ridge=1e-6)
 
 for name, z, y in (("train", z_train, train_y), ("test", z_test, test_y)):

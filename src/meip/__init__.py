@@ -11,7 +11,6 @@ from meip.fem import (
     DesignField,
     StiffnessOperator,
     build_mesh,
-    element_matrices,
     assemble_stiffness,
     assemble_mass,
     grayscale_to_force,

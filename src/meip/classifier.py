@@ -47,15 +47,13 @@ class ConfusionMatrix:
     total: int
 
 
-def features_from_gray(bundle: AxisBundle, gray: np.ndarray,
-                       mesh: fem.GridMesh | None = None) -> np.ndarray:
+def features_from_gray(bundle: AxisBundle, gray: np.ndarray) -> np.ndarray:
     """Feature matrix for many samples given their grayscale vectors.
 
     Equivalent to extracting each sample's force vector first, but works
     directly on per-element grays through the scatter weights.
     """
-    if mesh is None:
-        mesh = fem.build_mesh(bundle.n1, bundle.n2)
+    mesh = fem.build_mesh(bundle.n1, bundle.n2)
     proj = np.stack([element_projection(mesh, axis) for axis in bundle.axes],
                     axis=1)
     return np.asarray(gray) @ proj

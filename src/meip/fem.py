@@ -30,7 +30,6 @@ __all__ = [
     "DesignField",
     "StiffnessOperator",
     "build_mesh",
-    "element_matrices",
     "uniform_design",
     "assemble_stiffness",
     "grayscale_to_force",
@@ -121,11 +120,6 @@ def build_mesh(n1: int, n2: int) -> GridMesh:
     return GridMesh(n1=n1, n2=n2, ne=ne, n_nodes=n_nodes, theta=theta,
                     boundary_nodes=boundary, bandwidth=bw,
                     band_scatter=scatter)
-
-
-def element_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """Return (Kp, Kq): unit-square element coefficient matrices as floats."""
-    return KP, KQ
 
 
 @dataclass

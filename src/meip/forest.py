@@ -144,12 +144,9 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
             "j_final": result.j_history[-1],
             "ref_kind": cfg.ref_kind,
         })
-        fields.append({
-            "f": fem.grayscale_to_force(mesh, gray1.mean(axis=0)),
-            "g": fem.grayscale_to_force(mesh, gray0.mean(axis=0)),
-            "p": result.design.p.copy(),
-            "q": result.design.q.copy(),
-        })
+        fields.append({"f": result.f, "g": result.g,
+                       "p": result.design.p.copy(),
+                       "q": result.design.q.copy()})
         log.info("axis %d/%d: subset (%d, %d), %d iterations, %s",
                  len(axes), n_axes, node.m0, node.m1, result.iterations,
                  result.converged_by)

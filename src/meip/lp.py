@@ -78,8 +78,7 @@ def default_penalty(problem: MoveLimitLp) -> float:
     return 1e3 * (cmax + 1.0)
 
 
-def solve_move_limit_lp(problem: MoveLimitLp,
-                        penalty: float | None = None) -> LpSolution:
+def solve_move_limit_lp(problem: MoveLimitLp) -> LpSolution:
     """Solve the move-limit LP; deterministic for identical inputs."""
     ne_p = problem.c_p.size
     c = np.concatenate([problem.c_p, problem.c_q], dtype=np.float64)
@@ -90,8 +89,7 @@ def solve_move_limit_lp(problem: MoveLimitLp,
     if not (np.isfinite(c).all() and np.isfinite(a).all()
             and np.isfinite(lower).all() and np.isfinite(scalars).all()):
         raise ValueError("move-limit LP has non-finite coefficients or bounds")
-    if penalty is None:
-        penalty = default_penalty(problem)
+    penalty = default_penalty(problem)
     upper, b = float(problem.upper), -float(problem.g0)
     if (lower > upper + 1e-15).any():
         raise LpInfeasibleError("a move-limit box is empty (lower > upper)")

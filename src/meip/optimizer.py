@@ -78,15 +78,6 @@ class OptimizerState:
     s0_mask: np.ndarray
     j0: float
     g0: float
-    iteration: int = 0
-
-    @property
-    def s1_count(self) -> int:
-        return int(self.s1_mask.sum())
-
-    @property
-    def s0_count(self) -> int:
-        return int(self.s0_mask.sum())
 
 
 @dataclass
@@ -95,6 +86,8 @@ class AxisResult:
 
     alpha: np.ndarray
     design: fem.DesignField
+    f: np.ndarray          # class-mean node forces the axis was fitted to
+    g: np.ndarray
     j_history: list
     iterations: int
     converged_by: str      # "eps_J" | "eps_x" | "max_shrinks" | "max_iters"
@@ -119,14 +112,12 @@ def element_projection(mesh: fem.GridMesh, alpha: np.ndarray) -> np.ndarray:
 
 def compute_state(design: fem.DesignField, gray1: np.ndarray,
                   gray0: np.ndarray, mesh: fem.GridMesh,
-                  cfg: OptimizerConfig,
-                  f: np.ndarray | None = None,
-                  g: np.ndarray | None = None,
-                  iteration: int = 0) -> OptimizerState:
-    """Assemble K, solve for u/v/w, and evaluate J and G at ``design``."""
-    if f is None or g is None:
-        f, g = mean_forces(gray1, gray0, mesh)
+                  cfg: OptimizerConfig, f: np.ndarray,
+                  g: np.ndarray) -> OptimizerState:
+    """Assemble K, solve for u/v/w, and evaluate J and G at ``design``.
 
+    ``f`` and ``g`` are the class-mean forces of ``mean_forces``.
+    """
     op = fem.assemble_stiffness(mesh, design, cfg.sigma0)
     u, v = op.solve(np.column_stack([f, g])).T
 
@@ -163,8 +154,7 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
 
     return OptimizerState(design=design, op=op, u=u, v=v, w=w, c=c,
                           alpha=alpha, f=f, g=g, h=h, mu1=mu1, mu0=mu0,
-                          s1_mask=s1_mask, s0_mask=s0_mask, j0=j0, g0=g0,
-                          iteration=iteration)
+                          s1_mask=s1_mask, s0_mask=s0_mask, j0=j0, g0=g0)
 
 
 def gradients(state: OptimizerState, mesh: fem.GridMesh):
@@ -217,63 +207,58 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
 
     f, g = mean_forces(gray1, gray0, mesh)
     design = fem.uniform_design(mesh, cfg.tolp, cfg.tolq, cfg.p_min, cfg.q_min)
-    state = compute_state(design, gray1, gray0, mesh, cfg, f=f, g=g)
+    state = compute_state(design, gray1, gray0, mesh, cfg, f, g)
     j_history = [state.j0]
     dx_max = cfg.dx_max
     evals = 1
     accepted = 0
+    shrinks = 0
     converged_by = "max_iters"
 
+    # One trial per pass.  Gradients are taken only at a new state: the
+    # first, and each accepted one; a rejected trial keeps the state and
+    # retries with a shrunken move limit.
     while accepted < cfg.max_iters:
-        grads = gradients(state, mesh)
-        shrinks = 0
-        terminated = None
-        while True:
-            lp = _build_lp(state, grads, cfg, dx_max)
-            sol = solve_move_limit_lp(lp)
-            step = max(np.abs(sol.x_p).max(initial=0.0),
-                       np.abs(sol.x_q).max(initial=0.0))
-            if step <= cfg.eps_x:
-                terminated = "eps_x"
-                break
+        if shrinks == 0:
+            grads = gradients(state, mesh)
+        sol = solve_move_limit_lp(_build_lp(state, grads, cfg, dx_max))
+        step = max(np.abs(sol.x_p).max(initial=0.0),
+                   np.abs(sol.x_q).max(initial=0.0))
+        if step <= cfg.eps_x:
+            converged_by = "eps_x"
+            break
 
-            trial = fem.DesignField(
-                p=state.design.p + sol.x_p, q=state.design.q + sol.x_q,
-                p_min=cfg.p_min, q_min=cfg.q_min,
-                tolp=cfg.tolp, tolq=cfg.tolq)
-            new_state = compute_state(trial, gray1, gray0, mesh, cfg,
-                                      f=f, g=g, iteration=accepted + 1)
-            evals += 1
-            dj = new_state.j0 - state.j0
+        trial = fem.DesignField(
+            p=state.design.p + sol.x_p, q=state.design.q + sol.x_q,
+            p_min=cfg.p_min, q_min=cfg.q_min, tolp=cfg.tolp, tolq=cfg.tolq)
+        new_state = compute_state(trial, gray1, gray0, mesh, cfg, f, g)
+        evals += 1
+        dj = new_state.j0 - state.j0
 
-            log.info("iter=%d J0=%.9e G0=%.3e dx_max=%.4g slack=%.3g dJ=%.3e",
-                     accepted + 1, new_state.j0, new_state.g0, dx_max,
-                     sol.slack_used, dj)
+        log.info("iter=%d J0=%.9e G0=%.3e dx_max=%.4g slack=%.3g dJ=%.3e",
+                 accepted + 1, new_state.j0, new_state.g0, dx_max,
+                 sol.slack_used, dj)
 
-            if new_state.j0 < state.j0:
-                state = new_state
-                accepted += 1
-                j_history.append(state.j0)
-                if callback is not None:
-                    callback(state)
-                if abs(dj) <= cfg.eps_j:
-                    terminated = "eps_J"
-                break
-            # Rejected: roll back (state unchanged), shrink the move limit.
-            if abs(dj) <= cfg.eps_j:
-                terminated = "eps_J"
-                break
+        rejected = not new_state.j0 < state.j0
+        if not rejected:
+            state = new_state
+            accepted += 1
+            shrinks = 0
+            j_history.append(state.j0)
+            if callback is not None:
+                callback(state)
+        if abs(dj) <= cfg.eps_j:
+            converged_by = "eps_J"
+            break
+        if rejected:
             dx_max *= cfg.gamma
             shrinks += 1
             if shrinks >= cfg.max_shrinks:
-                terminated = "max_shrinks"
+                converged_by = "max_shrinks"
                 break
-        if terminated:
-            converged_by = terminated
-            break
 
     state.design.validate()
-    return AxisResult(alpha=state.alpha, design=state.design,
+    return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,
                       j_history=j_history, iterations=accepted,
                       converged_by=converged_by, state_evals=evals,
                       g_final=state.g0)

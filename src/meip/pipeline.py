@@ -282,6 +282,8 @@ def save_axes(path, bundle: forest.AxisBundle) -> None:
 def load_axes(path) -> forest.AxisBundle:
     with _reading(path, AXES_MAGIC, "an axis bundle file") as r:
         n1, n2, m, n_axes = r.row(None, 4, _counts)
+        if min(n1, n2) < 1:
+            raise r.error(f"expected a mesh of at least 1x1, got {n1}x{n2}")
         if m != (n1 + 1) * (n2 + 1):
             raise r.error(f"expected {(n1 + 1) * (n2 + 1)} nodes for a "
                           f"{n1}x{n2} mesh, got {m}")
@@ -325,6 +327,8 @@ def load_model(path):
         if text.split()[1:2] != ["dim"]:
             raise r.error(f"expected '<count> dim <dim>', got {text[:40]!r}")
         n_classes, dim = r.row(None, 3, lambda t: _counts(t[::2]), text)
+        if n_classes < 1:
+            raise r.error("expected at least 1 class, got 0")
         model = []
         for j in range(n_classes):
             r.row(f"class {j}", 0)
@@ -352,6 +356,8 @@ def save_fields(path, n1: int, n2: int, records: list[dict]) -> None:
 def load_fields(path):
     with _reading(path, FIELDS_MAGIC, "a fields file") as r:
         n1, n2, count = r.row(None, 3, _counts)
+        if min(n1, n2) < 1:
+            raise r.error(f"expected a mesh of at least 1x1, got {n1}x{n2}")
         nodes, elements = (n1 + 1) * (n2 + 1), n1 * n2
         records = []
         for i in range(count):
@@ -469,25 +475,19 @@ def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
     return targets
 
 
-def _forest_specs(cfg: PipelineConfig) -> list[dict]:
-    """One entry per forest: binary labeling rule plus reference kind."""
-    refs = cfg.ref_kinds()
+def _forests(cfg: PipelineConfig, labels: np.ndarray):
+    """Yield (name, ref_kind, selection mask, 0/1 labels of the selected
+    samples) for each forest, in config order."""
     if cfg.class_pairs:
-        return [{"kind": "pair", "a": a, "b": b, "ref": ref,
-                 "name": f"{a}v{b}_{ref}"} for a, b in cfg.pairs()
-                for ref in refs]
-    return [{"kind": "ovr", "digit": d, "ref": ref, "name": f"{d}vrest_{ref}"}
-            for d in cfg.classes() for ref in refs]
-
-
-def _binary_labels(spec: dict, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(selection mask, 0/1 labels) for one forest's training view."""
-    if spec["kind"] == "pair":
-        mask = np.isin(labels, (spec["a"], spec["b"]))
-        ybin = (labels == spec["b"]).astype(np.int64)
-        return mask, ybin[mask]
-    mask = np.ones(len(labels), dtype=bool)
-    return mask, (labels == spec["digit"]).astype(np.int64)
+        views = ((f"{a}v{b}", np.isin(labels, (a, b)), labels == b)
+                 for a, b in cfg.pairs())
+    else:
+        views = ((f"{d}vrest", np.ones(len(labels), dtype=bool), labels == d)
+                 for d in cfg.classes())
+    for stem, mask, positive in views:
+        ybin = positive[mask].astype(np.int64)
+        for ref in cfg.ref_kinds():
+            yield f"{stem}_{ref}", ref, mask, ybin
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +508,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
-
 
 def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
     return {"counts": cm.counts.tolist(),
@@ -531,15 +527,13 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
     bundles, provenance = [], []
-    for spec in _forest_specs(cfg):
-        mask, ybin = _binary_labels(spec, data.labels)
-        ocfg = cfg.optimizer_config(spec["ref"])
-        log.info("forest %s: %d samples (%d/%d per class)", spec["name"],
+    for name, ref, mask, ybin in _forests(cfg, data.labels):
+        log.info("forest %s: %d samples (%d/%d per class)", name,
                  int(mask.sum()), int((ybin == 0).sum()), int((ybin == 1).sum()))
-        b = forest.generate_axes(data.gray[mask], ybin, cfg.n_axes, ocfg, mesh)
-        save_fields(out / f"fields_{spec['name']}.txt", cfg.n1, cfg.n2,
-                    b.fields)
-        provenance += [{"forest": spec["name"], **prov} for prov in b.provenance]
+        b = forest.generate_axes(data.gray[mask], ybin, cfg.n_axes,
+                                 cfg.optimizer_config(ref), mesh)
+        save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
+        provenance += [{"forest": name, **prov} for prov in b.provenance]
         bundles.append(b)
 
     axes = np.vstack([b.axes for b in bundles])

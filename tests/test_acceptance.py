@@ -18,7 +18,8 @@ from meip.classifier import confusion_from_predictions, predict_posterior, fit
 from meip.dataset import (load_idx_images, load_idx_labels, write_idx_images,
                           write_idx_labels)
 from meip.lp import solve_move_limit_lp
-from meip.optimizer import OptimizerConfig, compute_state, gradients, optimize
+from meip.optimizer import (OptimizerConfig, compute_state, gradients,
+                            mean_forces, optimize)
 from conftest import MNIST_FILES, blob_grays, element_matrices_rational
 from test_lp import enumerate_vertices, random_feasible_problem
 from test_optimizer import frozen_objective
@@ -129,7 +130,8 @@ class TestCriterion5PropertySuite:
         g1, g0 = blob_grays(mesh, 14, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh, 0.1, 0.1, 1e-3, 1e-3)
-        state = compute_state(design, g1, g0, mesh, cfg)
+        state = compute_state(design, g1, g0, mesh, cfg,
+                              *mean_forces(g1, g0, mesh))
         gjp, gjq, ggp, ggq = gradients(state, mesh)
         delta = 1e-6
         pairs = [(e, w) for e in rng.choice(mesh.ne, 10, replace=False)
@@ -198,7 +200,7 @@ class TestCriterion5PropertySuite:
                  f"lambda_1 {lam[0]:.3e}, series rel err {rel:.2e}")
 
     def test_5d_element_constants(self):
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         kp_r, kq_r = element_matrices_rational()
         expected_kp = [[Fraction(n, 24) for n in row] for row in
                        [[4, -1, -2, -1], [-1, 4, -1, -2],

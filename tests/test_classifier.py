@@ -24,7 +24,7 @@ class TestExtractFeatures:
     def test_zero_force(self, mesh4):
         rng = np.random.default_rng(0)
         bundle = simple_bundle(mesh4, rng.standard_normal((3, mesh4.n_nodes)))
-        z = features_from_gray(bundle, np.zeros((1, mesh4.ne)), mesh4)
+        z = features_from_gray(bundle, np.zeros((1, mesh4.ne)))
         assert np.array_equal(z, np.zeros((1, 3)))
 
     def test_aligned_axis_returns_norm(self, mesh4):
@@ -32,7 +32,7 @@ class TestExtractFeatures:
         gray = rng.random(mesh4.ne)
         force = fem.grayscale_to_force(mesh4, gray)
         bundle = simple_bundle(mesh4, [force / np.linalg.norm(force)])
-        z = features_from_gray(bundle, gray[None], mesh4)[0]
+        z = features_from_gray(bundle, gray[None])[0]
         assert z[0] == pytest.approx(np.linalg.norm(force), rel=1e-12)
 
     def test_solve_based_identity_oracle(self, mesh4):
@@ -45,7 +45,7 @@ class TestExtractFeatures:
         force = fem.grayscale_to_force(mesh4, gray)
         axes = rng.standard_normal((4, mesh4.n_nodes))
         bundle = simple_bundle(mesh4, axes)
-        z = features_from_gray(bundle, gray[None], mesh4)[0]
+        z = features_from_gray(bundle, gray[None])[0]
         d = op.solve(force)
         for m in range(4):
             ref = fem.mutual_energy(op, d, axes[m])
@@ -56,7 +56,7 @@ class TestExtractFeatures:
         gray = rng.random((6, mesh4.ne))
         bundle = simple_bundle(mesh4,
                                rng.standard_normal((2, mesh4.n_nodes)))
-        zb = features_from_gray(bundle, gray, mesh4)
+        zb = features_from_gray(bundle, gray)
         for i in range(6):
             force = fem.grayscale_to_force(mesh4, gray[i])
             # per sample: each axis dotted with the node-force vector
@@ -66,7 +66,7 @@ class TestExtractFeatures:
     def test_dimension_mismatch(self, mesh4):
         bundle = simple_bundle(mesh4, np.ones((1, mesh4.n_nodes)))
         with pytest.raises(ValueError):
-            features_from_gray(bundle, np.zeros((1, 7)), mesh4)
+            features_from_gray(bundle, np.zeros((1, 7)))
 
 
 class TestFit:
@@ -265,7 +265,7 @@ GLYPHS = [[(0.5, 0.15, 0.5, 0.85)], [(0.15, 0.5, 0.85, 0.5)],
           [(0.25, 0.3, 0.75, 0.3), (0.25, 0.7, 0.75, 0.7)]]
 
 
-def glyph_features(rng, count, bundle, mesh):
+def glyph_features(rng, count, bundle):
     """Features of noisy, blended 28x28 glyph images on the bundle."""
     labels = rng.integers(0, len(GLYPHS), count)
     images = np.empty((count, 28, 28), dtype=np.uint8)
@@ -276,7 +276,7 @@ def glyph_features(rng, count, bundle, mesh):
         img += rng.uniform(0.0, 0.2, img.shape)
         images[i] = np.clip(255.0 * img, 0, 255).astype(np.uint8)
     data = Dataset.from_arrays(images, labels)
-    return features_from_gray(bundle, data.gray, mesh), labels
+    return features_from_gray(bundle, data.gray), labels
 
 
 class TestBlasDiscriminants:
@@ -299,7 +299,6 @@ class TestBlasDiscriminants:
     def test_models_fitted_on_glyph_features(self):
         # 60 orthonormal smooth axes on a 28x28 mesh, 5 classes
         rng = np.random.default_rng(101)
-        mesh = fem.build_mesh(28, 28)
         t = np.linspace(0.0, 1.0, 29)
         x, y = np.meshgrid(t, t, indexing="ij")
         modes = np.stack([np.cos(np.pi * a * x) * np.cos(np.pi * b * y)
@@ -307,8 +306,8 @@ class TestBlasDiscriminants:
         axes, _ = np.linalg.qr(modes.reshape(-1, 64)
                                @ rng.standard_normal((64, 60)))
         bundle = AxisBundle(axes=axes.T, n1=28, n2=28)
-        z_train, y_train = glyph_features(rng, 600, bundle, mesh)
-        z_test, _ = glyph_features(rng, 600, bundle, mesh)
+        z_train, y_train = glyph_features(rng, 600, bundle)
+        z_test, _ = glyph_features(rng, 600, bundle)
         model = fit(z_train, y_train, len(GLYPHS))
         assert_matches_einsum(model, z_test)
         assert_matches_einsum(model, z_train)

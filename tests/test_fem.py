@@ -72,14 +72,14 @@ class TestBuildMesh:
 
 class TestElementMatrices:
     def test_published_entries(self):
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         assert kp[0][0] == 4 / 24
         assert kp[0][2] == -2 / 24
         assert kq[0][0] == 4 / 36
         assert kq[0][2] == 1 / 36
 
     def test_rational_form_matches_floats(self):
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         kp_r, kq_r = element_matrices_rational()
         for i in range(4):
             for j in range(4):
@@ -92,13 +92,13 @@ class TestElementMatrices:
             assert sum(row, Fraction(0)) == 0
 
     def test_kq_entries_sum_to_one(self):
-        _, kq = fem.element_matrices()
+        kq = fem.KQ
         assert kq.sum() == 1.0
         _, kq_r = element_matrices_rational()
         assert sum(sum(row, Fraction(0)) for row in kq_r) == 1
 
     def test_symmetry_and_psd(self):
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         assert np.array_equal(kp, kp.T)
         assert np.array_equal(kq, kq.T)
         assert np.linalg.eigvalsh(kp).min() > -1e-15
@@ -113,7 +113,7 @@ class TestAssembly:
         design = fem.DesignField(p=np.array([a]), q=np.array([b]),
                                  p_min=1e-3, q_min=1e-3, tolp=a, tolq=b)
         op = fem.assemble_stiffness(mesh, design, sigma0)
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         expected = np.zeros((4, 4))
         nodes = mesh.theta[0]
         for i in range(4):
@@ -141,7 +141,7 @@ class TestAssembly:
         rng = np.random.default_rng(1)
         design = random_design(mesh3, rng)
         sigma0 = 123.0
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         dense = np.zeros((mesh3.n_nodes, mesh3.n_nodes))
         for e in range(mesh3.ne):
             nodes = mesh3.theta[e]
@@ -179,7 +179,7 @@ def add_at_band(mesh, design, sigma0):
     """Reference upper band of K: COO triplets of all 16 entries per
     element, the upper ones summed by np.add.at in element order, then
     sigma0 on the boundary diagonals."""
-    kp, kq = fem.element_matrices()
+    kp, kq = fem.KP, fem.KQ
     kse = (design.p[:, None, None] * kp[None, :, :]
            + design.q[:, None, None] * kq[None, :, :])
     rows = np.concatenate([np.repeat(mesh.theta, 4, axis=1).ravel(),
@@ -197,7 +197,7 @@ def add_at_band(mesh, design, sigma0):
 
 def dense_loop_stiffness(mesh, design, sigma0):
     """K summed entry by entry, element after element, sigma0 last."""
-    kp, kq = fem.element_matrices()
+    kp, kq = fem.KP, fem.KQ
     dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
     for e in range(mesh.ne):
         nodes = mesh.theta[e]
@@ -426,7 +426,7 @@ class TestMassMatrix:
     def test_single_element_equals_kq(self):
         # B is Kq written in the element's node order
         mesh = fem.build_mesh(1, 1)
-        _, kq = fem.element_matrices()
+        kq = fem.KQ
         nodes = mesh.theta[0]
         expected = np.zeros((4, 4))
         for i in range(4):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meip import fem
+from meip import fem, optimizer
 from meip.optimizer import (REF_KINDS, AxisResult, OptimizerConfig,
                             compute_state, element_projection, gradients,
                             mean_forces, optimize)
@@ -67,7 +67,8 @@ class TestComputeState:
         g1, g0 = self.setup_data(mesh4)
         cfg = OptimizerConfig(lam=1.0, tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         assert np.allclose(st.c, -(st.u - st.v))
         j_expected = float(-(st.u - st.v) @ (st.op.K @ st.alpha))
         assert st.j0 == pytest.approx(j_expected, rel=1e-12)
@@ -76,7 +77,8 @@ class TestComputeState:
         g1, _ = self.setup_data(mesh4)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, ref_kind="u_minus_v")
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g1, mesh4, cfg)
+        st = compute_state(design, g1, g1, mesh4, cfg,
+                           *mean_forces(g1, g1, mesh4))
         assert np.abs(st.alpha).max() <= 1e-12
         assert abs(st.j0) <= 1e-18
         assert st.g0 > 0  # u'Kv = ||u||^2 in the energy norm
@@ -86,7 +88,8 @@ class TestComputeState:
         g1, g0 = self.setup_data(mesh4, seed=4)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         c_force = (1 - 2 * cfg.lam) * (st.f - st.g) + (1 - cfg.lam) * st.h
         assert st.j0 == pytest.approx(float(c_force @ st.alpha), rel=1e-9)
 
@@ -94,7 +97,8 @@ class TestComputeState:
         g1, g0 = self.setup_data(mesh4, seed=5)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         proj = element_projection(mesh4, st.alpha)
         for row in g1[:3]:
             force = fem.grayscale_to_force(mesh4, row)
@@ -105,7 +109,8 @@ class TestComputeState:
         g1, g0 = self.setup_data(mesh4, seed=6)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         for x, rhs in ((st.u, st.f), (st.v, st.g), (st.w, st.h)):
             resid = np.linalg.norm(st.op.K @ x - rhs)
             assert resid / max(np.linalg.norm(rhs), 1e-30) <= 1e-10
@@ -114,7 +119,8 @@ class TestComputeState:
         g1, g0 = self.setup_data(mesh4, seed=7)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         assert st.mu1 == pytest.approx(float(st.alpha @ st.f), rel=1e-12)
         assert st.mu0 == pytest.approx(float(st.alpha @ st.g), rel=1e-12)
 
@@ -127,10 +133,12 @@ class TestComputeState:
         for seed in range(12):
             design = random_design(mesh4, np.random.default_rng(seed),
                                    tolp=0.1, tolq=0.1)
-            st = compute_state(design, g1[:1], g0, mesh4, cfg)
-            assert st.s1_count == 0
-            st = compute_state(design, g1, g0[:1], mesh4, cfg)
-            assert st.s0_count == 0
+            st = compute_state(design, g1[:1], g0, mesh4, cfg,
+                               *mean_forces(g1[:1], g0, mesh4))
+            assert np.count_nonzero(st.s1_mask) == 0
+            st = compute_state(design, g1, g0[:1], mesh4, cfg,
+                               *mean_forces(g1, g0[:1], mesh4))
+            assert np.count_nonzero(st.s0_mask) == 0
 
     @pytest.mark.parametrize("n1, n0", [(12, 12), (1, 12), (12, 2)])
     def test_h_matches_fancy_index_mean(self, mesh4, n1, n0):
@@ -147,7 +155,8 @@ class TestComputeState:
         for seed in range(6):
             design = random_design(mesh4, np.random.default_rng(seed),
                                    tolp=0.1, tolq=0.1)
-            st = compute_state(design, g1, g0, mesh4, cfg)
+            st = compute_state(design, g1, g0, mesh4, cfg,
+                               *mean_forces(g1, g0, mesh4))
             assert st.s1_mask.any() == (n1 > 1)
             assert st.s0_mask.any() and (n0 > 2 or st.s0_mask.sum() == 1)
             ref = np.zeros(mesh4.n_nodes)
@@ -168,7 +177,8 @@ class TestGradients:
         g1, _ = blob_grays(mesh4, 10, rng)
         cfg = OptimizerConfig(lam=1.0, tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g1, mesh4, cfg)
+        st = compute_state(design, g1, g1, mesh4, cfg,
+                           *mean_forces(g1, g1, mesh4))
         gjp, gjq, _, _ = gradients(st, mesh4)
         assert np.array_equal(gjp, np.zeros(mesh4.ne))
         assert np.array_equal(gjq, np.zeros(mesh4.ne))
@@ -179,7 +189,8 @@ class TestGradients:
         g1, _ = blob_grays(mesh4, 10, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g1, mesh4, cfg)
+        st = compute_state(design, g1, g1, mesh4, cfg,
+                           *mean_forces(g1, g1, mesh4))
         assert np.allclose(st.u, st.v)
         _, _, ggp, ggq = gradients(st, mesh4)
         gathered = st.u[mesh4.theta]
@@ -192,9 +203,10 @@ class TestGradients:
         g1, g0 = blob_grays(mesh4, 10, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         gjp, gjq, ggp, ggq = gradients(st, mesh4)
-        kp, kq = fem.element_matrices()
+        kp, kq = fem.KP, fem.KQ
         for e in range(mesh4.ne):
             ce = st.c[mesh4.theta[e]]
             ae = st.alpha[mesh4.theta[e]]
@@ -215,7 +227,8 @@ class TestGradients:
         g1, g0 = blob_grays(mesh4, 14, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
         gjp, gjq, ggp, ggq = gradients(st, mesh4)
         delta = 1e-6
         for e in rng.choice(mesh4.ne, 5, replace=False):
@@ -281,6 +294,35 @@ class TestOptimize:
         # the start, every accepted step and the one rejected step
         assert res.state_evals == res.iterations + 2
 
+    @pytest.mark.parametrize(
+        "seed, overrides, reason, iterations, evals, ends_on_accept", [
+            (0, dict(eps_x=0.03, gamma=0.3), "eps_x", 4, 6, False),
+            (2, dict(eps_x=0.03, gamma=0.3), "eps_x", 3, 4, False),
+            (0, dict(eps_j=3.0), "eps_J", 3, 4, True),
+            (3, dict(eps_j=10.0), "eps_J", 2, 4, False),
+            (3, dict(), "max_shrinks", 2, 15, False),
+            (0, dict(max_iters=4), "max_iters", 4, 5, True),
+        ], ids=["eps_x_after_reject", "eps_x", "eps_J_after_accept",
+                "eps_J_after_reject", "max_shrinks", "max_iters"])
+    def test_stopping_rules(self, mesh4, monkeypatch, seed, overrides,
+                            reason, iterations, evals, ends_on_accept):
+        # state_evals counts the start and every trial; gradients are taken
+        # at the start and at each accepted state the loop steps on from
+        stepped_from = []
+
+        def counting(state, mesh):
+            stepped_from.append(state.j0)
+            return gradients(state, mesh)
+
+        monkeypatch.setattr(optimizer, "gradients", counting)
+        g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(seed))
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, **overrides)
+        res = optimize(g1, g0, mesh4, cfg)
+        assert res.converged_by == reason
+        assert (res.iterations, res.state_evals) == (iterations, evals)
+        assert len(stepped_from) == 1 + iterations - ends_on_accept
+        assert stepped_from == res.j_history[:len(stepped_from)]
+
     def test_empty_s_side_is_tolerated(self, mesh4):
         # identical rows inside a class put every projection exactly at the
         # class mean, so the strict inequalities select nothing
@@ -291,9 +333,10 @@ class TestOptimize:
         g0 = np.tile(row0, (4, 1))
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
         design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
-        st = compute_state(design, g1, g0, mesh4, cfg)
-        assert st.s1_count == 0
-        assert st.s0_count == 0
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
+        assert np.count_nonzero(st.s1_mask) == 0
+        assert np.count_nonzero(st.s0_mask) == 0
         assert np.array_equal(st.h, np.zeros(mesh4.n_nodes))
         res = optimize(g1, g0, mesh4, cfg)
         assert isinstance(res, AxisResult)

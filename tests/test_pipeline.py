@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -338,6 +339,22 @@ class TestFieldsFormat:
                 assert np.array_equal(orig[key], rec[key])
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ("MEIP-AXES 1\n0 3 4 1\n0 0 0 0\n",
+     "2: expected a mesh of at least 1x1, got 0x3"),
+    ("MEIP-FIELDS 1\n0 0 1\naxis 0\nf 0\ng 0\np\nq\n",
+     "2: expected a mesh of at least 1x1, got 0x0"),
+    ("MEIP-MODEL 1\nbundle axes.txt\nconfig 0\nclasses 0 dim 2\n",
+     "4: expected at least 1 class, got 0"),
+], ids=["axes", "fields", "model"])
+def test_artifact_with_an_empty_shape_is_rejected(tmp_path, text, message):
+    path = tmp_path / "artifact.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+        pipeline.cmd_inspect(path, tmp_path / "out")
+    assert not any((tmp_path / "out").iterdir())
+
 def _save_model(path, rng):
     z = rng.standard_normal((20, 2))
     model = fit(z, np.arange(20) % 2, 2)
@@ -582,7 +599,7 @@ class TestCommands:
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         report = pipeline.cmd_pipeline(cfg, bars_workspace / "out")
         text = (bars_workspace / "out" / "report.json").read_text()
-        back = pipeline.RunReport.from_json(text)
+        back = pipeline.RunReport(**json.loads(text))
         assert back.to_json() == text
         assert back.test_confusion == report.test_confusion
 
