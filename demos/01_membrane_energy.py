@@ -17,7 +17,7 @@ mesh = fem.build_mesh(8, 8)
 print(f"mesh: {mesh.n1}x{mesh.n2} elements, {mesh.n_nodes} nodes, "
       f"{len(mesh.boundary_nodes)} boundary nodes")
 
-design = fem.uniform_design(mesh, tolp=0.2, tolq=0.2, p_min=1e-3, q_min=1e-3)
+design = fem.uniform_design(mesh, tolp=0.2, tolq=0.2)
 op = fem.assemble_stiffness(mesh, design, sigma0=1e5)
 print(f"stiffness assembled: {op.K.shape}, nnz={op.K.nnz}, "
       f"bandwidth={op.bandwidth}")

@@ -174,20 +174,16 @@ def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
 class Dataset:
     """Preprocessed samples as a (N, Ne) matrix with their labels."""
 
-    def __init__(self, gray: np.ndarray, labels: np.ndarray, n1: int, n2: int):
+    def __init__(self, gray: np.ndarray, labels: np.ndarray):
         gray = np.asarray(gray, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if gray.ndim != 2 or gray.shape[0] != labels.shape[0]:
             raise ValueError(f"sample/label count mismatch: gray matrix "
                              f"{gray.shape}, labels {labels.shape}")
-        if gray.shape[1] != n1 * n2:
-            raise ValueError("gray vector length does not match n1*n2")
         if labels.size and labels.min() < 0:
             raise ValueError("negative class label")
         self.gray = gray
         self.labels = labels
-        self.n1 = n1
-        self.n2 = n2
 
     def __len__(self) -> int:
         return self.gray.shape[0]
@@ -195,4 +191,4 @@ class Dataset:
     @classmethod
     def from_arrays(cls, images: np.ndarray, labels: np.ndarray,
                     norm: str = "l2") -> "Dataset":
-        return cls(_preprocess_stack(images, norm), labels, *images.shape[1:])
+        return cls(_preprocess_stack(images, norm), labels)

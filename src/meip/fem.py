@@ -124,43 +124,20 @@ def build_mesh(n1: int, n2: int) -> GridMesh:
 
 @dataclass
 class DesignField:
-    """Per-element design variables with lower bounds and budget totals."""
+    """Per-element design variables: elastic modulus p and support q."""
 
     p: np.ndarray
     q: np.ndarray
-    p_min: float
-    q_min: float
-    tolp: float
-    tolq: float
-
-    def validate(self, tol: float = 1e-9) -> None:
-        """Raise if bounds or budget totals are violated beyond ``tol``."""
-        if np.any(self.p < self.p_min - tol):
-            raise ValueError("design variable p below lower bound")
-        if np.any(self.q < self.q_min - tol):
-            raise ValueError("design variable q below lower bound")
-        if abs(self.p.sum() - self.tolp) > tol:
-            raise ValueError(
-                f"p budget violated: sum={self.p.sum()!r} target={self.tolp!r}")
-        if abs(self.q.sum() - self.tolq) > tol:
-            raise ValueError(
-                f"q budget violated: sum={self.q.sum()!r} target={self.tolq!r}")
-
-    def copy(self) -> "DesignField":
-        return DesignField(self.p.copy(), self.q.copy(), self.p_min,
-                           self.q_min, self.tolp, self.tolq)
 
 
-def uniform_design(mesh: GridMesh, tolp: float, tolq: float,
-                   p_min: float, q_min: float) -> DesignField:
+def uniform_design(mesh: GridMesh, tolp: float, tolq: float) -> DesignField:
     """Uniform initial design p_e = tolp/Ne, q_e = tolq/Ne.
 
     Dividing by the element count (not the node count) keeps the budget
     equalities satisfied from iteration 0.
     """
-    p = np.full(mesh.ne, tolp / mesh.ne)
-    q = np.full(mesh.ne, tolq / mesh.ne)
-    return DesignField(p=p, q=q, p_min=p_min, q_min=q_min, tolp=tolp, tolq=tolq)
+    return DesignField(p=np.full(mesh.ne, tolp / mesh.ne),
+                       q=np.full(mesh.ne, tolq / mesh.ne))
 
 
 class StiffnessOperator:

@@ -171,8 +171,4 @@ def orthonormalize(bundle: AxisBundle, k: int) -> AxisBundle:
     rank = int((s > s[0] * max(a.shape) * np.finfo(float).eps).sum())
     if k > rank:
         raise ValueError(f"k={k} exceeds the numerical rank {rank}")
-    provenance = [{"source": "svd", "component": i,
-                   "singular_value": float(s[i])} for i in range(k)]
-    return AxisBundle(axes=u[:, :k].T.copy(), n1=bundle.n1, n2=bundle.n2,
-                      provenance=provenance,
-                      pool_exhausted=bundle.pool_exhausted)
+    return AxisBundle(axes=u[:, :k].T.copy(), n1=bundle.n1, n2=bundle.n2)

@@ -50,12 +50,32 @@ class OptimizerConfig:
             raise ValueError("lam must lie in [0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        for name in ("tolp", "tolq", "p_min", "q_min", "sigma0", "dx_max",
-                     "eps_x", "eps_j"):
-            if getattr(self, name) <= 0:
+        for name in ("tolp", "tolq", "p_min", "q_min", "sigma0", "dx_max"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # an infinite threshold is a rule that stops at its first test
+        for name in ("eps_x", "eps_j"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must not be negative")
         if self.ref_kind not in REF_KINDS:
             raise ValueError(f"ref_kind must be one of {REF_KINDS}")
+
+    def check_design(self, design: fem.DesignField) -> None:
+        """Raise if ``design`` breaks the bounds or budget totals by more
+        than 1e-9."""
+        tol = 1e-9
+        if np.any(design.p < self.p_min - tol):
+            raise ValueError("design variable p below lower bound")
+        if np.any(design.q < self.q_min - tol):
+            raise ValueError("design variable q below lower bound")
+        if abs(design.p.sum() - self.tolp) > tol:
+            raise ValueError(f"p budget violated: sum={design.p.sum()!r} "
+                             f"target={self.tolp!r}")
+        if abs(design.q.sum() - self.tolq) > tol:
+            raise ValueError(f"q budget violated: sum={design.q.sum()!r} "
+                             f"target={self.tolq!r}")
 
 
 @dataclass
@@ -184,10 +204,10 @@ def _build_lp(state: OptimizerState, grads, cfg: OptimizerConfig,
         c_p=grad_j_p, c_q=grad_j_q,
         a_p=grad_g_p, a_q=grad_g_q,
         g0=state.g0,
-        tolx_p=design.tolp - design.p.sum(),
-        tolx_q=design.tolq - design.q.sum(),
-        lower_p=np.maximum(design.p_min - design.p, -dx_max),
-        lower_q=np.maximum(design.q_min - design.q, -dx_max),
+        tolx_p=cfg.tolp - design.p.sum(),
+        tolx_q=cfg.tolq - design.q.sum(),
+        lower_p=np.maximum(cfg.p_min - design.p, -dx_max),
+        lower_q=np.maximum(cfg.q_min - design.q, -dx_max),
         upper=dx_max)
 
 
@@ -206,7 +226,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             raise ValueError(f"{name} holds non-finite gray values")
 
     f, g = mean_forces(gray1, gray0, mesh)
-    design = fem.uniform_design(mesh, cfg.tolp, cfg.tolq, cfg.p_min, cfg.q_min)
+    design = fem.uniform_design(mesh, cfg.tolp, cfg.tolq)
     state = compute_state(design, gray1, gray0, mesh, cfg, f, g)
     j_history = [state.j0]
     dx_max = cfg.dx_max
@@ -228,9 +248,8 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             converged_by = "eps_x"
             break
 
-        trial = fem.DesignField(
-            p=state.design.p + sol.x_p, q=state.design.q + sol.x_q,
-            p_min=cfg.p_min, q_min=cfg.q_min, tolp=cfg.tolp, tolq=cfg.tolq)
+        trial = fem.DesignField(p=state.design.p + sol.x_p,
+                                q=state.design.q + sol.x_q)
         new_state = compute_state(trial, gray1, gray0, mesh, cfg, f, g)
         evals += 1
         dj = new_state.j0 - state.j0
@@ -257,7 +276,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
                 converged_by = "max_shrinks"
                 break
 
-    state.design.validate()
+    cfg.check_design(state.design)
     return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,
                       j_history=j_history, iterations=accepted,
                       converged_by=converged_by, state_evals=evals,

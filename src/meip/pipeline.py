@@ -100,7 +100,9 @@ class PipelineConfig:
         return cfg
 
     def ref_kinds(self) -> list[str]:
-        return [r.strip() for r in self.ref_kind.split(",") if r.strip()]
+        kinds = [r.strip() for r in self.ref_kind.split(",") if r.strip()]
+        _once(kinds)
+        return kinds
 
     def classes(self) -> list[int]:
         """Digits participating in classification, in declared order."""
@@ -126,6 +128,7 @@ class PipelineConfig:
             if len(digits) != 2:
                 raise ValueError(f"expected a digit pair 'a:b', got {tok!r}")
             out.append((_digit(digits[0]), _digit(digits[1])))
+        _once([f"{a}:{b}" for a, b in out])
         return out
 
     def resolve(self, path: str) -> Path:
@@ -144,6 +147,8 @@ class PipelineConfig:
             raise ValueError("must be at least 1")
         if attr == "svd_k" and value < 0:
             raise ValueError("must not be negative")
+        if attr == "ridge" and not 0 <= value < np.inf:
+            raise ValueError("must be finite and not negative")
         if attr == "norm" and value not in NORMS:
             raise ValueError(f"must be one of {NORMS}")
         if attr in ("class_pairs", "one_vs_rest") and value:
@@ -153,6 +158,13 @@ class PipelineConfig:
         if attr in _OPTIMIZER_FIELDS:
             for ref in self.ref_kinds():
                 self.optimizer_config(ref)
+
+
+def _once(names: list[str]) -> None:
+    """Raise if ``names`` repeats one: each name grows its own forest."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"names {name} twice")
 
 
 def _digit(token: str) -> int:
@@ -500,8 +512,6 @@ class RunReport:
 
     config: dict
     n_axes: int = 0
-    feature_dim: int = 0
-    axes: list = field(default_factory=list)
     train_confusion: dict | None = None
     test_confusion: dict | None = None
 
@@ -537,9 +547,7 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset, out_dir) -> Path:
         bundles.append(b)
 
     axes = np.vstack([b.axes for b in bundles])
-    combined = forest.AxisBundle(
-        axes=axes, n1=cfg.n1, n2=cfg.n2, provenance=provenance,
-        pool_exhausted=any(b.pool_exhausted for b in bundles))
+    combined = forest.AxisBundle(axes=axes, n1=cfg.n1, n2=cfg.n2)
     if cfg.svd_k > 0:
         # Exhausted pools can leave fewer axes than requested; compress to
         # what exists rather than failing the run.
@@ -624,7 +632,7 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
                             targets, len(model))
 
     report = RunReport(config=dict(cfg.echo_items()),
-                       n_axes=bundle.n_axes, feature_dim=z.shape[1],
+                       n_axes=bundle.n_axes,
                        **{f"{split}_confusion": _confusion_dict(cm)})
     (out / f"report_{split}.json").write_text(report.to_json())
     return report
@@ -684,7 +692,6 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
 
     report = RunReport(config=dict(cfg.echo_items()),
                        n_axes=train_report.n_axes,
-                       feature_dim=train_report.feature_dim,
                        train_confusion=train_report.train_confusion,
                        test_confusion=test_report.test_confusion)
     (out / "report.json").write_text(report.to_json())

@@ -82,8 +82,7 @@ def random_design(mesh: fem.GridMesh, rng: np.random.Generator,
         raw = rng.uniform(0.5, 1.5, mesh.ne)
         raw = raw / raw.sum() * (total - mn * mesh.ne)
         return raw + mn
-    return fem.DesignField(p=draw(tolp, p_min), q=draw(tolq, q_min),
-                           p_min=p_min, q_min=q_min, tolp=tolp, tolq=tolq)
+    return fem.DesignField(p=draw(tolp, p_min), q=draw(tolq, q_min))
 
 
 def bar_images(n: int, count: int, rng: np.random.Generator,

@@ -6,6 +6,7 @@ property suite and criterion 6 an offline end-to-end run on generated
 stroke images; both always run.
 """
 
+import copy
 import json
 import os
 from fractions import Fraction
@@ -129,7 +130,7 @@ class TestCriterion5PropertySuite:
         rng = np.random.default_rng(101)
         g1, g0 = blob_grays(mesh, 14, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh, 0.1, 0.1)
         state = compute_state(design, g1, g0, mesh, cfg,
                               *mean_forces(g1, g0, mesh))
         gjp, gjq, ggp, ggq = gradients(state, mesh)
@@ -139,7 +140,7 @@ class TestCriterion5PropertySuite:
         assert len(pairs) >= 20
         worst = 0.0
         for e, which in pairs:
-            d_plus, d_minus = design.copy(), design.copy()
+            d_plus, d_minus = copy.deepcopy(design), copy.deepcopy(design)
             getattr(d_plus, which)[e] += delta
             getattr(d_minus, which)[e] -= delta
             j_plus, g_plus = frozen_objective(d_plus, state, mesh, cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from meip import fem
+from meip.optimizer import OptimizerConfig
 from conftest import element_matrices_rational, random_design
 
 
@@ -110,8 +111,7 @@ class TestAssembly:
         # K = a*Kp + b*Kq + sigma0*I, written in the element's node order
         mesh = fem.build_mesh(1, 1)
         a, b, sigma0 = 1.7, 0.4, 10.0
-        design = fem.DesignField(p=np.array([a]), q=np.array([b]),
-                                 p_min=1e-3, q_min=1e-3, tolp=a, tolq=b)
+        design = fem.DesignField(p=np.array([a]), q=np.array([b]))
         op = fem.assemble_stiffness(mesh, design, sigma0)
         kp, kq = fem.KP, fem.KQ
         expected = np.zeros((4, 4))
@@ -130,8 +130,7 @@ class TestAssembly:
         assert diff.nnz == 0 or np.abs(diff.toarray()).max() == 0.0
 
     def test_positive_definite_3x3(self, mesh3):
-        design = fem.DesignField(p=np.ones(9), q=np.ones(9),
-                                 p_min=1e-3, q_min=1e-3, tolp=9.0, tolq=9.0)
+        design = fem.DesignField(p=np.ones(9), q=np.ones(9))
         op = fem.assemble_stiffness(mesh3, design, 1e5)
         evals = np.linalg.eigvalsh(op.K.toarray())
         assert evals.min() > 0
@@ -159,8 +158,7 @@ class TestAssembly:
         d1 = random_design(mesh3, rng)
         d2 = random_design(mesh3, rng)
         sigma0 = 50.0
-        dsum = fem.DesignField(p=d1.p + d2.p, q=d1.q + d2.q, p_min=1e-3,
-                               q_min=1e-3, tolp=2.0, tolq=2.0)
+        dsum = fem.DesignField(p=d1.p + d2.p, q=d1.q + d2.q)
         k1 = fem.assemble_stiffness(mesh3, d1, sigma0).K.toarray()
         k2 = fem.assemble_stiffness(mesh3, d2, sigma0).K.toarray()
         ks = fem.assemble_stiffness(mesh3, dsum, sigma0).K.toarray()
@@ -500,9 +498,7 @@ class TestGeneralizedEigenpairs:
         B = fem.assemble_mass(mesh3)
         op1 = fem.assemble_stiffness(mesh3, design, 1e5)
         lam1, _ = fem.generalized_eigenpairs(op1, B)
-        bigger = fem.DesignField(p=design.p * 1.5, q=design.q * 1.5,
-                                 p_min=design.p_min, q_min=design.q_min,
-                                 tolp=design.tolp * 1.5, tolq=design.tolq * 1.5)
+        bigger = fem.DesignField(p=design.p * 1.5, q=design.q * 1.5)
         op2 = fem.assemble_stiffness(mesh3, bigger, 1e5)
         lam2, _ = fem.generalized_eigenpairs(op2, B)
         assert lam2[0] > lam1[0]
@@ -517,19 +513,25 @@ class TestGeneralizedEigenpairs:
 
 class TestDesignField:
     def test_uniform_design_budgets(self, mesh4):
-        d = fem.uniform_design(mesh4, 2.0, 3.0, 1e-3, 1e-3)
-        d.validate()
+        d = fem.uniform_design(mesh4, 2.0, 3.0)
+        OptimizerConfig(tolp=2.0, tolq=3.0).check_design(d)
         assert d.p.sum() == pytest.approx(2.0, abs=1e-12)
         assert d.q.sum() == pytest.approx(3.0, abs=1e-12)
 
     def test_validate_rejects_bad_budget(self, mesh4):
-        d = fem.uniform_design(mesh4, 2.0, 2.0, 1e-3, 1e-3)
+        d = fem.uniform_design(mesh4, 2.0, 2.0)
         d.p[0] += 1.0
         with pytest.raises(ValueError):
-            d.validate()
+            OptimizerConfig(tolp=2.0, tolq=2.0).check_design(d)
 
     def test_validate_rejects_below_bound(self, mesh4):
-        d = fem.uniform_design(mesh4, 2.0, 2.0, 1e-3, 1e-3)
+        d = fem.uniform_design(mesh4, 2.0, 2.0)
         d.q[3] = 1e-5
         with pytest.raises(ValueError):
-            d.validate()
+            OptimizerConfig(tolp=2.0, tolq=2.0).check_design(d)
+
+    def test_bounds_come_from_the_config(self, mesh4):
+        d = fem.uniform_design(mesh4, 2.0, 2.0)     # every p_e is 0.125
+        OptimizerConfig(tolp=2.0, tolq=2.0, p_min=0.1).check_design(d)
+        with pytest.raises(ValueError, match="p below lower bound"):
+            OptimizerConfig(tolp=2.0, tolq=2.0, p_min=0.2).check_design(d)

@@ -1,5 +1,7 @@
 """Axis optimization loop: state assembly, gradients, and convergence."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ class TestComputeState:
     def test_lambda_one_pure_mean_objective(self, mesh4):
         g1, g0 = self.setup_data(mesh4)
         cfg = OptimizerConfig(lam=1.0, tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         assert np.allclose(st.c, -(st.u - st.v))
@@ -76,7 +78,7 @@ class TestComputeState:
     def test_identical_classes_zero_axis(self, mesh4):
         g1, _ = self.setup_data(mesh4)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, ref_kind="u_minus_v")
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g1, mesh4, cfg,
                            *mean_forces(g1, g1, mesh4))
         assert np.abs(st.alpha).max() <= 1e-12
@@ -87,7 +89,7 @@ class TestComputeState:
         # J0 computed through K equals the force-side combination
         g1, g0 = self.setup_data(mesh4, seed=4)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         c_force = (1 - 2 * cfg.lam) * (st.f - st.g) + (1 - cfg.lam) * st.h
@@ -96,7 +98,7 @@ class TestComputeState:
     def test_projection_matches_forces(self, mesh4):
         g1, g0 = self.setup_data(mesh4, seed=5)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         proj = element_projection(mesh4, st.alpha)
@@ -108,7 +110,7 @@ class TestComputeState:
     def test_residual_contract(self, mesh4):
         g1, g0 = self.setup_data(mesh4, seed=6)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         for x, rhs in ((st.u, st.f), (st.v, st.g), (st.w, st.h)):
@@ -118,7 +120,7 @@ class TestComputeState:
     def test_mu_values(self, mesh4):
         g1, g0 = self.setup_data(mesh4, seed=7)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         assert st.mu1 == pytest.approx(float(st.alpha @ st.f), rel=1e-12)
@@ -176,7 +178,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         g1, _ = blob_grays(mesh4, 10, rng)
         cfg = OptimizerConfig(lam=1.0, tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g1, mesh4, cfg,
                            *mean_forces(g1, g1, mesh4))
         gjp, gjq, _, _ = gradients(st, mesh4)
@@ -188,7 +190,7 @@ class TestGradients:
         rng = np.random.default_rng(9)
         g1, _ = blob_grays(mesh4, 10, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g1, mesh4, cfg,
                            *mean_forces(g1, g1, mesh4))
         assert np.allclose(st.u, st.v)
@@ -202,7 +204,7 @@ class TestGradients:
         rng = np.random.default_rng(10)
         g1, g0 = blob_grays(mesh4, 10, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         gjp, gjq, ggp, ggq = gradients(st, mesh4)
@@ -226,14 +228,14 @@ class TestGradients:
         rng = np.random.default_rng(11)
         g1, g0 = blob_grays(mesh4, 14, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         gjp, gjq, ggp, ggq = gradients(st, mesh4)
         delta = 1e-6
         for e in rng.choice(mesh4.ne, 5, replace=False):
             for which, gj, gg in (("p", gjp, ggp), ("q", gjq, ggq)):
-                d_plus, d_minus = design.copy(), design.copy()
+                d_plus, d_minus = copy.deepcopy(design), copy.deepcopy(design)
                 getattr(d_plus, which)[e] += delta
                 getattr(d_minus, which)[e] -= delta
                 j_plus, g_plus = frozen_objective(d_plus, st, mesh4, cfg)
@@ -332,7 +334,7 @@ class TestOptimize:
         g1 = np.tile(row1, (4, 1))
         g0 = np.tile(row0, (4, 1))
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
-        design = fem.uniform_design(mesh4, 0.1, 0.1, 1e-3, 1e-3)
+        design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
         assert np.count_nonzero(st.s1_mask) == 0

@@ -80,7 +80,8 @@ class TestConfig:
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
         "norm = l7", "class_pairs = 3", "class_pairs = 3:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
-        "class_pairs = 2:256",
+        "class_pairs = 2:256", "sigma0 = inf", "tolp = inf", "tolp = nan",
+        "dx_max = inf", "ridge = nan", "ridge = -5", "max_iters = -1",
     ])
     def test_bad_value_names_file_line_and_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
@@ -91,6 +92,21 @@ class TestConfig:
         with pytest.raises(ValueError,
                            match=re.escape(f"{cfg_file}:2: {key}: ")):
             pipeline.load_config(cfg_file)
+
+    @pytest.mark.parametrize("lines, error", [
+        ("ref_kind = u,u\nclass_pairs = 3:7\n", ":1: ref_kind: names u twice"),
+        ("class_pairs = 3:7, 3:7\n", ":1: class_pairs: names 3:7 twice"),
+    ], ids=["ref_kind", "class_pairs"])
+    def test_a_forest_named_twice_is_an_error(self, tmp_path, lines, error):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(lines)
+        with pytest.raises(ValueError, match=re.escape(f"{cfg_file}{error}")):
+            pipeline.load_config(cfg_file)
+
+    def test_mirrored_pairs_are_two_forests(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("class_pairs = 3:7,7:3\n")
+        assert pipeline.load_config(cfg_file).pairs() == [(3, 7), (7, 3)]
 
     def test_optimizer_defaults_have_one_source(self):
         for kind in REF_KINDS:
@@ -602,6 +618,14 @@ class TestCommands:
         back = pipeline.RunReport(**json.loads(text))
         assert back.to_json() == text
         assert back.test_confusion == report.test_confusion
+
+    def test_reports_hold_only_what_is_read(self, bars_workspace):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        pipeline.cmd_pipeline(cfg, bars_workspace / "out")
+        for name in ("report.json", "report_train.json", "report_test.json"):
+            report = json.loads((bars_workspace / "out" / name).read_text())
+            assert set(report) == {"config", "n_axes", "train_confusion",
+                                   "test_confusion"}, name
 
     def test_external_bundle_location(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
