@@ -1,15 +1,18 @@
 """Acceptance criteria, one test per criterion with a printed verdict.
 
 Criteria 1-4 need the real MNIST IDX files (see conftest.mnist_dir) and
-skip cleanly when the dataset is absent.  Criterion 5 is the dataset-free
-property suite and criterion 6 an offline end-to-end run on generated
-stroke images; both always run.
+skip cleanly when the dataset is absent; each has an offline stand-in of
+the same shape on generated glyphs that always runs.  Criterion 5 is the
+dataset-free property suite and criterion 6 an offline end-to-end run on
+generated stroke images; both always run.
 """
 
 import copy
 import json
 import os
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +346,58 @@ class TestCriterion6OfflineEndToEnd:
         announce("6 (offline stroke pair, 2 axes)",
                  f"test {test_acc:.4f} >= {self.TEST_ACCURACY_FLOOR}, "
                  f"iterations {[axis['iterations'] for axis in prov]}")
+
+
+@pytest.fixture(scope="module")
+def glyph_dir(tmp_path_factory):
+    """Five seeded 14x14 glyph classes from ``bench/glyphs.py``: 400
+    training and 1000 test images, so a class pair holds 160 and 400."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import glyphs
+    finally:
+        sys.path.remove(str(bench))
+    out = tmp_path_factory.mktemp("glyphs")
+    rng = np.random.default_rng(5)
+    bank = glyphs.make_bank(rng, 14)
+    paths = glyphs.write_dataset(out, rng, bank, range(5), 400, 1000)
+    return out, [f"{key} = {p.name}" for key, p in paths.items()]
+
+
+class TestCriteria1To4OfflineStandIns:
+    """Criteria 1-4 at small scale on generated glyphs, in the shape of the
+    paper's four configurations.
+
+    Each floor is the count of test images the code before the
+    linearized-G-row removal classified correctly, less a margin: 13 of 400
+    for a class pair (as criterion 6), 33 of 1000 for the five classes.
+    """
+
+    @pytest.mark.parametrize("lines, parent_correct, margin", [
+        (["class_pairs = 0:1", "n_axes = 1"], 375, 13),
+        (["class_pairs = 0:2", "n_axes = 8"], 379, 13),
+        (["class_pairs = 3:4", "ref_kind = u,v", "n_axes = 6", "svd_k = 6"],
+         369, 13),
+        (["one_vs_rest = 0,1,2,3,4", "n_axes = 4", "svd_k = 10"], 767, 33),
+    ], ids=["1_zero_vs_one", "2_zero_vs_two", "3_three_vs_four",
+            "4_five_class"])
+    def test_glyph_stand_in(self, glyph_dir, tmp_path, lines, parent_correct,
+                            margin):
+        data, data_lines = glyph_dir
+        cfg_path = data / f"{tmp_path.name}.cfg"
+        cfg_path.write_text("\n".join(["n1 = 14", "n2 = 14", *lines,
+                                       *data_lines]) + "\n")
+        report = pipeline.cmd_pipeline(pipeline.load_config(cfg_path),
+                                       tmp_path / "out")
+        prov = json.loads((tmp_path / "out" / "axes_provenance.json")
+                          .read_text())
+        iters = [axis["iterations"] for axis in prov]
+        if lines[0] == "class_pairs = 0:1":
+            assert iters[0] <= 300
+        cm = report.test_confusion
+        correct = int(np.trace(cm["counts"]))
+        assert correct >= parent_correct - margin
+        announce(f"stand-in for {', '.join(lines)}",
+                 f"test {correct}/{cm['total']} >= "
+                 f"{parent_correct} - {margin}, iterations {iters}")
