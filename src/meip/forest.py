@@ -142,6 +142,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
             "iterations": result.iterations,
             "converged_by": result.converged_by,
             "j_final": result.j_history[-1],
+            "g_final": result.g_final,
             "ref_kind": cfg.ref_kind,
         })
         fields.append({"f": result.f, "g": result.g,

@@ -187,11 +187,12 @@ CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name):
 def load_config(path) -> PipelineConfig:
     """Parse a key = value config file.
 
-    Unknown keys and values that cannot run are hard errors that name the
-    file, the line and the key.
+    Unknown keys, a key given twice and values that cannot run are hard
+    errors that name the file, the line and the key.
     """
     path = Path(path)
     cfg = PipelineConfig(base_dir=path.parent)
+    first_line = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,6 +203,10 @@ def load_config(path) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: {key}: given twice (first on "
+                             f"line {first_line[key]})")
+        first_line[key] = lineno
         attr, typ = CONFIG_KEYS[key]
         # Every earlier line passed its check, so a failure here is this
         # line's fault.

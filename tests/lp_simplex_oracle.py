@@ -3,63 +3,51 @@
 This is the general-purpose solver that ``meip.lp.solve_move_limit_lp``
 replaced.  It works on the LP as stated, with no use of its structure:
 
-    min  c_p' x_p + c_q' x_q + M s
-    s.t. a_p' x_p + a_q' x_q + w - s = -G0   (w, s >= 0)
-         sum(x_p) = tolx_p,  sum(x_q) = tolx_q
+    min  c_p' x_p + c_q' x_q
+    s.t. sum(x_p) = tolx_p,  sum(x_q) = tolx_q
          lower <= x <= dx_max
 
-revised primal simplex with an explicit 3x3 basis inverse, big-M
+revised primal simplex with an explicit 2x2 basis inverse, big-M
 artificials on the budget rows and Bland's rule (lowest index enters,
-lowest index leaves among ties).  It is slow -- hundreds of pivots per
-LP, one ``np.linalg.inv`` each -- and kept only as a differential oracle
-for the tests.
-
-Two limits of the oracle: the budget-row artificials cost the same M as
-the violation s, so with the G row violated and some |a_j| >= 1 it may
-break a budget row instead and raise LpInfeasibleError; and its
-reduced-cost tolerance scales with M, so it can stop about 1e-8 relative
-above the optimum.
+lowest index leaves among ties).  It is slow -- tens of pivots per LP,
+one ``np.linalg.inv`` each -- and kept only as a differential oracle for
+the tests.  Its reduced-cost tolerance scales with M, so it can stop
+about 1e-8 relative above the optimum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from meip.lp import (LpInfeasibleError, LpSolution, MoveLimitLp,
-                     default_penalty)
+from meip.lp import LpInfeasibleError, LpSolution, MoveLimitLp
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 
 
-def simplex_solve(problem: MoveLimitLp, penalty: float | None = None,
-                  max_pivots: int = 200_000) -> LpSolution:
+def simplex_solve(problem: MoveLimitLp, max_pivots: int = 200_000
+                  ) -> LpSolution:
     """Solve the move-limit LP; deterministic for identical inputs."""
     ne_p, ne_q = problem.c_p.size, problem.c_q.size
     n = ne_p + ne_q
-    if penalty is None:
-        penalty = default_penalty(problem)
+    penalty = 1e3 * (np.abs(problem.c_p).max(initial=0.0)
+                     + np.abs(problem.c_q).max(initial=0.0) + 1.0)
 
-    # Columns: [x_p | x_q | w slack | s violation | r2 artificial | r3 artificial]
-    iw, isv, ia2, ia3 = n, n + 1, n + 2, n + 3
-    ncols = n + 4
+    # Columns: [x_p | x_q | r1 artificial | r2 artificial]
+    ia1, ia2 = n, n + 1
+    ncols = n + 2
 
-    A = np.zeros((3, ncols))
-    A[0, :ne_p] = problem.a_p
-    A[0, ne_p:n] = problem.a_q
-    A[1, :ne_p] = 1.0
-    A[2, ne_p:n] = 1.0
-    A[0, iw] = 1.0
-    A[0, isv] = -1.0
+    A = np.zeros((2, ncols))
+    A[0, :ne_p] = 1.0
+    A[1, ne_p:n] = 1.0
 
-    b = np.array([-problem.g0, problem.tolx_p, problem.tolx_q])
+    b = np.array([problem.tolx_p, problem.tolx_q])
 
     c = np.zeros(ncols)
     c[:ne_p] = problem.c_p
     c[ne_p:n] = problem.c_q
-    c[isv] = penalty
+    c[ia1] = penalty
     c[ia2] = penalty
-    c[ia3] = penalty
 
     lower = np.zeros(ncols)
     lower[:ne_p] = problem.lower_p
@@ -69,16 +57,14 @@ def simplex_solve(problem: MoveLimitLp, penalty: float | None = None,
     if np.any(lower[:n] > upper[:n] + 1e-15):
         raise LpInfeasibleError("a move-limit box is empty (lower > upper)")
 
-    # Start: every structural variable nonbasic at its lower bound; one
-    # basic variable per row chosen so its value is nonnegative.
+    # Start: every structural variable nonbasic at its lower bound; each
+    # row's artificial basic, signed so that its value is nonnegative.
     status = np.full(ncols, _AT_LOWER, dtype=np.int8)
     x = lower.copy()
     resid = b - A[:, :n] @ x[:n]
-    basis = np.empty(3, dtype=np.int64)
-    basis[0] = iw if resid[0] >= 0 else isv
-    basis[1], basis[2] = ia2, ia3
+    basis = np.array([ia1, ia2], dtype=np.int64)
+    A[0, ia1] = 1.0 if resid[0] >= 0 else -1.0
     A[1, ia2] = 1.0 if resid[1] >= 0 else -1.0
-    A[2, ia3] = 1.0 if resid[2] >= 0 else -1.0
 
     binv = np.linalg.inv(A[:, basis])
     in_basis = np.zeros(ncols, dtype=bool)
@@ -105,8 +91,8 @@ def simplex_solve(problem: MoveLimitLp, penalty: float | None = None,
         # Ratio test: keep every basic variable inside its bounds while the
         # entering variable moves by t >= 0 in direction delta.
         step = delta * alpha
-        limits = np.full(3, np.inf)
-        for i in range(3):
+        limits = np.full(2, np.inf)
+        for i in range(2):
             bi = basis[i]
             if step[i] > tol_a:
                 limits[i] = (x[bi] - lower[bi]) / step[i]
@@ -146,7 +132,7 @@ def simplex_solve(problem: MoveLimitLp, penalty: float | None = None,
     nb = ~in_basis
     x[basis] = binv @ (b - A[:, nb] @ x[nb])
 
-    art = np.abs(x[[ia2, ia3]])
+    art = np.abs(x[[ia1, ia2]])
     art_tol = 1e-9 * max(1.0, abs(problem.tolx_p), abs(problem.tolx_q))
     if art[0] > art_tol:
         raise LpInfeasibleError(
@@ -155,13 +141,7 @@ def simplex_solve(problem: MoveLimitLp, penalty: float | None = None,
         raise LpInfeasibleError(
             f"q budget row unsatisfiable within boxes (residual {art[1]:.3e})")
 
-    slack_used = max(0.0, float(x[isv]))
     x_p = x[:ne_p].copy()
     x_q = x[ne_p:n].copy()
     objective = float(problem.c_p @ x_p + problem.c_q @ x_q)
-    return LpSolution(
-        x_p=x_p, x_q=x_q, objective=objective,
-        feasible=slack_used <= 1e-9,
-        slack_used=slack_used,
-        # the G row's dual, sign-flipped to the solver's y >= 0
-        y=-float((c[basis] @ binv)[0]))
+    return LpSolution(x_p=x_p, x_q=x_q, objective=objective)

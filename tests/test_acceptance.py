@@ -136,7 +136,7 @@ class TestCriterion5PropertySuite:
         design = fem.uniform_design(mesh, 0.1, 0.1)
         state = compute_state(design, g1, g0, mesh, cfg,
                               *mean_forces(g1, g0, mesh))
-        gjp, gjq, ggp, ggq = gradients(state, mesh)
+        gjp, gjq = gradients(state, mesh)
         delta = 1e-6
         pairs = [(e, w) for e in rng.choice(mesh.ne, 10, replace=False)
                  for w in ("p", "q")]
@@ -146,15 +146,13 @@ class TestCriterion5PropertySuite:
             d_plus, d_minus = copy.deepcopy(design), copy.deepcopy(design)
             getattr(d_plus, which)[e] += delta
             getattr(d_minus, which)[e] -= delta
-            j_plus, g_plus = frozen_objective(d_plus, state, mesh, cfg)
-            j_minus, g_minus = frozen_objective(d_minus, state, mesh, cfg)
-            for fd, an in (((j_plus - j_minus) / (2 * delta),
-                            (gjp if which == "p" else gjq)[e]),
-                           ((g_plus - g_minus) / (2 * delta),
-                            (ggp if which == "p" else ggq)[e])):
-                rel = abs(fd - an) / max(abs(an), 1e-12)
-                worst = max(worst, rel)
-                assert rel <= 1e-5
+            j_plus = frozen_objective(d_plus, state, mesh, cfg)
+            j_minus = frozen_objective(d_minus, state, mesh, cfg)
+            fd = (j_plus - j_minus) / (2 * delta)
+            an = (gjp if which == "p" else gjq)[e]
+            rel = abs(fd - an) / max(abs(an), 1e-12)
+            worst = max(worst, rel)
+            assert rel <= 1e-5
         announce("5a (adjoint gradient check)",
                  f"{len(pairs)} pairs, worst rel err {worst:.2e}")
 
@@ -227,8 +225,7 @@ class TestCriterion5PropertySuite:
         rng = np.random.default_rng(104)
         worst = 0.0
         for trial in range(200):
-            prob = random_feasible_problem(rng,
-                                           force_tight=(trial % 4 == 0))
+            prob = random_feasible_problem(rng)
             sol = solve_move_limit_lp(prob)
             ref = enumerate_vertices(prob)
             err = abs(sol.objective - ref) / max(1.0, abs(ref))

@@ -94,9 +94,12 @@ class TestGenerateAxes:
         calls = []
         real = forest_mod.optimize
 
+        results = []
+
         def counting(g1_, g0_, mesh_, cfg_):
             calls.append((len(g1_), len(g0_)))
-            return real(g1_, g0_, mesh_, cfg_)
+            results.append(real(g1_, g0_, mesh_, cfg_))
+            return results[-1]
 
         monkeypatch.setattr(forest_mod, "optimize", counting)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
@@ -107,6 +110,7 @@ class TestGenerateAxes:
         assert len(bundle.provenance) == 1
         assert bundle.provenance[0]["m0"] == 10
         assert bundle.provenance[0]["m1"] == 10
+        assert bundle.provenance[0]["g_final"] == results[0].g_final
         assert len(bundle.fields) == 1
 
     def test_multiple_axes_and_determinism(self, mesh4):

@@ -103,6 +103,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"{cfg_file}{error}")):
             pipeline.load_config(cfg_file)
 
+    def test_a_key_given_twice_is_an_error(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("class_pairs = 3:7\nn_axes = 2\n\n"
+                            "n_axes = 5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg_file}:4: n_axes: given twice (first on line 2)")):
+            pipeline.load_config(cfg_file)
+
     def test_mirrored_pairs_are_two_forests(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("class_pairs = 3:7,7:3\n")

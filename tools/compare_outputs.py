@@ -9,7 +9,10 @@ workloads (24 datasets) through ``bench/run.py``'s own ``setup``, and runs
 ``python -m meip.cli pipeline`` once per dataset and side, each in its own
 process with one BLAS thread.  Every output file but ``timing.txt`` must be
 byte-identical; for a JSON file that differs, the top-level keys that
-differ are printed.  Exits 1 on any difference.
+differ are printed, and for a ``report.json`` also both sides' test
+accuracy.  The last line counts the datasets whose test accuracy is
+better, worse and equal in the working tree, with the mean change.  Exits
+1 on any difference.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ def json_key_diff(a: bytes, b: bytes) -> str:
         for k in keys)
 
 
+def test_accuracy(out: Path) -> float:
+    report = json.loads((out / "report.json").read_text())
+    return report["test_confusion"]["accuracy"]
+
+
 def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
     """(files compared, difference lines) of one dataset's two outputs."""
     files = {p.relative_to(d) for d in (base, head) for p in d.rglob("*")
@@ -79,6 +87,10 @@ def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
         x, y = a.read_bytes(), b.read_bytes()
         if x != y:
             detail = f": {json_key_diff(x, y)}" if rel.suffix == ".json" else ""
+            if rel == Path("report.json"):
+                detail += (f"; test accuracy {test_accuracy(base):.4f} "
+                           f"(base), {test_accuracy(head):.4f} "
+                           "(working tree)")
             lines.append(f"{name}/{rel} differs{detail}")
     return len(files), lines
 
@@ -92,7 +104,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
-        total, diffs, datasets = 0, [], 0
+        total, diffs, deltas = 0, [], []
         for wl in WORKLOADS:
             for seed in SEEDS:
                 data = tmp / "data" / wl / f"seed{seed}"
@@ -104,12 +116,19 @@ def main(argv: list[str]) -> int:
                         run_pipeline(src, cfg, outs[side])
                     n, lines = compare(outs["base"], outs["head"],
                                        f"{wl}/seed{seed}/data{i}")
-                    total, datasets = total + n, datasets + 1
+                    total += n
                     diffs += lines
+                    deltas.append(test_accuracy(outs["head"])
+                                  - test_accuracy(outs["base"]))
     for line in diffs:
         print(line)
-    print(f"{rev} vs working tree: {datasets} datasets, {total} files "
+    print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
           f"(without {', '.join(sorted(SKIPPED))}), {len(diffs)} differ")
+    print(f"test accuracy, working tree vs {rev}: "
+          f"{sum(d > 0 for d in deltas)} better, "
+          f"{sum(d < 0 for d in deltas)} worse, "
+          f"{sum(d == 0 for d in deltas)} equal, "
+          f"mean change {sum(deltas) / len(deltas):+.4f}")
     return 1 if diffs else 0
 
 
