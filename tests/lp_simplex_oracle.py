@@ -9,10 +9,10 @@ replaced.  It works on the LP as stated, with no use of its structure:
 
 revised primal simplex with an explicit 2x2 basis inverse, big-M
 artificials on the budget rows and Bland's rule (lowest index enters,
-lowest index leaves among ties).  It is slow -- tens of pivots per LP,
-one ``np.linalg.inv`` each -- and kept only as a differential oracle for
-the tests.  Its reduced-cost tolerance scales with M, so it can stop
-about 1e-8 relative above the optimum.
+lowest index leaves among ties).  It is slow -- one ``np.linalg.inv``
+per pivot -- and kept only as a differential oracle for the tests.  Its
+reduced-cost tolerance scales with M, so it can stop about 1e-8 relative
+above the optimum.
 """
 
 from __future__ import annotations

@@ -91,10 +91,8 @@ class TestGenerateAxes:
         g1, g0 = blob_grays(mesh4, 10, rng)
         gray = np.vstack([g0, g1])
         labels = np.array([0] * 10 + [1] * 10)
-        calls = []
+        calls, results = [], []
         real = forest_mod.optimize
-
-        results = []
 
         def counting(g1_, g0_, mesh_, cfg_):
             calls.append((len(g1_), len(g0_)))

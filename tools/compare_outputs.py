@@ -68,7 +68,7 @@ def json_key_diff(a: bytes, b: bytes) -> str:
         for k in keys)
 
 
-def test_accuracy(out: Path) -> float:
+def accuracy_of(out: Path) -> float:
     report = json.loads((out / "report.json").read_text())
     return report["test_confusion"]["accuracy"]
 
@@ -88,8 +88,8 @@ def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
         if x != y:
             detail = f": {json_key_diff(x, y)}" if rel.suffix == ".json" else ""
             if rel == Path("report.json"):
-                detail += (f"; test accuracy {test_accuracy(base):.4f} "
-                           f"(base), {test_accuracy(head):.4f} "
+                detail += (f"; test accuracy {accuracy_of(base):.4f} "
+                           f"(base), {accuracy_of(head):.4f} "
                            "(working tree)")
             lines.append(f"{name}/{rel} differs{detail}")
     return len(files), lines
@@ -118,8 +118,8 @@ def main(argv: list[str]) -> int:
                                        f"{wl}/seed{seed}/data{i}")
                     total += n
                     diffs += lines
-                    deltas.append(test_accuracy(outs["head"])
-                                  - test_accuracy(outs["base"]))
+                    deltas.append(accuracy_of(outs["head"])
+                                  - accuracy_of(outs["base"]))
     for line in diffs:
         print(line)
     print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
