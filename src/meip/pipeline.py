@@ -427,22 +427,26 @@ def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
         f.write(_fmt([[*cm.recall, cm.accuracy]], "recall", ","))
 
 
-def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
+def write_histogram_csv(paths, z: np.ndarray, targets: np.ndarray,
                         n_classes: int, bins: int = 50) -> None:
-    """Distribution of one feature coordinate, tallied per class."""
-    lo, hi = float(z.min()), float(z.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    # bins [e_i, e_i+1) as in np.histogram, the last one closed
-    bin_of = np.minimum(np.searchsorted(edges, z, side="right") - 1, bins - 1)
-    counts = np.bincount(bin_of * n_classes + targets,
-                         minlength=bins * n_classes).reshape(bins, n_classes)
-    with open(path, "w") as f:
-        names = [f"count_{j}" for j in range(n_classes)]
-        f.write(_fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ","))
-        f.write(_fmt(zip(range(bins), edges[:-1].tolist(), edges[1:].tolist(),
-                         *counts.T.tolist()), sep=","))
+    """Distribution of each feature coordinate ``z[:, m]``, tallied per
+    class, to ``paths[m]``."""
+    for path, col in zip(paths, z.T):
+        lo, hi = float(col.min()), float(col.max())
+        if hi <= lo:
+            hi = lo + 1.0
+        edges = np.linspace(lo, hi, bins + 1)
+        # bins [e_i, e_i+1) as in np.histogram, the last one closed
+        bin_of = np.minimum(np.searchsorted(edges, col, side="right") - 1,
+                            bins - 1)
+        counts = np.bincount(bin_of * n_classes + targets,
+                             minlength=bins * n_classes).reshape(bins,
+                                                                 n_classes)
+        with open(path, "w") as f:
+            names = [f"count_{j}" for j in range(n_classes)]
+            f.write(_fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ","))
+            f.write(_fmt(zip(range(bins), edges[:-1].tolist(),
+                             edges[1:].tolist(), *counts.T.tolist()), sep=","))
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +636,8 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
                      ","))
         f.write(_fmt(zip(range(len(targets)), targets.tolist(),
                          outputs.tolist(), *post.T.tolist()), sep=","))
-    for m in range(z.shape[1]):
-        write_histogram_csv(out / f"hist_axis_{m}_{split}.csv", z[:, m],
-                            targets, len(model))
+    write_histogram_csv([out / f"hist_axis_{m}_{split}.csv"
+                         for m in range(z.shape[1])], z, targets, len(model))
 
     report = RunReport(config=dict(cfg.echo_items()),
                        n_axes=bundle.n_axes,

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from meip.dataset import (NORMS, BlankImageError, Dataset, IdxFormatError,
-                          centroid_shift, load_idx_images, load_idx_labels,
+                          _centroid_shifts, load_idx_images, load_idx_labels,
                           preprocess, write_idx_images, write_idx_labels)
 import preprocess_oracle as oracle
+
+
+def centroid_shift_of(pixels) -> tuple[int, int]:
+    """The batched centroid shift of a one-image stack."""
+    dr, dc = _centroid_shifts(np.asarray(pixels)[None])
+    return int(dr[0]), int(dc[0])
 
 
 def pack_images(images: np.ndarray) -> bytes:
@@ -104,7 +110,7 @@ class TestPreprocess:
     def test_symmetric_image_not_translated(self):
         img = np.zeros((28, 28))
         img[13:15, 13:15] = 200  # symmetric about the (13.5, 13.5) center
-        assert centroid_shift(img) == (0, 0)
+        assert centroid_shift_of(img) == (0, 0)
         gray = preprocess(img)
         assert gray.shape == (784,)
         assert np.linalg.norm(gray) == pytest.approx(1.0, abs=1e-12)
@@ -116,7 +122,7 @@ class TestPreprocess:
         img[5, 5] = 255
         expected_shift = int(np.floor((27 / 2 - 5) + 0.5))
         assert expected_shift == 9
-        assert centroid_shift(img) == (9, 9)
+        assert centroid_shift_of(img) == (9, 9)
         gray = preprocess(img)
         grid = gray.reshape((28, 28), order="F")
         assert grid[14, 14] == pytest.approx(1.0)
@@ -137,7 +143,7 @@ class TestPreprocess:
         # rescale the aligned image back to 8-bit and preprocess again
         grid = gray.reshape((28, 28), order="F")
         rescaled = np.rint(grid / grid.max() * 255).astype(np.uint8)
-        assert centroid_shift(rescaled) == (0, 0)
+        assert centroid_shift_of(rescaled) == (0, 0)
 
     def test_blank_image_rejected(self):
         with pytest.raises(BlankImageError, match="blank image"):
@@ -159,7 +165,7 @@ class TestPreprocess:
         img = np.zeros((10, 10))
         img[0, 0] = 200
         img[9, 9] = 10
-        dr, dc = centroid_shift(img)
+        dr, dc = centroid_shift_of(img)
         gray = preprocess(img)
         grid = gray.reshape((10, 10), order="F")
         assert (grid > 0).sum() <= 2
@@ -172,7 +178,7 @@ class TestColumnMajorOrdering:
         img = np.zeros((5, 5))
         img[2, 2] = 255
         gray = preprocess(img)
-        assert centroid_shift(img) == (0, 0)
+        assert centroid_shift_of(img) == (0, 0)
         assert gray[2 * 5 + 2] == pytest.approx(1.0)
 
     def test_off_diagonal_pixel(self):
@@ -180,7 +186,7 @@ class TestColumnMajorOrdering:
         img[2, 2] = 255
         img[1, 3] = 255  # (row 1, col 3) paired to keep centroid centered
         img[3, 1] = 255
-        assert centroid_shift(img) == (0, 0)
+        assert centroid_shift_of(img) == (0, 0)
         gray = preprocess(img)
         nz = set(np.flatnonzero(gray).tolist())
         assert nz == {3 * 5 + 1, 2 * 5 + 2, 1 * 5 + 3}
@@ -248,14 +254,14 @@ class TestBatchedPreprocess:
                 assert np.array_equal(got, want), (name, norm)
                 assert np.array_equal(got[0], preprocess(stack[0], norm))
             for img in stack:
-                assert centroid_shift(img) == oracle.centroid_shift(img)
+                assert centroid_shift_of(img) == oracle.centroid_shift(img)
 
     def test_halves_round_up(self):
         # centroid (0, 0.5), grid center (0.5, 1.5): the row offset 0.5
         # rounds up to 1 (round-half-even would give 0)
         img = np.zeros((2, 4), dtype=np.uint8)
         img[0, 0] = img[0, 1] = 9
-        assert centroid_shift(img) == oracle.centroid_shift(img) == (1, 1)
+        assert centroid_shift_of(img) == oracle.centroid_shift(img) == (1, 1)
 
     def test_blank_images_rejected_with_index(self):
         rng = np.random.default_rng(18)
@@ -268,6 +274,54 @@ class TestBatchedPreprocess:
                 oracle.preprocess(stack[13], norm)
             with pytest.raises(BlankImageError):
                 preprocess(stack[13], norm)
+
+    # Smallest square side whose largest moment bound 255*n*n*n reaches
+    # 2**24: single-precision sums of such a stack could round.
+    PAST_F32 = 41
+
+    @staticmethod
+    def _bright_stacks(side, dtype):
+        """All-255 images, and all-255 images with a band cut out so that
+        they shift: moments at the top of their range."""
+        full = np.full((1, side, side), 255)
+        banded = np.repeat(full, 4, axis=0)
+        banded[0, :side // 3] = 0
+        banded[1, :, -side // 4:] = 0
+        banded[2, side // 2:, side // 2:] = 0
+        banded[3, 1::2] = 254
+        return [full.astype(dtype), banded.astype(dtype)]
+
+    def test_bright_stacks_match_oracle(self):
+        assert 255 * 40 ** 3 < 2 ** 24 <= 255 * self.PAST_F32 ** 3
+        cases = [(side, np.uint8) for side in (28, 40, self.PAST_F32)]
+        cases += [(self.PAST_F32, dtype) for dtype in (np.int64, np.float64)]
+        for side, dtype in cases:
+            for stack in self._bright_stacks(side, dtype):
+                labels = np.zeros(len(stack), dtype=np.int64)
+                for norm in NORMS:
+                    got = Dataset.from_arrays(stack, labels, norm).gray
+                    want = np.array([oracle.preprocess(img, norm)
+                                     for img in stack])
+                    assert np.array_equal(got, want), (side, dtype, norm)
+
+    def test_random_stacks_past_float32_bound_match_oracle(self):
+        rng = np.random.default_rng(20)
+        side = self.PAST_F32
+        pixels = rng.integers(0, 256, (6, side, side))
+        pixels[:, :side // 2] //= 16       # uneven: centroids shift
+        for dtype in (np.uint8, np.int64, np.float64):
+            stack = pixels.astype(dtype)
+            got = Dataset.from_arrays(stack, np.zeros(6, dtype=np.int64)).gray
+            want = np.array([oracle.preprocess(img) for img in stack])
+            assert np.array_equal(got, want), dtype
+
+    def test_blank_index_past_float32_bound(self):
+        side = self.PAST_F32
+        for dtype in (np.uint8, np.int64, np.float64):
+            stack = np.full((9, side, side), 255).astype(dtype)
+            stack[[4, 7]] = 0
+            with pytest.raises(BlankImageError, match="^blank image 4: "):
+                Dataset.from_arrays(stack, np.zeros(9, dtype=np.int64))
 
     def test_integer_and_float_pixels_agree(self):
         rng = np.random.default_rng(19)

@@ -343,9 +343,58 @@ class TestHistogramCsv:
             else:
                 z = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-            pipeline.write_histogram_csv(got, z, targets, n_classes, bins)
+            pipeline.write_histogram_csv([got], z[:, None], targets,
+                                         n_classes, bins)
             _histogram_csv_by_mask(want, z, targets, n_classes, bins)
             assert got.read_bytes() == want.read_bytes(), case
+
+    @staticmethod
+    def _degenerate_columns(rng, n, bins):
+        """(name, column) cases whose edges collapse or sit an ulp from a
+        value: linspace's rounding decides every bin."""
+        k = rng.integers(0, 9, n)
+        for c in (2.0 ** 52, -2.0 ** 52, 2.0 ** 53, 3 * 2.0 ** 60, -1e300):
+            yield f"constant {c!r}", np.full(n, c)   # lo + 1.0 == lo past 2**53
+        yield "1e15 + k/8", 1e15 + k / 8
+        yield "-1e15 - k/8", -1e15 - k / 8
+        yield "1 + k*2**-52", 1.0 + k * 2.0 ** -52
+        yield "1 - k*2**-53", 1.0 - k * 2.0 ** -53
+        for lo, hi in ((-1.0, 1.0), (0.1, 0.7), (1e15, 1e15 + 40.0)):
+            edges = np.linspace(lo, hi, bins + 1)
+            near = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                   np.nextafter(edges, -np.inf)])
+            # keep lo and hi in, so the edges are the ones computed here
+            yield f"ulp around edges of [{lo}, {hi}]", np.concatenate(
+                [[lo, hi], rng.choice(near[(near >= lo) & (near <= hi)],
+                                      n - 2)])
+        yield "signed zeros", np.where(rng.random(n) < 0.5, 0.0, -0.0)
+
+    def test_degenerate_columns_match_mask_reference(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for n_classes, bins in ((1, 1), (3, 50), (2, 7), (4, 60)):
+            n = 300
+            targets = rng.integers(0, n_classes, n)
+            for name, z in self._degenerate_columns(rng, n, bins):
+                got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+                pipeline.write_histogram_csv([got], z[:, None], targets,
+                                             n_classes, bins)
+                _histogram_csv_by_mask(want, z, targets, n_classes, bins)
+                assert got.read_bytes() == want.read_bytes(), (name, bins)
+
+    def test_every_column_of_a_mixed_matrix(self, tmp_path):
+        # degenerate and ordinary columns side by side in one call
+        rng = np.random.default_rng(13)
+        n, n_classes, bins = 257, 3, 50
+        targets = rng.integers(0, n_classes, n)
+        cols = [z for _, z in self._degenerate_columns(rng, n, bins)]
+        cols += [rng.standard_normal(n) * 10.0 ** e for e in range(-3, 4)]
+        z = np.stack([cols[i] for i in rng.permutation(len(cols))], axis=1)
+        paths = [tmp_path / f"got_{m}.csv" for m in range(z.shape[1])]
+        pipeline.write_histogram_csv(paths, z, targets, n_classes, bins)
+        for m, path in enumerate(paths):
+            want = tmp_path / "want.csv"
+            _histogram_csv_by_mask(want, z[:, m], targets, n_classes, bins)
+            assert path.read_bytes() == want.read_bytes(), m
 
 
 class TestFieldsFormat:
