@@ -51,9 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(message)s")
+    logging.basicConfig(format="%(message)s")
+    # every call: basicConfig leaves the level alone once a handler exists
+    logging.getLogger().setLevel(
+        logging.INFO if args.verbose else logging.WARNING)
     stage = args.command
     try:
         if stage == "inspect":

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 
 import numpy as np
@@ -908,6 +909,24 @@ class TestCli:
         rc = cli.main(["train-axes", "--config", str(cfg)])
         assert rc == 1
         assert "[train-axes] error:" in capsys.readouterr().err
+
+    def test_verbose_applies_to_each_in_process_call(self, bars_workspace,
+                                                     caplog, capsys):
+        root = logging.getLogger()
+        level = root.level
+        argv = ["train-axes", "--config", str(bars_workspace / "run.cfg"),
+                "--out", str(bars_workspace / "v_out")]
+        try:
+            iteration_lines = []
+            for extra in ([], ["-v"]):
+                caplog.clear()
+                assert cli.main(extra + argv) == 0
+                iteration_lines.append(sum(r.getMessage().startswith("iter=")
+                                           for r in caplog.records))
+        finally:
+            root.setLevel(level)
+        capsys.readouterr()
+        assert iteration_lines[0] == 0 and iteration_lines[1] > 0
 
     def test_eval_via_cli(self, bars_workspace, capsys):
         out = bars_workspace / "out"
