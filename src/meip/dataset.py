@@ -21,7 +21,6 @@ __all__ = [
     "load_idx_labels",
     "write_idx_images",
     "write_idx_labels",
-    "centroid_shift",
     "NORMS",
     "preprocess",
     "Dataset",
@@ -105,19 +104,26 @@ def write_idx_labels(path, labels) -> None:
 
 def _centroid_shifts(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer (row, column) shifts moving each image's intensity centroid
-    to the grid center ((n1-1)/2, (n2-1)/2); halves round up.  The float64
-    moments of integer pixels are exact: their sums stay below 2**53."""
-    _, n1, n2 = images.shape
-    row_sums = images.sum(axis=2, dtype=np.float64)
-    total = row_sums.sum(axis=1)
+    to the grid center ((n1-1)/2, (n2-1)/2); halves round up.
+
+    Mass, row and column moments come from one GEMM of the flattened stack
+    against the weights [1, row, col].  Every partial sum of integer pixels
+    is an integer, exact in float32 while below 2**24 (which bounds a uint8
+    stack's largest moment, 255*n1*n2*max(n1, n2), up to 40x40) and in
+    float64 below 2**53."""
+    n, n1, n2 = images.shape
+    dtype = (np.float32 if images.dtype == np.uint8
+             and 255 * n1 * n2 * max(n1, n2) < 2 ** 24 else np.float64)
+    rows, cols = np.indices((n1, n2), dtype=dtype).reshape(2, n1 * n2)
+    weights = np.stack([np.ones_like(rows), rows, cols], axis=1)
+    moments = images.reshape(n, n1 * n2).astype(dtype) @ weights
+    total, r_sum, c_sum = moments.astype(np.float64).T
     if np.any(total <= 0):
         raise BlankImageError(f"blank image {np.argmax(total <= 0)}: "
                               "cannot align centroid")
-    r_bar = row_sums @ np.arange(n1) / total
-    c_bar = images.sum(axis=1, dtype=np.float64) @ np.arange(n2) / total
     # fixed rule (no banker's rounding) so the shift is reproducible
-    return (np.floor((n1 - 1) / 2.0 - r_bar + 0.5).astype(np.int64),
-            np.floor((n2 - 1) / 2.0 - c_bar + 0.5).astype(np.int64))
+    return (np.floor((n1 - 1) / 2.0 - r_sum / total + 0.5).astype(np.int64),
+            np.floor((n2 - 1) / 2.0 - c_sum / total + 0.5).astype(np.int64))
 
 
 def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
@@ -129,12 +135,13 @@ def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
     n, n1, n2 = images.shape
     dr, dc = _centroid_shifts(images)
     # One slice assignment per distinct shift into a (column, row) stack;
-    # dropped pixels vanish and vacated ones stay 0.
+    # dropped pixels vanish and vacated ones stay 0.  A stable sort puts
+    # each shift's images in one run, in index order.
     shifted = np.zeros((n, n2, n1), dtype=images.dtype)
-    _, first, group = np.unique(dr * (2 * n2 + 1) + dc, return_index=True,
-                                return_inverse=True)
-    for k, (r, c) in enumerate(zip(dr[first].tolist(), dc[first].tolist())):
-        idx = np.flatnonzero(group == k)
+    key = dr * (2 * n2 + 1) + dc
+    order = np.argsort(key, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        r, c = int(dr[idx[0]]), int(dc[idx[0]])
         shifted[idx, max(0, c):n2 + min(0, c), max(0, r):n1 + min(0, r)] = \
             images[idx, max(0, -r):n1 - max(0, r),
                    max(0, -c):n2 - max(0, c)].transpose(0, 2, 1)
@@ -149,13 +156,6 @@ def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
     elif norm == "max":
         gray /= gray.max(axis=1)[:, None]
     return gray
-
-
-def centroid_shift(pixels: np.ndarray) -> tuple[int, int]:
-    """Integer (row, column) shift moving one image's intensity centroid to
-    the grid center; halves round up."""
-    dr, dc = _centroid_shifts(np.asarray(pixels)[None])
-    return int(dr[0]), int(dc[0])
 
 
 def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:

@@ -430,23 +430,60 @@ def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
 def write_histogram_csv(paths, z: np.ndarray, targets: np.ndarray,
                         n_classes: int, bins: int = 50) -> None:
     """Distribution of each feature coordinate ``z[:, m]``, tallied per
-    class, to ``paths[m]``."""
-    for path, col in zip(paths, z.T):
-        lo, hi = float(col.min()), float(col.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
-        # bins [e_i, e_i+1) as in np.histogram, the last one closed
-        bin_of = np.minimum(np.searchsorted(edges, col, side="right") - 1,
-                            bins - 1)
-        counts = np.bincount(bin_of * n_classes + targets,
-                             minlength=bins * n_classes).reshape(bins,
-                                                                 n_classes)
+    class, to ``paths[m]``.
+
+    Column m is cut by ``np.linspace(lo, hi, bins + 1)`` over its range
+    (``hi = lo + 1`` when constant) into bins [e_i, e_i+1) as in
+    np.histogram, the last one closed.  A value's bin is estimated from
+    the range, then stepped along the column's edges until they bracket
+    it: exactly ``searchsorted(edges, z, "right") - 1``, also where
+    rounding collapses edges.  Edges that rounding puts out of order keep
+    searchsorted itself."""
+    m = z.shape[1]
+    lo, hi = z.min(axis=0), z.max(axis=0)
+    hi = np.where(hi <= lo, lo + 1.0, hi)
+    with np.errstate(all="ignore"):  # an overflowing range fails below
+        # one scalar linspace per column: a vectorized one takes its step-0
+        # branch for every column once any column needs it
+        edges = np.array([np.linspace(a, b, bins + 1)
+                          for a, b in zip(lo.tolist(), hi.tolist())])
+        guess = np.subtract(z, lo)
+        guess *= bins / (hi - lo)
+    if not np.isfinite(edges).all():
+        j = int(np.argmax(~np.isfinite(edges).all(axis=1)))
+        raise ValueError(f"{paths[j]}: feature range [{lo[j]!r}, {hi[j]!r}] "
+                         "has no finite bin edges")
+    # key = column * bins + bin; fmin also takes a degenerate column's nan
+    np.fmax(np.fmin(guess, bins - 1, out=guess), 0, out=guess)
+    key = guess.astype(np.intp)
+    key += np.arange(m) * bins
+    # Step each key until its bin's edges bracket the value.  The outer
+    # edges are opened to -inf and inf, so that bins 0 and bins - 1 take
+    # what lies past them.  A value only ever steps one way, so this ends
+    # within ``bins`` passes, at the b with e_b <= z < e_b+1.
+    table = edges.copy()
+    table[:, 0], table[:, -1] = -np.inf, np.inf
+    lower, upper = table[:, :-1].ravel(), table[:, 1:].ravel()
+    while True:
+        step = ((upper.take(key) <= z).view(np.int8)
+                - (lower.take(key) > z).view(np.int8))
+        if not step.any():
+            break
+        key += step
+    # the step-0 branch of linspace can round subnormal edges out of order
+    for j in np.flatnonzero((np.diff(edges, axis=1) < 0).any(axis=1)):
+        key[:, j] = j * bins + np.minimum(
+            np.searchsorted(edges[j], z[:, j], side="right") - 1, bins - 1)
+    counts = np.bincount((key * n_classes + targets[:, None]).ravel(),
+                         minlength=m * bins * n_classes)
+    names = [f"count_{j}" for j in range(n_classes)]
+    head = _fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ",")
+    for path, e, c in zip(paths, edges.tolist(),
+                          counts.reshape(m, bins, n_classes)):
         with open(path, "w") as f:
-            names = [f"count_{j}" for j in range(n_classes)]
-            f.write(_fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ","))
-            f.write(_fmt(zip(range(bins), edges[:-1].tolist(),
-                             edges[1:].tolist(), *counts.T.tolist()), sep=","))
+            f.write(head)
+            f.write(_fmt(zip(range(bins), e[:-1], e[1:], *c.T.tolist()),
+                         sep=","))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,28 @@ class TestBatchedPreprocess:
             want = np.array([oracle.preprocess(img) for img in stack])
             assert np.array_equal(got, want), dtype
 
+    def test_half_pixel_centroids_with_moments_past_2_24(self):
+        # Images symmetric about row and column (side-2)/2 with an odd mass:
+        # both offsets are exactly 0.5, and the row moment 31*mass is an odd
+        # integer above 2**24, so any rounding of it flips the shift.
+        rng = np.random.default_rng(21)
+        side = 64
+        b = rng.integers(64, 128, (20, side - 1, side - 1))
+        b = b + b[:, ::-1]
+        b = b + b[:, :, ::-1]
+        stack = np.zeros((20, side, side), dtype=np.int64)
+        stack[:, :-1, :-1] = b // 2
+        stack[:, side // 2 - 1, side // 2 - 1] |= 1
+        stack = stack.astype(np.uint8)
+        assert 31 * int(stack[0].sum()) > 2 ** 24
+        dr, dc = _centroid_shifts(stack)
+        for i, img in enumerate(stack):
+            assert (dr[i], dc[i]) == oracle.centroid_shift(img) == (1, 1)
+        want = np.array([oracle.preprocess(img) for img in stack])
+        assert np.array_equal(
+            Dataset.from_arrays(stack, np.zeros(20, dtype=np.int64)).gray,
+            want)
+
     def test_blank_index_past_float32_bound(self):
         side = self.PAST_F32
         for dtype in (np.uint8, np.int64, np.float64):

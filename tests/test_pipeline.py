@@ -382,6 +382,31 @@ class TestHistogramCsv:
                 _histogram_csv_by_mask(want, z, targets, n_classes, bins)
                 assert got.read_bytes() == want.read_bytes(), (name, bins)
 
+    def test_subnormal_edges_out_of_order(self, tmp_path):
+        # linspace rounds edge 6 of [5e-324, 3e-323] above edge 7: the
+        # bins are still searchsorted's over the written edges
+        rng = np.random.default_rng(14)
+        z = rng.integers(1, 7, 200) * 5e-324
+        z[:2] = 5e-324, 3e-323
+        targets = rng.integers(0, 2, 200)
+        path = tmp_path / "sub.csv"
+        pipeline.write_histogram_csv([path], z[:, None], targets, 2, 7)
+        rows = np.array([r.split(",") for r in
+                         path.read_text().splitlines()[1:]], dtype=float)
+        edges = np.append(rows[:, 1], rows[-1, 2])
+        assert np.any(np.diff(edges) < 0)
+        bin_of = np.minimum(np.searchsorted(edges, z, side="right") - 1, 6)
+        for j in range(2):
+            assert rows[:, 3 + j].tolist() == np.bincount(
+                bin_of[targets == j], minlength=7).tolist()
+
+    def test_overflowing_range_is_named(self, tmp_path):
+        z = np.array([[0.0, -1.7e308], [1.0, 1.7e308]])
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with pytest.raises(ValueError, match="b.csv: feature range .* no "
+                                             "finite bin edges"):
+            pipeline.write_histogram_csv(paths, z, np.zeros(2, dtype=int), 1)
+
     def test_every_column_of_a_mixed_matrix(self, tmp_path):
         # degenerate and ordinary columns side by side in one call
         rng = np.random.default_rng(13)
