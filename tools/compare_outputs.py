@@ -1,18 +1,20 @@
-"""Compare ``meip pipeline`` outputs of the working tree with those of a
-git revision, file by file.
+"""Compare meip outputs of the working tree with those of a git revision,
+file by file.
 
     python tools/compare_outputs.py BASE_REV
 
-Exports ``BASE_REV:src`` with ``git archive``, generates the seed-7 and
-seed-31 datasets of the ``forest_pair`` and ``ovr_shallow`` benchmark
-workloads (24 datasets) through ``bench/run.py``'s own ``setup``, and runs
-``python -m meip.cli pipeline`` once per dataset and side, each in its own
-process with one BLAS thread.  Every output file but ``timing.txt`` must be
-byte-identical; for a JSON file that differs, the top-level keys that
-differ are printed, and for a ``report.json`` also both sides' test
-accuracy.  The last line counts the datasets whose test accuracy is
-better, worse and equal in the working tree, with the mean change.  Exits
-1 on any difference.
+Exports ``BASE_REV:src`` with ``git archive`` and generates datasets
+through ``bench/run.py``'s own ``setup``: the seed-7 and seed-31 datasets
+of the ``forest_pair`` and ``ovr_shallow`` benchmark workloads (24
+datasets), and the seed-7 dataset of ``classify_bulk`` (28x28 images and
+a 60-axis bundle).  On each dataset and side it runs ``python -m meip.cli
+pipeline``, or for ``classify_bulk`` ``train --bundle`` then ``eval
+--split test``, each call in its own process with one BLAS thread.  Every
+output file but ``timing.txt`` must be byte-identical; for a JSON file
+that differs, the top-level keys that differ are printed, and for a
+report also both sides' test accuracy.  The last line counts the datasets
+whose test accuracy is better, worse and equal in the working tree, with
+the mean change.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 # run.py pins the BLAS threads to 1 in os.environ, before numpy is imported
 import run  # noqa: E402
 
-WORKLOADS = ("forest_pair", "ovr_shallow")
-SEEDS = (7, 31)
+# workload -> seeds of its datasets
+DATASETS = {"forest_pair": (7, 31), "ovr_shallow": (7, 31),
+            "classify_bulk": (7,)}
 SKIPPED = {"timing.txt"}
 
 
@@ -44,13 +47,20 @@ def export_src(rev: str, dest: Path) -> None:
         t.extractall(dest, filter="data")
 
 
-def run_pipeline(src: Path, cfg: Path, out: Path) -> None:
+def run_meip(src: Path, cfg: Path, out: Path, bundle: bool) -> None:
+    """The workload's commands: ``pipeline``, or with a generated bundle
+    ``train --bundle`` and ``eval --split test``."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "meip.cli", "pipeline", "--config", str(cfg),
-         "--out", str(out)], env=env, capture_output=True, text=True)
-    if proc.returncode:
-        sys.exit(f"compare_outputs: {src} failed on {cfg}:\n{proc.stderr}")
+    common = ["--config", str(cfg), "--out", str(out)]
+    steps = ([["train", "--bundle", str(cfg.parent / "bundle.txt")],
+              ["eval", "--split", "test"]] if bundle else [["pipeline"]])
+    for step in steps:
+        proc = subprocess.run([sys.executable, "-m", "meip.cli", *step,
+                               *common], env=env, capture_output=True,
+                              text=True)
+        if proc.returncode:
+            sys.exit(f"compare_outputs: {src} failed on {cfg}:\n"
+                     f"{proc.stderr}")
 
 
 def json_key_diff(a: bytes, b: bytes) -> str:
@@ -68,8 +78,14 @@ def json_key_diff(a: bytes, b: bytes) -> str:
         for k in keys)
 
 
+def report_of(out: Path) -> Path:
+    """``report.json`` of a pipeline, else ``report_test.json`` of an eval."""
+    path = out / "report.json"
+    return path if path.is_file() else out / "report_test.json"
+
+
 def accuracy_of(out: Path) -> float:
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads(report_of(out).read_text())
     return report["test_confusion"]["accuracy"]
 
 
@@ -87,7 +103,7 @@ def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
         x, y = a.read_bytes(), b.read_bytes()
         if x != y:
             detail = f": {json_key_diff(x, y)}" if rel.suffix == ".json" else ""
-            if rel == Path("report.json"):
+            if base / rel == report_of(base):
                 detail += (f"; test accuracy {accuracy_of(base):.4f} "
                            f"(base), {accuracy_of(head):.4f} "
                            "(working tree)")
@@ -105,15 +121,16 @@ def main(argv: list[str]) -> int:
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         total, diffs, deltas = 0, [], []
-        for wl in WORKLOADS:
-            for seed in SEEDS:
+        for wl, seeds in DATASETS.items():
+            workload = run.WORKLOADS[wl]
+            for seed in seeds:
                 data = tmp / "data" / wl / f"seed{seed}"
-                for i, cfg in enumerate(run.setup(run.WORKLOADS[wl], seed,
-                                                  data)):
+                for i, cfg in enumerate(run.setup(workload, seed, data)):
                     outs = {side: tmp / side / "out" / wl / f"seed{seed}" /
                             str(i) for side in sides}
                     for side, src in sides.items():
-                        run_pipeline(src, cfg, outs[side])
+                        run_meip(src, cfg, outs[side],
+                                 bool(workload.bundle_axes))
                     n, lines = compare(outs["base"], outs["head"],
                                        f"{wl}/seed{seed}/data{i}")
                     total += n
