@@ -140,7 +140,8 @@ def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
     shifted = np.zeros((n, n2, n1), dtype=images.dtype)
     key = dr * (2 * n2 + 1) + dc
     order = np.argsort(key, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    for idx in np.split(order, cuts) if n else []:
         r, c = int(dr[idx[0]]), int(dc[idx[0]])
         shifted[idx, max(0, c):n2 + min(0, c), max(0, r):n1 + min(0, r)] = \
             images[idx, max(0, -r):n1 - max(0, r),

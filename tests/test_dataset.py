@@ -345,6 +345,11 @@ class TestBatchedPreprocess:
             with pytest.raises(BlankImageError, match="^blank image 4: "):
                 Dataset.from_arrays(stack, np.zeros(9, dtype=np.int64))
 
+    def test_empty_stack(self):
+        gray = Dataset.from_arrays(np.zeros((0, 5, 4), dtype=np.uint8),
+                                   np.zeros(0, dtype=np.int64)).gray
+        assert gray.shape == (0, 20)
+
     def test_integer_and_float_pixels_agree(self):
         rng = np.random.default_rng(19)
         stack = rng.integers(0, 256, (10, 7, 8))

@@ -355,7 +355,8 @@ class TestHistogramCsv:
         value: linspace's rounding decides every bin."""
         k = rng.integers(0, 9, n)
         for c in (2.0 ** 52, -2.0 ** 52, 2.0 ** 53, 3 * 2.0 ** 60, -1e300):
-            yield f"constant {c!r}", np.full(n, c)   # lo + 1.0 == lo past 2**53
+            # lo + 1.0 == lo from 2**53 on
+            yield f"constant {c!r}", np.full(n, c)
         yield "1e15 + k/8", 1e15 + k / 8
         yield "-1e15 - k/8", -1e15 - k / 8
         yield "1 + k*2**-52", 1.0 + k * 2.0 ** -52
