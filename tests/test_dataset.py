@@ -318,7 +318,8 @@ class TestBatchedPreprocess:
     def test_half_pixel_centroids_with_moments_past_2_24(self):
         # Images symmetric about row and column (side-2)/2 with an odd mass:
         # both offsets are exactly 0.5, and the row moment 31*mass is an odd
-        # integer above 2**24, so any rounding of it flips the shift.
+        # integer above 2**24, which float32 cannot hold; rounded up, it
+        # flips the shift.
         rng = np.random.default_rng(21)
         side = 64
         b = rng.integers(64, 128, (20, side - 1, side - 1))
