@@ -68,7 +68,8 @@ def main(argv=None) -> int:
         if stage != "pipeline":  # eval reads --split, the others train
             data = pipeline.load_split(cfg, getattr(args, "split", "train"))
         if stage == "train-axes":
-            print(pipeline.cmd_train_axes(cfg, data, out))
+            pipeline.cmd_train_axes(cfg, data, out)
+            print(out / "axes.txt")
         elif stage == "train":
             bundle = args.bundle or out / "axes.txt"
             print(pipeline.cmd_train(cfg, bundle, data, out))

@@ -19,7 +19,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
@@ -478,7 +478,9 @@ def write_histogram_csv(paths, z: np.ndarray, targets: np.ndarray,
                          minlength=m * bins * n_classes)
     names = [f"count_{j}" for j in range(n_classes)]
     head = _fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ",")
-    for path, e, c in zip(paths, edges.tolist(),
+    # each edge formatted once: bin b's bin_hi is bin b+1's bin_lo
+    edge_text = [line.split(",") for line in _fmt(edges, sep=",").split()]
+    for path, e, c in zip(paths, edge_text,
                           counts.reshape(m, bins, n_classes)):
         with open(path, "w") as f:
             f.write(head)
@@ -562,7 +564,9 @@ class RunReport:
     test_confusion: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # vars, not asdict: the fields are plain JSON values, and asdict
+        # deep-copies them
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
@@ -577,8 +581,10 @@ def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
 # commands
 
 
-def cmd_train_axes(cfg: PipelineConfig, data: Dataset, out_dir) -> Path:
-    """Grow every configured forest on ``data``; write the axis bundle."""
+def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
+                   out_dir) -> forest.AxisBundle:
+    """Grow every configured forest on ``data``; write the axis bundle to
+    ``<out_dir>/axes.txt`` and return it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
@@ -603,11 +609,10 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset, out_dir) -> Path:
                         cfg.svd_k, combined.n_axes)
         combined = forest.orthonormalize(combined, k)
 
-    bundle_path = out / "axes.txt"
-    save_axes(bundle_path, combined)
+    save_axes(out / "axes.txt", combined)
     (out / "axes_provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True) + "\n")
-    return bundle_path
+    return combined
 
 
 def _load_bundle(cfg: PipelineConfig, path) -> forest.AxisBundle:
@@ -623,14 +628,20 @@ def cmd_train(cfg: PipelineConfig, bundle_path, data: Dataset,
     """Fit the per-class Gaussian model on the training split ``data``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = _load_bundle(cfg, bundle_path)
+    _fit(cfg, _load_bundle(cfg, bundle_path), bundle_path, data, out)
+    return out / "model.txt"
+
+
+def _fit(cfg: PipelineConfig, bundle: forest.AxisBundle, bundle_path,
+         data: Dataset, out: Path):
+    """Fit the model on ``data`` and write ``model.txt``, which refers to
+    ``bundle_path``; returns the model and the features of ``data``."""
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
     model = classifier.fit(z, targets, len(cfg.classes()), ridge=cfg.ridge)
-    model_path = out / "model.txt"
     bundle_ref = os.path.relpath(Path(bundle_path).resolve(), out.resolve())
-    save_model(model_path, model, bundle_ref, cfg.echo_items())
-    return model_path
+    save_model(out / "model.txt", model, bundle_ref, cfg.echo_items())
+    return model, z
 
 
 def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
@@ -658,8 +669,15 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     if len(model[0].mean) != bundle.n_axes:
         raise ValueError(f"{model_path}: model has dim {len(model[0].mean)}, "
                          f"but {bundle_path} holds {bundle.n_axes} axes")
-    targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
+    return _evaluate(cfg, model, z, data, split, out)
+
+
+def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
+              z: np.ndarray, data: Dataset, split: str,
+              out: Path) -> RunReport:
+    """Score the features ``z`` of ``data``; writes CSVs and a report."""
+    targets = class_targets(cfg, data.labels)
     beta = classifier.discriminants(model, z)
     # the argmax of beta, not of the posteriors: exp can merge near-ties
     outputs, post = beta.argmax(axis=1), classifier.softmax(beta)
@@ -676,8 +694,7 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     write_histogram_csv([out / f"hist_axis_{m}_{split}.csv"
                          for m in range(z.shape[1])], z, targets, len(model))
 
-    report = RunReport(config=dict(cfg.echo_items()),
-                       n_axes=bundle.n_axes,
+    report = RunReport(config=dict(cfg.echo_items()), n_axes=z.shape[1],
                        **{f"{split}_confusion": _confusion_dict(cm)})
     (out / f"report_{split}.json").write_text(report.to_json())
     return report
@@ -721,18 +738,22 @@ def cmd_inspect(path, out_dir) -> list[Path]:
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
-    """Load both splits, then train-axes, train, and eval on both."""
+    """Load both splits, then train-axes, train, and eval on both.
+
+    The bundle, the model and the training features pass from step to
+    step in memory; the files they are written to are not read back."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     train, test = load_split(cfg, "train"), load_split(cfg, "test")
     t1 = time.perf_counter()
-    bundle_path = cmd_train_axes(cfg, train, out)
+    bundle = cmd_train_axes(cfg, train, out)
     t2 = time.perf_counter()
-    model_path = cmd_train(cfg, bundle_path, train, out)
+    model, z_train = _fit(cfg, bundle, out / "axes.txt", train, out)
     t3 = time.perf_counter()
-    train_report = cmd_eval(cfg, model_path, train, "train", out)
-    test_report = cmd_eval(cfg, model_path, test, "test", out)
+    train_report = _evaluate(cfg, model, z_train, train, "train", out)
+    z_test = classifier.features_from_gray(bundle, test.gray)
+    test_report = _evaluate(cfg, model, z_test, test, "test", out)
     t4 = time.perf_counter()
 
     report = RunReport(config=dict(cfg.echo_items()),

@@ -679,9 +679,9 @@ class TestCommands:
             cfg_text.replace("n_axes = 2", "n_axes = 1")
             + "ref_kind = u,v\nsvd_k = 2\n")
         cfg = pipeline.load_config(bars_workspace / "run2.cfg")
-        bundle_path = pipeline.cmd_train_axes(
+        pipeline.cmd_train_axes(
             cfg, pipeline.load_split(cfg, "train"), bars_workspace / "out_svd")
-        bundle = pipeline.load_axes(bundle_path)
+        bundle = pipeline.load_axes(bars_workspace / "out_svd" / "axes.txt")
         assert bundle.n_axes == 2  # 2 forests x 1 axis, svd keeps 2
         gram = bundle.axes @ bundle.axes.T
         assert np.abs(gram - np.eye(2)).max() <= 1e-10
@@ -691,8 +691,9 @@ class TestCommands:
         (bars_workspace / "run3.cfg").write_text(
             cfg_text.replace("n_axes = 2", "n_axes = 1") + "ref_kind = u,v\n")
         cfg = pipeline.load_config(bars_workspace / "run3.cfg")
-        bundle_path = pipeline.cmd_train_axes(
+        pipeline.cmd_train_axes(
             cfg, pipeline.load_split(cfg, "train"), bars_workspace / "out_raw")
+        bundle_path = bars_workspace / "out_raw" / "axes.txt"
         assert pipeline.load_axes(bundle_path).n_axes == 2
 
     def test_report_round_trip(self, bars_workspace):
@@ -714,8 +715,8 @@ class TestCommands:
     def test_external_bundle_location(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         train = pipeline.load_split(cfg, "train")
-        bundle_path = pipeline.cmd_train_axes(cfg, train,
-                                              bars_workspace / "bndl")
+        pipeline.cmd_train_axes(cfg, train, bars_workspace / "bndl")
+        bundle_path = bars_workspace / "bndl" / "axes.txt"
         model_path = pipeline.cmd_train(cfg, bundle_path, train,
                                         bars_workspace / "mdl")
         report = pipeline.cmd_eval(cfg, model_path,
@@ -727,8 +728,8 @@ class TestCommands:
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
         train = pipeline.load_split(cfg, "train")
-        bundle_path = pipeline.cmd_train_axes(cfg, train, out)
-        model_path = pipeline.cmd_train(cfg, bundle_path, train, out)
+        pipeline.cmd_train_axes(cfg, train, out)
+        model_path = pipeline.cmd_train(cfg, out / "axes.txt", train, out)
         report = pipeline.cmd_eval(cfg, model_path, train, "train", out)
         assert report.train_confusion is not None
         assert report.test_confusion is None
@@ -893,11 +894,21 @@ class TestCommands:
 
     @pytest.mark.parametrize("extra", ["", "ref_kind = u,v\nsvd_k = 2\n"],
                              ids=["one_forest", "two_forests_svd"])
-    def test_cli_steps_match_pipeline(self, bars_workspace, capsys, extra):
+    def test_cli_steps_match_pipeline(self, bars_workspace, capsys,
+                                      monkeypatch, extra):
         cfg_path = bars_workspace / "steps.cfg"
         cfg_path.write_text((bars_workspace / "run.cfg").read_text() + extra)
         pipe, steps = bars_workspace / "pipe", bars_workspace / "steps"
-        pipeline.cmd_pipeline(pipeline.load_config(cfg_path), pipe)
+
+        def unread(path):
+            raise AssertionError(f"meip pipeline read back {path}")
+
+        # the pipeline hands its bundle and model on in memory; the CLI
+        # steps read them from the files
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "load_axes", unread)
+            m.setattr(pipeline, "load_model", unread)
+            pipeline.cmd_pipeline(pipeline.load_config(cfg_path), pipe)
         common = ["--config", str(cfg_path), "--out", str(steps)]
         for argv in (["train-axes"], ["train"], ["eval", "--split", "train"],
                      ["eval", "--split", "test"]):
