@@ -3,8 +3,11 @@
 The pool starts with the whole binary-labeled training set.  Each round
 picks the subset whose smaller class is largest, optimizes one axis on
 it, projects the subset onto the axis, splits it at the midpoint of the
-two class means, and returns both halves to the pool.  Axes accumulate
-until the requested count is reached or no subset holds both classes.
+two class means, and returns both halves to the pool.  The first axis
+starts from a uniform design; every later one starts from the final
+design of the axis that split off its subset (continuation).  Axes
+accumulate until the requested count is reached or no subset holds both
+classes.
 An axis bundle can afterwards be compressed to an orthonormal basis by
 singular value decomposition.
 """
@@ -27,11 +30,18 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SubsetNode:
-    """Sample indices of one pool entry plus its per-class counts."""
+    """Sample indices of one pool entry plus its per-class counts.
+
+    A subset split off by an axis carries that axis's index in the forest
+    and its final design, the start of the next axis grown on the subset;
+    the whole training set has neither.
+    """
 
     indices: np.ndarray
     m0: int
     m1: int
+    parent: int | None = None
+    start: fem.DesignField | None = None
 
     @classmethod
     def from_labels(cls, indices: np.ndarray, labels: np.ndarray) -> "SubsetNode":
@@ -131,7 +141,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
         y = labels[idx]
         gray1, gray0 = gray[idx[y == 1]], gray[idx[y == 0]]
         try:
-            result = optimize(gray1, gray0, mesh, cfg)
+            result = optimize(gray1, gray0, mesh, cfg, start=node.start)
         except Exception as exc:
             raise RuntimeError(
                 f"axis {len(axes) + 1} of {n_axes} failed on a "
@@ -144,6 +154,8 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
             "j_final": result.j_history[-1],
             "g_final": result.g_final,
             "ref_kind": cfg.ref_kind,
+            "start": ("uniform" if node.parent is None
+                      else f"axis {node.parent}"),
         })
         fields.append({"f": result.f, "g": result.g,
                        "p": result.design.p.copy(),
@@ -155,6 +167,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
         left, right = split_subset(node, result.alpha, gray, labels, mesh)
         for child in (left, right):
             if child.indices.size:
+                child.parent, child.start = len(axes) - 1, result.design
                 pool.append(child)
 
     bundle = AxisBundle(axes=np.array(axes), n1=mesh.n1, n2=mesh.n2,

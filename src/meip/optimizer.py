@@ -1,6 +1,8 @@
 """Sequential linearization of one feature axis.
 
-Starting from a uniform design, each iteration assembles the stiffness
+Starting from a given design (uniform unless the caller passes one; a
+forest starts each child axis from the final design of the axis that
+split off its subset), each iteration assembles the stiffness
 operator, solves for the class-mean deformations u and v and the
 deviation deformation w, forms the reference axis alpha and the combined
 field c, evaluates the objective J = c'K alpha, computes its adjoint
@@ -213,11 +215,14 @@ def _build_lp(state: OptimizerState, grads, cfg: OptimizerConfig,
 
 
 def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
-             cfg: OptimizerConfig, callback=None) -> AxisResult:
+             cfg: OptimizerConfig, start: fem.DesignField | None = None,
+             callback=None) -> AxisResult:
     """Run the full sequential linearization loop and return the axis.
 
-    ``callback``, when given, is invoked with the state after every
-    accepted iteration.
+    The loop starts from ``start`` (``fem.uniform_design`` when None),
+    which must keep ``cfg``'s bounds and budgets; the first move limit is
+    ``cfg.dx_max`` either way.  ``callback``, when given, is invoked with
+    the state after every accepted iteration.
     """
     cfg.validate()
     if gray1.ndim != 2 or gray0.ndim != 2:
@@ -227,7 +232,14 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             raise ValueError(f"{name} holds non-finite gray values")
 
     f, g = mean_forces(gray1, gray0, mesh)
-    design = fem.uniform_design(mesh, cfg.tolp, cfg.tolq)
+    if start is None:
+        design = fem.uniform_design(mesh, cfg.tolp, cfg.tolq)
+    else:
+        if start.p.shape != (mesh.ne,) or start.q.shape != (mesh.ne,):
+            raise ValueError(f"start design does not have the mesh's "
+                             f"{mesh.ne} elements")
+        cfg.check_design(start)
+        design = start
     state = compute_state(design, gray1, gray0, mesh, cfg, f, g)
     j_history = [state.j0]
     dx_max = cfg.dx_max

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meip.forest as forest_mod
+import meip.optimizer as optimizer_mod
 from meip import fem
 from meip.forest import (AxisBundle, SubsetNode, generate_axes,
                          orthonormalize, pick_subset, split_subset)
@@ -94,9 +95,9 @@ class TestGenerateAxes:
         calls, results = [], []
         real = forest_mod.optimize
 
-        def counting(g1_, g0_, mesh_, cfg_):
+        def counting(g1_, g0_, mesh_, cfg_, start=None):
             calls.append((len(g1_), len(g0_)))
-            results.append(real(g1_, g0_, mesh_, cfg_))
+            results.append(real(g1_, g0_, mesh_, cfg_, start=start))
             return results[-1]
 
         monkeypatch.setattr(forest_mod, "optimize", counting)
@@ -122,6 +123,63 @@ class TestGenerateAxes:
         assert b1.n_axes <= 3
         assert np.array_equal(b1.axes, b2.axes)
         assert b1.pool_exhausted == b2.pool_exhausted
+
+    @staticmethod
+    def _first_designs(monkeypatch):
+        """Record the design of each axis's first ``compute_state``."""
+        firsts, new_axis = [], []
+        optimize, compute_state = forest_mod.optimize, optimizer_mod.compute_state
+
+        def marking(*args, **kwargs):
+            new_axis.append(True)
+            return optimize(*args, **kwargs)
+
+        def recording(design, *args):
+            if new_axis:
+                new_axis.clear()
+                firsts.append((design.p.tobytes(), design.q.tobytes()))
+            return compute_state(design, *args)
+
+        monkeypatch.setattr(forest_mod, "optimize", marking)
+        monkeypatch.setattr(optimizer_mod, "compute_state", recording)
+        return firsts
+
+    def test_child_axes_start_from_their_parent_design(self, mesh4,
+                                                       monkeypatch):
+        # overlapping noise classes: every split leaves both classes on
+        # both sides, so the forest grows children and a grandchild
+        rng = np.random.default_rng(0)
+        gray = rng.random((40, mesh4.ne))
+        gray[20:, :4] += 0.3
+        labels = np.array([0] * 20 + [1] * 20)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        firsts = self._first_designs(monkeypatch)
+        bundle = generate_axes(gray, labels, 4, cfg, mesh4)
+        assert bundle.n_axes == 4 and len(firsts) == 4
+        starts = [prov["start"] for prov in bundle.provenance]
+        assert starts == ["uniform", "axis 0", "axis 0", "axis 2"]
+        uniform = fem.uniform_design(mesh4, cfg.tolp, cfg.tolq)
+        assert firsts[0] == (uniform.p.tobytes(), uniform.q.tobytes())
+        for k, start in enumerate(starts[1:], start=1):
+            parent = int(start.split()[1])
+            assert parent < k
+            # the parent's final design, bit for bit
+            final = bundle.fields[parent]
+            assert firsts[k] == (final["p"].tobytes(), final["q"].tobytes())
+
+    def test_one_axis_forest_is_a_cold_start(self, mesh4, monkeypatch):
+        rng = np.random.default_rng(2)
+        g1, g0 = blob_grays(mesh4, 20, rng, spread=1.2)
+        gray = np.vstack([g0, g1])
+        labels = np.array([0] * 20 + [1] * 20)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        cold = optimizer_mod.optimize(g1, g0, mesh4, cfg)
+        one = generate_axes(gray, labels, 1, cfg, mesh4)
+        assert one.axes[0].tobytes() == cold.alpha.tobytes()
+        assert one.provenance[0]["start"] == "uniform"
+        # a longer forest grows the same first axis
+        two = generate_axes(gray, labels, 2, cfg, mesh4)
+        assert two.axes[0].tobytes() == cold.alpha.tobytes()
 
     def test_pool_exhaustion_flag(self, mesh4):
         # perfectly separable data exhausts the pool after one axis

@@ -351,6 +351,48 @@ class TestOptimize:
         else:
             assert factors and set(factors) == {cfg.gamma}
 
+    def test_start_design(self, mesh4, monkeypatch):
+        g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(9))
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
+        cold = optimize(g1, g0, mesh4, cfg)
+        uniform = fem.uniform_design(mesh4, cfg.tolp, cfg.tolq)
+        same = optimize(g1, g0, mesh4, cfg, start=uniform)
+        assert same.alpha.tobytes() == cold.alpha.tobytes()
+        assert same.state_evals == cold.state_evals
+
+        # any other start is the first state, with the full move limit,
+        # and is left as it was
+        uppers, designs = [], []
+
+        def solve(prob):
+            uppers.append(prob.upper)
+            return solve_move_limit_lp(prob)
+
+        def state(design, *args):
+            designs.append(design)
+            return compute_state(design, *args)
+
+        monkeypatch.setattr(optimizer, "solve_move_limit_lp", solve)
+        monkeypatch.setattr(optimizer, "compute_state", state)
+        start = random_design(mesh4, np.random.default_rng(3), 0.1, 0.1)
+        kept = copy.deepcopy(start)
+        optimize(g1, g0, mesh4, cfg, start=start)
+        assert designs[0] is start and uppers[0] == cfg.dx_max
+        assert start.p.tobytes() == kept.p.tobytes()
+        assert start.q.tobytes() == kept.q.tobytes()
+
+    def test_start_design_is_checked(self, mesh4):
+        g1, g0 = blob_grays(mesh4, 4, np.random.default_rng(9))
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
+        start = fem.uniform_design(mesh4, cfg.tolp, cfg.tolq)
+        with pytest.raises(ValueError, match="p budget violated"):
+            optimize(g1, g0, mesh4, cfg,
+                     start=fem.DesignField(p=2 * start.p, q=start.q))
+        short = fem.DesignField(p=start.p[:-1] * mesh4.ne / (mesh4.ne - 1),
+                                q=start.q)
+        with pytest.raises(ValueError, match="mesh's 16 elements"):
+            optimize(g1, g0, mesh4, cfg, start=short)
+
     def test_empty_s_side_is_tolerated(self, mesh4):
         # identical rows inside a class put every projection exactly at the
         # class mean, so the strict inequalities select nothing
