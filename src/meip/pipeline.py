@@ -175,8 +175,7 @@ def _digit(token: str) -> int:
     return digit
 
 
-_OPTIMIZER_FIELDS = ({f.name for f in dc_fields(OptimizerConfig)}
-                     & {f.name for f in dc_fields(PipelineConfig)})
+_OPTIMIZER_FIELDS = {f.name for f in dc_fields(OptimizerConfig)}
 _TYPES = get_type_hints(PipelineConfig)
 # config key -> (PipelineConfig attribute, value type)
 CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name):
@@ -350,6 +349,8 @@ def load_model(path):
         for j in range(n_classes):
             r.row(f"class {j}", 0)
             prior = float(r.row("prior", 1)[0])
+            if not 0 < prior <= 1:
+                raise r.error(f"expected a prior in (0, 1], got {prior!r}")
             mean = r.row("mean", dim)
             cov = np.array([r.row("cov", dim) for _ in range(dim)])
             try:

@@ -26,7 +26,7 @@ from meip.optimizer import (OptimizerConfig, compute_state, gradients,
                             mean_forces, optimize)
 from conftest import MNIST_FILES, blob_grays, element_matrices_rational
 from test_lp import enumerate_vertices, random_feasible_problem
-from test_optimizer import frozen_objective
+from test_optimizer import frozen_objective, watch_accepted
 
 
 def announce(tag: str, detail: str) -> None:
@@ -237,17 +237,15 @@ class TestCriterion5PropertySuite:
         announce("5e (LP vertex-enumeration oracle)",
                  f"200 instances, worst objective err {worst:.2e}")
 
-    def test_5f_optimizer_contracts(self):
+    def test_5f_optimizer_contracts(self, monkeypatch):
         mesh = fem.build_mesh(6, 6)
         rng = np.random.default_rng(105)
         g1, g0 = blob_grays(mesh, 30, rng)
         cfg = OptimizerConfig(tolp=0.15, tolq=0.15)
-        budgets = []
-
-        def check(state):
-            budgets.append((state.design.p.sum(), state.design.q.sum()))
-
-        res = optimize(g1, g0, mesh, cfg, callback=check)
+        kept = watch_accepted(monkeypatch)
+        res = optimize(g1, g0, mesh, cfg)
+        budgets = [(state.design.p.sum(), state.design.q.sum())
+                   for state in kept[1:]]
         assert res.iterations >= 1
         for p_sum, q_sum in budgets:
             assert abs(p_sum - cfg.tolp) <= 1e-9

@@ -1,6 +1,7 @@
 """Axis optimization loop: state assembly, gradients, and convergence."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ def frozen_objective(design, state, mesh, cfg):
         alpha = u - v
     c = (1 - 2 * cfg.lam) * (u - v) + (1 - cfg.lam) * w
     return float(c @ (op.K @ alpha))
+
+
+def watch_accepted(monkeypatch) -> list:
+    """Make ``optimize`` record its states: the returned list fills with
+    the start and then each state whose J is below the last one kept,
+    which are the states the loop accepts."""
+    kept = []
+
+    def state(*args):
+        st = compute_state(*args)
+        if not kept or st.j0 < kept[-1].j0:
+            kept.append(st)
+        return st
+
+    monkeypatch.setattr(optimizer, "compute_state", state)
+    return kept
 
 
 class TestMeanForces:
@@ -234,26 +251,24 @@ class TestOptimize:
         assert res.converged_by == "eps_J"
         assert len(res.j_history) == 2
 
-    def test_budgets_and_monotonic_decrease(self, mesh4):
+    def test_budgets_and_monotonic_decrease(self, mesh4, monkeypatch):
         rng = np.random.default_rng(13)
         g1, g0 = blob_grays(mesh4, 16, rng)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
+        kept = watch_accepted(monkeypatch)
+        res = optimize(g1, g0, mesh4, cfg)
         seen = []
-
-        def check(state):
+        for state in kept[1:]:
             assert state.design.p.sum() == pytest.approx(0.1, abs=1e-9)
             assert state.design.q.sum() == pytest.approx(0.1, abs=1e-9)
             assert np.all(state.design.p >= cfg.p_min - 1e-12)
             assert np.all(state.design.q >= cfg.q_min - 1e-12)
             seen.append(state.j0)
-
-        res = optimize(g1, g0, mesh4, cfg, callback=check)
         assert res.iterations >= 1
         assert seen == res.j_history[1:]
         assert all(b < a for a, b in
                    zip(res.j_history, res.j_history[1:]))
-        assert res.converged_by in ("eps_J", "eps_x", "max_shrinks",
-                                    "max_iters")
+        assert res.converged_by in ("eps_J", "eps_x", "max_iters")
 
     def test_max_iters_flag(self, mesh4):
         rng = np.random.default_rng(14)
@@ -263,16 +278,35 @@ class TestOptimize:
         res = optimize(g1, g0, mesh4, cfg)
         assert res.iterations <= 1
 
-    def test_max_shrinks_is_reported(self, mesh4):
-        # a step larger than eps_x is rejected and the move limit may
-        # shrink only once, so the loop stops on the shrink count
+    def test_rejections_end_on_eps_x(self, mesh4, monkeypatch):
+        # Every trial is worse than the start and no LP predicts a
+        # decrease, so each rejection shrinks the move limit by exactly
+        # gamma: the loop stops by eps_x once the limit is below it.
+        js = []
+
+        def state(*args):
+            st = compute_state(*args)
+            if js:
+                st.j0 = js[0] + 1.0
+            js.append(st.j0)
+            return st
+
+        def solve(prob):
+            sol = solve_move_limit_lp(prob)
+            sol.objective = abs(sol.objective)
+            return sol
+
+        monkeypatch.setattr(optimizer, "compute_state", state)
+        monkeypatch.setattr(optimizer, "solve_move_limit_lp", solve)
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(3))
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, eps_j=1e-30,
-                              max_shrinks=1)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         res = optimize(g1, g0, mesh4, cfg)
-        assert res.converged_by == "max_shrinks"
-        # the start, every accepted step and the one rejected step
-        assert res.state_evals == res.iterations + 2
+        rejections = math.ceil(math.log(cfg.eps_x / cfg.dx_max)
+                               / math.log(cfg.gamma))
+        assert rejections == 13
+        assert res.converged_by == "eps_x"
+        assert res.iterations == 0
+        assert res.state_evals == 1 + rejections
 
     @pytest.mark.parametrize(
         "seed, overrides, reason, iterations, evals, ends_on_accept", [
@@ -280,10 +314,9 @@ class TestOptimize:
             (1, dict(), "eps_x", 3, 4, False),
             (1, dict(eps_j=3.0), "eps_J", 3, 4, True),
             (3, dict(eps_j=3.0), "eps_J", 2, 4, False),
-            (3, dict(max_shrinks=3), "max_shrinks", 2, 6, False),
             (3, dict(max_iters=3), "max_iters", 3, 8, True),
         ], ids=["eps_x_after_reject", "eps_x", "eps_J_after_accept",
-                "eps_J_after_reject", "max_shrinks", "max_iters"])
+                "eps_J_after_reject", "max_iters"])
     def test_stopping_rules(self, mesh4, monkeypatch, seed, overrides,
                             reason, iterations, evals, ends_on_accept):
         # state_evals counts the start and every trial; gradients are taken

@@ -123,6 +123,11 @@ class TestConfig:
             want = OptimizerConfig(ref_kind=kind)
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
+    def test_every_optimizer_setting_is_a_config_key(self):
+        keys = {attr for attr, _ in pipeline.CONFIG_KEYS.values()}
+        for f in dataclasses.fields(OptimizerConfig):
+            assert f.name in keys
+
     def test_echo_keys_are_the_accepted_keys(self, tmp_path):
         cfg = pipeline.PipelineConfig(class_pairs="0:1", lam=0.1 + 0.2,
                                       base_dir=tmp_path)
@@ -191,6 +196,22 @@ class TestModelFormat:
             with pytest.raises(ValueError, match=re.escape(
                     f"{path}:{i + 1}: expected '<count> dim <dim>'")):
                 pipeline.load_model(path)
+
+    @pytest.mark.parametrize("prior", ["-0.5", "0", "7"])
+    def test_prior_outside_unit_interval(self, tmp_path, prior):
+        # a negative prior made every discriminant of its class NaN, and 0
+        # made them -inf
+        path = tmp_path / "model.txt"
+        _save_model(path, np.random.default_rng(5))
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith("prior "))
+        path.write_text("".join(lines[:i] + [f"prior {prior}\n"]
+                                + lines[i + 1:]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{i + 1}: expected a prior in (0, 1], got "
+                f"{float(prior)!r}")):
+            pipeline.load_model(path)
 
 
 def _cell(value) -> str:

@@ -11,8 +11,10 @@ a 60-axis bundle).  On each dataset and side it runs ``python -m meip.cli
 pipeline``, or for ``classify_bulk`` ``train --bundle`` then ``eval
 --split test``, each call in its own process with one BLAS thread.  Every
 output file but ``timing.txt`` must be byte-identical; for a JSON file
-that differs, the top-level keys that differ are printed, and for a
-report also both sides' test accuracy.  The last line counts the datasets
+that differs, the top-level keys that differ are printed (for a list of
+records such as ``axes_provenance.json``, the differing records with
+their keys, and the two lengths if they differ), and for a report also
+both sides' test accuracy.  The last line counts the datasets
 whose test accuracy is better, worse and equal in the working tree, with
 the mean change.  Exits 1 on any difference.
 """
@@ -63,19 +65,32 @@ def run_meip(src: Path, cfg: Path, out: Path, bundle: bool) -> None:
                      f"{proc.stderr}")
 
 
-def json_key_diff(a: bytes, b: bytes) -> str:
-    try:
-        da, db = json.loads(a), json.loads(b)
-    except ValueError:
-        return "not JSON on both sides"
-    if not (isinstance(da, dict) and isinstance(db, dict)):
-        return "top level is not an object on both sides"
+def key_diff(da: dict, db: dict) -> str:
     keys = sorted(k for k in da.keys() | db.keys() if da.get(k, ...) !=
                   db.get(k, ...))
     return "keys " + ", ".join(
         k + ("" if k in da and k in db else
              " (base only)" if k in da else " (working tree only)")
         for k in keys)
+
+
+def json_key_diff(a: bytes, b: bytes) -> str:
+    try:
+        da, db = json.loads(a), json.loads(b)
+    except ValueError:
+        return "not JSON on both sides"
+    if isinstance(da, dict) and isinstance(db, dict):
+        return key_diff(da, db)
+    if not (isinstance(da, list) and isinstance(db, list)
+            and all(isinstance(r, dict) for r in da + db)):
+        return ("top level is neither an object nor a list of objects on "
+                "both sides")
+    parts = [f"record {i} {key_diff(ra, rb)}"
+             for i, (ra, rb) in enumerate(zip(da, db)) if ra != rb]
+    if len(da) != len(db):
+        parts.append(f"{len(da)} records in the base, {len(db)} in the "
+                     "working tree")
+    return "; ".join(parts)
 
 
 def report_of(out: Path) -> Path:
