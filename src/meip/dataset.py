@@ -10,6 +10,7 @@ element numbering).  A whole stack is preprocessed in one pass.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
 
 MAGIC_IMAGES = 2051
 MAGIC_LABELS = 2049
+_KINDS = {MAGIC_IMAGES: "image", MAGIC_LABELS: "label"}
 
 NORMS = ("l2", "l1", "max", "none")
 
@@ -40,45 +42,39 @@ class BlankImageError(ValueError):
     """All-zero image: the centroid is undefined."""
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Load an IDX image file as a (count, n1, n2) uint8 array."""
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 payload of an IDX file of type ``magic``, shaped by its
+    header (the magic's low byte counts the big-endian uint32 dims)."""
+    header = 4 * (1 + (magic & 0xFF))
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 16:
+    if len(data) < header:
         raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, count, n1, n2 = struct.unpack(">IIII", data[:16])
-    if magic != MAGIC_IMAGES:
-        if magic == MAGIC_LABELS:
-            raise IdxFormatError(f"{path}: wrong magic for images "
-                                 f"(got label magic {magic})")
-        raise IdxFormatError(f"{path}: wrong magic for images (got {magic})")
-    if n1 < 1 or n2 < 1:
-        raise IdxFormatError(f"{path}: bad image dimensions {n1} x {n2}")
-    expected = 16 + count * n1 * n2
-    if len(data) != expected:
+    found, *dims = struct.unpack(f">{header // 4}I", data[:header])
+    if found != magic:
+        hint = f"{_KINDS[found]} magic " if found in _KINDS else ""
+        raise IdxFormatError(f"{path}: wrong magic for {_KINDS[magic]}s "
+                             f"(got {hint}{found})")
+    if 0 in dims[1:]:
+        raise IdxFormatError(f"{path}: bad image dimensions {dims[1]} x "
+                             f"{dims[2]}")
+    expected = math.prod(dims)
+    if len(data) - header != expected:
+        product = "*".join(map(str, dims))
         raise IdxFormatError(
-            f"{path}: payload is {len(data) - 16} bytes, expected "
-            f"{count}*{n1}*{n2} = {expected - 16}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, n1, n2).copy()
+            f"{path}: payload is {len(data) - header} bytes, expected "
+            + (f"{product} = {expected}" if len(dims) > 1 else product))
+    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Load an IDX image file as a (count, n1, n2) uint8 array."""
+    return _read_idx(path, MAGIC_IMAGES).copy()
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Load an IDX label file as a (count,) int64 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 8:
-        raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, count = struct.unpack(">II", data[:8])
-    if magic != MAGIC_LABELS:
-        if magic == MAGIC_IMAGES:
-            raise IdxFormatError(f"{path}: wrong magic for labels "
-                                 f"(got image magic {magic})")
-        raise IdxFormatError(f"{path}: wrong magic for labels (got {magic})")
-    if len(data) != 8 + count:
-        raise IdxFormatError(
-            f"{path}: payload is {len(data) - 8} bytes, expected {count}")
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    return _read_idx(path, MAGIC_LABELS).astype(np.int64)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

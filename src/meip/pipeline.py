@@ -3,13 +3,13 @@
 Artifacts are plain text with versioned headers so every file is
 self-describing and diffs cleanly: axis bundles (MEIP-AXES), Gaussian
 models (MEIP-MODEL), per-axis design/force fields (MEIP-FIELDS),
-confusion matrices, per-sample predictions, per-axis feature histograms
-(CSV), and raster snapshots as binary PGM.  A text artifact is a magic
-line, then rows of an optional tag and values joined by one separator (a
-space, or a comma in the CSVs); a missing, extra or malformed row fails
-to load with ``ValueError("<path>:<line>: expected ...")``.  Reports are
-JSON and deterministic: rerunning a config byte-reproduces them
-(wall-clock timing goes to a separate file).
+confusion matrices, per-sample predictions, feature histograms (one CSV
+table per split), and raster snapshots as binary PGM.  A text artifact is
+a magic line, then rows of an optional tag and values joined by one
+separator (a space, or a comma in the CSVs); a missing, extra or
+malformed row fails to load with ``ValueError("<path>:<line>: expected
+...")``.  Reports are JSON and deterministic: rerunning a config
+byte-reproduces them (wall-clock timing goes to a separate file).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ MODEL_MAGIC = "MEIP-MODEL 1"
 FIELDS_MAGIC = "MEIP-FIELDS 1"
 FIELD_MAGIC = "MEIP-FIELD 1"
 CONFUSION_MAGIC = "MEIP-CONFUSION 1"
+HIST_MAGIC = "MEIP-HIST 2"
 
 
 def _fmt(rows, tag: str | None = None, sep: str = " ") -> str:
@@ -343,8 +344,9 @@ def load_model(path):
         if text.split()[1:2] != ["dim"]:
             raise r.error(f"expected '<count> dim <dim>', got {text[:40]!r}")
         n_classes, dim = r.row(None, 3, lambda t: _counts(t[::2]), text)
-        if n_classes < 1:
-            raise r.error("expected at least 1 class, got 0")
+        for count, what in ((n_classes, "class"), (dim, "dimension")):
+            if count < 1:
+                raise r.error(f"expected at least 1 {what}, got 0")
         model = []
         for j in range(n_classes):
             r.row(f"class {j}", 0)
@@ -376,6 +378,8 @@ def load_fields(path):
         n1, n2, count = r.row(None, 3, _counts)
         if min(n1, n2) < 1:
             raise r.error(f"expected a mesh of at least 1x1, got {n1}x{n2}")
+        if count < 1:
+            raise r.error("expected at least 1 axis, got 0")
         nodes, elements = (n1 + 1) * (n2 + 1), n1 * n2
         records = []
         for i in range(count):
@@ -428,10 +432,10 @@ def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
         f.write(_fmt([[*cm.recall, cm.accuracy]], "recall", ","))
 
 
-def write_histogram_csv(paths, z: np.ndarray, targets: np.ndarray,
+def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
                         n_classes: int, bins: int = 50) -> None:
     """Distribution of each feature coordinate ``z[:, m]``, tallied per
-    class, to ``paths[m]``.
+    class, as the ``bins`` rows of axis m in one table at ``path``.
 
     Column m is cut by ``np.linspace(lo, hi, bins + 1)`` over its range
     (``hi = lo + 1`` when constant) into bins [e_i, e_i+1) as in
@@ -452,8 +456,9 @@ def write_histogram_csv(paths, z: np.ndarray, targets: np.ndarray,
         guess *= bins / (hi - lo)
     if not np.isfinite(edges).all():
         j = int(np.argmax(~np.isfinite(edges).all(axis=1)))
-        raise ValueError(f"{paths[j]}: feature range [{lo[j]!r}, {hi[j]!r}] "
-                         "has no finite bin edges")
+        raise ValueError(f"{path}: axis {j}: feature range "
+                         f"{[float(lo[j]), float(hi[j])]} has no finite bin "
+                         "edges")
     # key = column * bins + bin; fmin also takes a degenerate column's nan
     np.fmax(np.fmin(guess, bins - 1, out=guess), 0, out=guess)
     key = guess.astype(np.intp)
@@ -477,16 +482,15 @@ def write_histogram_csv(paths, z: np.ndarray, targets: np.ndarray,
             np.searchsorted(edges[j], z[:, j], side="right") - 1, bins - 1)
     counts = np.bincount((key * n_classes + targets[:, None]).ravel(),
                          minlength=m * bins * n_classes)
+    counts = counts.reshape(m, bins, n_classes).tolist()
     names = [f"count_{j}" for j in range(n_classes)]
-    head = _fmt([["bin_lo", "bin_hi", *names]], "MEIP-HIST 1", ",")
     # each edge formatted once: bin b's bin_hi is bin b+1's bin_lo
     edge_text = [line.split(",") for line in _fmt(edges, sep=",").split()]
-    for path, e, c in zip(paths, edge_text,
-                          counts.reshape(m, bins, n_classes)):
-        with open(path, "w") as f:
-            f.write(head)
-            f.write(_fmt(zip(range(bins), e[:-1], e[1:], *c.T.tolist()),
-                         sep=","))
+    with open(path, "w") as f:
+        f.write(_fmt([["bin", "bin_lo", "bin_hi", *names]], HIST_MAGIC, ","))
+        f.write(_fmt([(j, b, e[b], e[b + 1], *c[b])
+                      for j, (e, c) in enumerate(zip(edge_text, counts))
+                      for b in range(bins)], sep=","))
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +696,7 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
                      ","))
         f.write(_fmt(zip(range(len(targets)), targets.tolist(),
                          outputs.tolist(), *post.T.tolist()), sep=","))
-    write_histogram_csv([out / f"hist_axis_{m}_{split}.csv"
-                         for m in range(z.shape[1])], z, targets, len(model))
+    write_histogram_csv(out / f"hist_{split}.csv", z, targets, len(model))
 
     report = RunReport(config=dict(cfg.echo_items()), n_axes=z.shape[1],
                        **{f"{split}_confusion": _confusion_dict(cm)})

@@ -1,5 +1,6 @@
 """IDX container parsing and image preprocessing."""
 
+import re
 import struct
 
 import numpy as np
@@ -87,6 +88,55 @@ class TestIdxLabels:
         path.write_bytes(struct.pack(">II", 2049, 9) + bytes(3))
         with pytest.raises(IdxFormatError, match="payload"):
             load_idx_labels(path)
+
+
+# (file bytes, loader, its message after "<path>: "): both loaders read
+# through one header and payload reader
+IDX_ERRORS = [
+    (b"\x00\x00\x08", load_idx_images, "truncated header (3 bytes)"),
+    (struct.pack(">III", 2051, 1, 2), load_idx_images,
+     "truncated header (12 bytes)"),
+    (b"\x00\x00\x08", load_idx_labels, "truncated header (3 bytes)"),
+    (struct.pack(">IIII", 2049, 1, 2, 2) + bytes(4), load_idx_images,
+     "wrong magic for images (got label magic 2049)"),
+    (struct.pack(">IIII", 2050, 1, 2, 2) + bytes(4), load_idx_images,
+     "wrong magic for images (got 2050)"),
+    (struct.pack(">II", 2051, 0), load_idx_labels,
+     "wrong magic for labels (got image magic 2051)"),
+    (struct.pack(">II", 0, 0), load_idx_labels,
+     "wrong magic for labels (got 0)"),
+    (struct.pack(">IIII", 2051, 1, 0, 5), load_idx_images,
+     "bad image dimensions 0 x 5"),
+    (struct.pack(">IIII", 2051, 1, 5, 0), load_idx_images,
+     "bad image dimensions 5 x 0"),
+    (struct.pack(">IIII", 2051, 3, 4, 4) + bytes(41), load_idx_images,
+     "payload is 41 bytes, expected 3*4*4 = 48"),
+    (struct.pack(">IIII", 2051, 0, 4, 4) + bytes(1), load_idx_images,
+     "payload is 1 bytes, expected 0*4*4 = 0"),
+    (struct.pack(">II", 2049, 9) + bytes(3), load_idx_labels,
+     "payload is 3 bytes, expected 9"),
+    (struct.pack(">II", 2049, 2) + bytes(3), load_idx_labels,
+     "payload is 3 bytes, expected 2"),
+]
+
+
+@pytest.mark.parametrize("data, load, message", IDX_ERRORS)
+def test_idx_error_messages(tmp_path, data, load, message):
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    with pytest.raises(IdxFormatError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
+        load(path)
+
+
+def test_idx_loaders_return_owned_arrays(tmp_path):
+    write_idx_images(tmp_path / "i.idx", np.zeros((0, 3, 2), np.uint8))
+    write_idx_labels(tmp_path / "l.idx", [7, 0])
+    images, labels = (load_idx_images(tmp_path / "i.idx"),
+                      load_idx_labels(tmp_path / "l.idx"))
+    assert (images.shape, images.dtype) == ((0, 3, 2), np.uint8)
+    assert (labels.tolist(), labels.dtype) == ([7, 0], np.int64)
+    assert images.flags.writeable and labels.flags.writeable
 
 
 class TestRoundTrip:

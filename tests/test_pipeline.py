@@ -328,26 +328,40 @@ class TestRasterAndCsv:
         assert egrid[1, 0] == 1 and egrid[0, 1] == 2
 
 
-def _histogram_csv_by_mask(path, z, targets, n_classes, bins=50):
-    """Reference tally: one range mask per bin and class."""
+def _histogram_csv_by_mask(z, targets, n_classes, bins=50) -> list[str]:
+    """Reference tally of one column: one range mask per bin and class;
+    the rows ``bin,bin_lo,bin_hi,count_<class>...``."""
     lo, hi = float(z.min()), float(z.max())
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
     fmt = "{:.17g}".format
-    with open(path, "w") as f:
-        f.write("MEIP-HIST 1,bin_lo,bin_hi," + ",".join(
-            f"count_{j}" for j in range(n_classes)) + "\n")
-        for b in range(bins):
-            row = [str(b), fmt(edges[b]), fmt(edges[b + 1])]
-            for j in range(n_classes):
-                zj = z[targets == j]
-                if b == bins - 1:
-                    cnt = int(((zj >= edges[b]) & (zj <= edges[b + 1])).sum())
-                else:
-                    cnt = int(((zj >= edges[b]) & (zj < edges[b + 1])).sum())
-                row.append(str(cnt))
-            f.write(",".join(row) + "\n")
+    rows = []
+    for b in range(bins):
+        row = [str(b), fmt(edges[b]), fmt(edges[b + 1])]
+        for j in range(n_classes):
+            zj = z[targets == j]
+            if b == bins - 1:
+                cnt = int(((zj >= edges[b]) & (zj <= edges[b + 1])).sum())
+            else:
+                cnt = int(((zj >= edges[b]) & (zj < edges[b + 1])).sum())
+            row.append(str(cnt))
+        rows.append(",".join(row))
+    return rows
+
+
+def _histogram_by_axis(path, n_axes, n_classes, bins) -> list[list[str]]:
+    """The rows of each axis of a ``MEIP-HIST 2`` table, without their
+    ``axis`` field; checks the header and that the axes come in order."""
+    head, *rows = path.read_text().splitlines()
+    assert head == "MEIP-HIST 2,bin,bin_lo,bin_hi," + ",".join(
+        f"count_{j}" for j in range(n_classes))
+    assert len(rows) == n_axes * bins
+    fields = [row.split(",", 1) for row in rows]
+    assert [axis for axis, _ in fields] == [
+        str(m) for m in range(n_axes) for _ in range(bins)]
+    return [[rest for _, rest in fields[m * bins:(m + 1) * bins]]
+            for m in range(n_axes)]
 
 
 class TestHistogramCsv:
@@ -364,11 +378,11 @@ class TestHistogramCsv:
                 z = rng.choice(np.linspace(lo, hi, bins + 1), n)  # on edges
             else:
                 z = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
-            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-            pipeline.write_histogram_csv([got], z[:, None], targets,
+            path = tmp_path / "hist.csv"
+            pipeline.write_histogram_csv(path, z[:, None], targets,
                                          n_classes, bins)
-            _histogram_csv_by_mask(want, z, targets, n_classes, bins)
-            assert got.read_bytes() == want.read_bytes(), case
+            assert _histogram_by_axis(path, 1, n_classes, bins) == [
+                _histogram_csv_by_mask(z, targets, n_classes, bins)], case
 
     @staticmethod
     def _degenerate_columns(rng, n, bins):
@@ -398,11 +412,12 @@ class TestHistogramCsv:
             n = 300
             targets = rng.integers(0, n_classes, n)
             for name, z in self._degenerate_columns(rng, n, bins):
-                got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-                pipeline.write_histogram_csv([got], z[:, None], targets,
+                path = tmp_path / "hist.csv"
+                pipeline.write_histogram_csv(path, z[:, None], targets,
                                              n_classes, bins)
-                _histogram_csv_by_mask(want, z, targets, n_classes, bins)
-                assert got.read_bytes() == want.read_bytes(), (name, bins)
+                assert _histogram_by_axis(path, 1, n_classes, bins) == [
+                    _histogram_csv_by_mask(z, targets, n_classes, bins)], (
+                    name, bins)
 
     def test_subnormal_edges_out_of_order(self, tmp_path):
         # linspace rounds edge 6 of [5e-324, 3e-323] above edge 7: the
@@ -412,9 +427,9 @@ class TestHistogramCsv:
         z[:2] = 5e-324, 3e-323
         targets = rng.integers(0, 2, 200)
         path = tmp_path / "sub.csv"
-        pipeline.write_histogram_csv([path], z[:, None], targets, 2, 7)
+        pipeline.write_histogram_csv(path, z[:, None], targets, 2, 7)
         rows = np.array([r.split(",") for r in
-                         path.read_text().splitlines()[1:]], dtype=float)
+                         _histogram_by_axis(path, 1, 2, 7)[0]], dtype=float)
         edges = np.append(rows[:, 1], rows[-1, 2])
         assert np.any(np.diff(edges) < 0)
         bin_of = np.minimum(np.searchsorted(edges, z, side="right") - 1, 6)
@@ -424,10 +439,11 @@ class TestHistogramCsv:
 
     def test_overflowing_range_is_named(self, tmp_path):
         z = np.array([[0.0, -1.7e308], [1.0, 1.7e308]])
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        with pytest.raises(ValueError, match="b.csv: feature range .* no "
-                                             "finite bin edges"):
-            pipeline.write_histogram_csv(paths, z, np.zeros(2, dtype=int), 1)
+        path = tmp_path / "hist.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: axis 1: feature range [-1.7e+308, 1.7e+308] has "
+                "no finite bin edges")):
+            pipeline.write_histogram_csv(path, z, np.zeros(2, dtype=int), 1)
 
     def test_every_column_of_a_mixed_matrix(self, tmp_path):
         # degenerate and ordinary columns side by side in one call
@@ -437,12 +453,12 @@ class TestHistogramCsv:
         cols = [z for _, z in self._degenerate_columns(rng, n, bins)]
         cols += [rng.standard_normal(n) * 10.0 ** e for e in range(-3, 4)]
         z = np.stack([cols[i] for i in rng.permutation(len(cols))], axis=1)
-        paths = [tmp_path / f"got_{m}.csv" for m in range(z.shape[1])]
-        pipeline.write_histogram_csv(paths, z, targets, n_classes, bins)
-        for m, path in enumerate(paths):
-            want = tmp_path / "want.csv"
-            _histogram_csv_by_mask(want, z[:, m], targets, n_classes, bins)
-            assert path.read_bytes() == want.read_bytes(), m
+        path = tmp_path / "hist.csv"
+        pipeline.write_histogram_csv(path, z, targets, n_classes, bins)
+        got = _histogram_by_axis(path, z.shape[1], n_classes, bins)
+        for m in range(z.shape[1]):
+            assert got[m] == _histogram_csv_by_mask(z[:, m], targets,
+                                                    n_classes, bins), m
 
 
 class TestFieldsFormat:
@@ -466,9 +482,13 @@ class TestFieldsFormat:
      "2: expected a mesh of at least 1x1, got 0x3"),
     ("MEIP-FIELDS 1\n0 0 1\naxis 0\nf 0\ng 0\np\nq\n",
      "2: expected a mesh of at least 1x1, got 0x0"),
+    ("MEIP-FIELDS 1\n2 2 0\n", "2: expected at least 1 axis, got 0"),
     ("MEIP-MODEL 1\nbundle axes.txt\nconfig 0\nclasses 0 dim 2\n",
      "4: expected at least 1 class, got 0"),
-], ids=["axes", "fields", "model"])
+    # dimension 0 fails at its own line, not at the mean on line 7
+    ("MEIP-MODEL 1\nbundle axes.txt\nconfig 0\nclasses 1 dim 0\nclass 0\n"
+     "prior 1\nmean\n", "4: expected at least 1 dimension, got 0"),
+], ids=["axes", "fields", "fields_no_axis", "model", "model_no_dim"])
 def test_artifact_with_an_empty_shape_is_rejected(tmp_path, text, message):
     path = tmp_path / "artifact.txt"
     path.write_text(text)
@@ -649,6 +669,24 @@ class TestCommands:
         assert [row.split(",")[2] for row in rows] == ["1", "0"] * 15
         assert {row.partition(",")[2].partition(",")[2][2:]
                 for row in rows} == {"0.5,0.5"}
+
+    def test_one_histogram_table_per_split(self, bars_workspace):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out, evals = bars_workspace / "out", bars_workspace / "evals"
+        report = pipeline.cmd_pipeline(cfg, out)
+        test = pipeline.load_split(cfg, "test")
+        pipeline.cmd_eval(cfg, out / "model.txt", test, "test", evals)
+        assert sorted(p.name for p in out.glob("hist*")) == [
+            "hist_test.csv", "hist_train.csv"]
+        assert [p.name for p in evals.glob("hist*")] == ["hist_test.csv"]
+        assert (evals / "hist_test.csv").read_bytes() == \
+            (out / "hist_test.csv").read_bytes()
+        for split, n in (("train", 80), ("test", len(test))):
+            by_axis = _histogram_by_axis(out / f"hist_{split}.csv",
+                                         report.n_axes, 2, 50)
+            for rows in by_axis:    # every sample in one bin of each axis
+                assert sum(int(c) for row in rows
+                           for c in row.split(",")[3:]) == n
 
     def test_digit_absent_from_training_labels(self, bars_workspace):
         cfg_file = bars_workspace / "run.cfg"
@@ -985,6 +1023,15 @@ class TestCli:
             root.setLevel(level)
         capsys.readouterr()
         assert iteration_lines[0] == 0 and iteration_lines[1] > 0
+
+    def test_inspect_of_an_empty_fields_file_exit_nonzero(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "fields.txt"
+        path.write_text("MEIP-FIELDS 1\n2 2 0\n")
+        rc = cli.main(["inspect", str(path), "--out", str(tmp_path / "viz")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"[inspect] error: {path}:2: expected at least 1 axis, got 0\n")
 
     def test_eval_via_cli(self, bars_workspace, capsys):
         out = bars_workspace / "out"
