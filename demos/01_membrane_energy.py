@@ -7,6 +7,7 @@ generalized eigenbasis weights every component by 1/lambda_n.
 """
 
 import numpy as np
+import scipy.linalg
 
 from meip import fem
 
@@ -19,7 +20,16 @@ print(f"mesh: {mesh.n1}x{mesh.n2} elements, {mesh.n_nodes} nodes, "
 
 design = fem.uniform_design(mesh, tolp=0.2, tolq=0.2)
 op = fem.assemble_stiffness(mesh, design, sigma0=1e5)
-print(f"stiffness assembled: {op.K.shape}, nnz={op.K.nnz}, "
+
+# The solver keeps only K's upper band: K[i, i+d] sits at ab[bw - d, i+d].
+# Unfold it into a dense symmetric matrix for display and the spectrum.
+m, bw = op.shape[0], op.bandwidth
+K = np.zeros((m, m))
+for d in range(bw + 1):
+    i = np.arange(m - d)
+    K[i, i + d] = op.ab[bw - d, d:]
+K += np.triu(K, 1).T
+print(f"stiffness assembled: {K.shape}, nnz={np.count_nonzero(K)}, "
       f"bandwidth={op.bandwidth}")
 
 # --- forces, deformations, energies ---------------------------------------
@@ -27,7 +37,7 @@ f = fem.grayscale_to_force(mesh, rng.random(mesh.ne))
 g = fem.grayscale_to_force(mesh, rng.random(mesh.ne))
 u = op.solve(f)
 v = op.solve(g)
-print(f"solve residual: {np.linalg.norm(op.K @ u - f):.2e}")
+print(f"solve residual: {np.linalg.norm(K @ u - f):.2e}")
 
 uku = fem.mutual_energy(op, u, u)
 ukv = fem.mutual_energy(op, u, v)
@@ -36,8 +46,12 @@ print(f"mutual energy <u,v>:     {ukv:.6e}")
 print(f"identity <u,v> = u'g:    {float(u @ g):.6e}")
 
 # --- spectral view ----------------------------------------------------------
-B = fem.assemble_mass(mesh)
-lam, phi = fem.generalized_eigenpairs(op, B)
+# Mass matrix B of the Euclidean product: the element block Kq scattered
+# through the connectivity.  eigh normalizes phi so that phi' B phi = I.
+B = np.zeros((m, m))
+for nodes in mesh.theta:
+    B[np.ix_(nodes, nodes)] += fem.KQ
+lam, phi = scipy.linalg.eigh(K, B)
 print(f"\neigenvalues: lambda_1={lam[0]:.4e} ... lambda_max={lam[-1]:.4e}")
 
 fn = phi.T @ f

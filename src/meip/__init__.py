@@ -12,10 +12,8 @@ from meip.fem import (
     StiffnessOperator,
     build_mesh,
     assemble_stiffness,
-    assemble_mass,
     grayscale_to_force,
     mutual_energy,
-    generalized_eigenpairs,
 )
 from meip.dataset import Dataset, load_idx_images, load_idx_labels, preprocess
 from meip.lp import MoveLimitLp, LpSolution, solve_move_limit_lp

@@ -11,8 +11,6 @@ and evaluates products K x and the mutual-energy inner product a' K b
 from the band (dsbmv).  A band that is not finite is rejected before
 factoring; a K that is not positive definite raises FactorizationError
 with the order of the first failing leading minor, as dpbtrf reports it.
-A sparse K is built only on request, for the dense generalized-eigenpair
-routine that backs the spectral test oracles.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -34,8 +30,6 @@ __all__ = [
     "assemble_stiffness",
     "grayscale_to_force",
     "mutual_energy",
-    "assemble_mass",
-    "generalized_eigenpairs",
 ]
 
 # The 4x4 element coefficient matrices, from their integer numerators: the
@@ -179,14 +173,6 @@ class StiffnessOperator:
         x += dpbtrs(self._chol, rhs - self.matvec(x))[0]
         return x
 
-    @property
-    def K(self) -> scipy.sparse.csr_matrix:
-        """K as a sparse matrix, built from the band on every access."""
-        upper = scipy.sparse.dia_matrix(
-            (self.ab, np.arange(self.bandwidth, -1, -1)),
-            shape=self.shape).tocsr()
-        return upper + scipy.sparse.triu(upper, k=1).T
-
 
 def assemble_stiffness(mesh: GridMesh, design: DesignField,
                        sigma0: float) -> StiffnessOperator:
@@ -232,30 +218,3 @@ def mutual_energy(op: StiffnessOperator, a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != (op.shape[0],) or b.shape != (op.shape[0],):
         raise ValueError("node vector length does not match operator size")
     return float(a @ op.matvec(b))
-
-
-def assemble_mass(mesh: GridMesh) -> scipy.sparse.csr_matrix:
-    """Euclidean inner-product (mass) matrix: scattered Kq blocks."""
-    rows = np.repeat(mesh.theta, 4, axis=1).ravel()
-    cols = np.tile(mesh.theta, (1, 4)).ravel()
-    vals = np.tile(KQ.ravel(), mesh.ne)
-    m = mesh.n_nodes
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
-
-
-def generalized_eigenpairs(op: StiffnessOperator,
-                           B: scipy.sparse.spmatrix | np.ndarray,
-                           max_nodes: int = 1200):
-    """Full spectrum of K phi = lambda B phi, for small meshes only.
-
-    Returns (lam, phi) with eigenvalues ascending and columns of ``phi``
-    normalized so that phi' B phi = I.
-    """
-    m = op.shape[0]
-    if m > max_nodes:
-        raise ValueError(
-            f"dense eigensolver oracle limited to {max_nodes} nodes, got {m}")
-    Kd = op.K.toarray()
-    Bd = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B)
-    lam, phi = scipy.linalg.eigh(Kd, Bd)
-    return lam, phi

@@ -86,11 +86,12 @@ class OptimizerConfig:
             raise ValueError("design variable p below lower bound")
         if np.any(design.q < self.q_min - tol):
             raise ValueError("design variable q below lower bound")
-        if abs(design.p.sum() - self.tolp) > tol:
-            raise ValueError(f"p budget violated: sum={design.p.sum()!r} "
+        p_sum, q_sum = float(design.p.sum()), float(design.q.sum())
+        if abs(p_sum - self.tolp) > tol:
+            raise ValueError(f"p budget violated: sum={p_sum!r} "
                              f"target={self.tolp!r}")
-        if abs(design.q.sum() - self.tolq) > tol:
-            raise ValueError(f"q budget violated: sum={design.q.sum()!r} "
+        if abs(q_sum - self.tolq) > tol:
+            raise ValueError(f"q budget violated: sum={q_sum!r} "
                              f"target={self.tolq!r}")
 
 

@@ -218,6 +218,17 @@ def load_config(path) -> PipelineConfig:
     if bool(cfg.class_pairs) == bool(cfg.one_vs_rest):
         raise ValueError(
             f"{path}: exactly one of class_pairs / one_vs_rest must be set")
+    # Every element holds at least its lower bound, so the bounds alone
+    # must fit in the budget, or the first move-limit LP has no room.
+    for low, budget in (("p_min", "tolp"), ("q_min", "tolq")):
+        floor = getattr(cfg, low) * cfg.n1 * cfg.n2
+        if floor > getattr(cfg, budget):
+            where = ", ".join(f"{key} on line {first_line[key]}"
+                              for key in (low, budget, "n1", "n2")
+                              if key in first_line)
+            raise ValueError(
+                f"{path}: {low} * n1 * n2 = {floor!r} exceeds {budget} = "
+                f"{getattr(cfg, budget)!r} ({where})")
     return cfg
 
 

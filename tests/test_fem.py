@@ -1,5 +1,6 @@
 """Mesh, element matrices, assembly, solves, and spectral oracles."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from meip import fem
 from meip.optimizer import OptimizerConfig
 from conftest import element_matrices_rational, random_design
+from spectral_oracle import (assemble_mass, generalized_eigenpairs,
+                             stiffness_matrix)
 
 
 def node_position(mesh, node):
@@ -120,19 +123,20 @@ class TestAssembly:
             for j in range(4):
                 expected[nodes[i], nodes[j]] = a * kp[i, j] + b * kq[i, j]
         expected += sigma0 * np.eye(4)
-        assert np.allclose(op.K.toarray(), expected, atol=1e-15)
+        assert np.allclose(stiffness_matrix(op).toarray(), expected,
+                           atol=1e-15)
 
     def test_symmetry_exact(self, mesh4):
         rng = np.random.default_rng(0)
         design = random_design(mesh4, rng)
         op = fem.assemble_stiffness(mesh4, design, 1e5)
-        diff = (op.K - op.K.T)
+        diff = (stiffness_matrix(op) - stiffness_matrix(op).T)
         assert diff.nnz == 0 or np.abs(diff.toarray()).max() == 0.0
 
     def test_positive_definite_3x3(self, mesh3):
         design = fem.DesignField(p=np.ones(9), q=np.ones(9))
         op = fem.assemble_stiffness(mesh3, design, 1e5)
-        evals = np.linalg.eigvalsh(op.K.toarray())
+        evals = np.linalg.eigvalsh(stiffness_matrix(op).toarray())
         assert evals.min() > 0
 
     def test_matches_dense_loop_assembly(self, mesh3):
@@ -151,7 +155,7 @@ class TestAssembly:
         for n in mesh3.boundary_nodes:
             dense[n, n] += sigma0
         op = fem.assemble_stiffness(mesh3, design, sigma0)
-        assert np.allclose(op.K.toarray(), dense, atol=1e-14)
+        assert np.allclose(stiffness_matrix(op).toarray(), dense, atol=1e-14)
 
     def test_assembly_linearity(self, mesh3):
         rng = np.random.default_rng(2)
@@ -159,9 +163,12 @@ class TestAssembly:
         d2 = random_design(mesh3, rng)
         sigma0 = 50.0
         dsum = fem.DesignField(p=d1.p + d2.p, q=d1.q + d2.q)
-        k1 = fem.assemble_stiffness(mesh3, d1, sigma0).K.toarray()
-        k2 = fem.assemble_stiffness(mesh3, d2, sigma0).K.toarray()
-        ks = fem.assemble_stiffness(mesh3, dsum, sigma0).K.toarray()
+        k1 = stiffness_matrix(
+            fem.assemble_stiffness(mesh3, d1, sigma0)).toarray()
+        k2 = stiffness_matrix(
+            fem.assemble_stiffness(mesh3, d2, sigma0)).toarray()
+        ks = stiffness_matrix(
+            fem.assemble_stiffness(mesh3, dsum, sigma0)).toarray()
         penalty = np.zeros_like(k1)
         penalty[mesh3.boundary_nodes, mesh3.boundary_nodes] = sigma0
         assert np.allclose(ks - penalty, (k1 - penalty) + (k2 - penalty),
@@ -290,7 +297,7 @@ class TestBandOperator:
     def test_sparse_k_built_from_band(self, mesh4):
         design = random_design(mesh4, np.random.default_rng(500))
         op = fem.assemble_stiffness(mesh4, design, 1e5)
-        assert np.array_equal(op.K.toarray(),
+        assert np.array_equal(stiffness_matrix(op).toarray(),
                               dense_loop_stiffness(mesh4, design, 1e5))
 
 
@@ -354,7 +361,7 @@ class TestSolve:
         for _ in range(5):
             rhs = rng.standard_normal(mesh3.n_nodes)
             x = op.solve(rhs)
-            resid = np.linalg.norm(op.K @ x - rhs)
+            resid = np.linalg.norm(stiffness_matrix(op) @ x - rhs)
             assert resid / max(np.linalg.norm(rhs), 1e-30) <= 1e-10
 
     def test_dense_inverse_oracle(self):
@@ -362,7 +369,7 @@ class TestSolve:
         rng = np.random.default_rng(5)
         design = random_design(mesh, rng)
         op = fem.assemble_stiffness(mesh, design, 10.0)
-        dense_inv = np.linalg.inv(op.K.toarray())
+        dense_inv = np.linalg.inv(stiffness_matrix(op).toarray())
         rhs = rng.standard_normal(mesh.n_nodes)
         x = op.solve(rhs)
         x_ref = dense_inv @ rhs
@@ -418,7 +425,7 @@ class TestMassMatrix:
     def test_total_is_area(self):
         for n1, n2 in [(1, 1), (3, 4), (5, 2)]:
             mesh = fem.build_mesh(n1, n2)
-            B = fem.assemble_mass(mesh)
+            B = assemble_mass(mesh)
             assert B.sum() == pytest.approx(n1 * n2, rel=1e-14)
 
     def test_single_element_equals_kq(self):
@@ -430,7 +437,7 @@ class TestMassMatrix:
         for i in range(4):
             for j in range(4):
                 expected[nodes[i], nodes[j]] = kq[i, j]
-        assert np.allclose(fem.assemble_mass(mesh).toarray(), expected,
+        assert np.allclose(assemble_mass(mesh).toarray(), expected,
                            atol=1e-16)
 
     def test_quadrature_oracle(self, mesh4):
@@ -439,7 +446,7 @@ class TestMassMatrix:
         rng = np.random.default_rng(11)
         u = rng.standard_normal(mesh4.n_nodes)
         v = rng.standard_normal(mesh4.n_nodes)
-        B = fem.assemble_mass(mesh4)
+        B = assemble_mass(mesh4)
         gauss = 1.0 / np.sqrt(3.0)
         pts = [(-gauss, -gauss), (gauss, -gauss), (gauss, gauss),
                (-gauss, gauss)]
@@ -464,17 +471,17 @@ class TestGeneralizedEigenpairs:
 
     def test_all_eigenvalues_positive(self, mesh3):
         op, _ = self.setup_op(mesh3)
-        B = fem.assemble_mass(mesh3)
-        lam, _ = fem.generalized_eigenpairs(op, B)
+        B = assemble_mass(mesh3)
+        lam, _ = generalized_eigenpairs(op, B)
         assert lam.min() > 0
 
     def test_orthogonality(self, mesh4):
         op, _ = self.setup_op(mesh4)
-        B = fem.assemble_mass(mesh4)
-        lam, phi = fem.generalized_eigenpairs(op, B)
+        B = assemble_mass(mesh4)
+        lam, phi = generalized_eigenpairs(op, B)
         m = mesh4.n_nodes
         gram_b = phi.T @ (B @ phi)
-        gram_k = phi.T @ (op.K @ phi)
+        gram_k = phi.T @ (stiffness_matrix(op) @ phi)
         assert np.abs(gram_b - np.eye(m)).max() <= 1e-8
         assert np.abs(gram_k - np.diag(lam)).max() <= 1e-8 * max(1, lam.max())
 
@@ -482,8 +489,8 @@ class TestGeneralizedEigenpairs:
         # u'Kv reconstructed from the full spectrum, weighting projections
         # of the forces by 1/lambda.
         op, _ = self.setup_op(mesh4, seed=13)
-        B = fem.assemble_mass(mesh4)
-        lam, phi = fem.generalized_eigenpairs(op, B)
+        B = assemble_mass(mesh4)
+        lam, phi = generalized_eigenpairs(op, B)
         rng = np.random.default_rng(14)
         f = fem.grayscale_to_force(mesh4, rng.random(mesh4.ne))
         g = fem.grayscale_to_force(mesh4, rng.random(mesh4.ne))
@@ -495,12 +502,12 @@ class TestGeneralizedEigenpairs:
     def test_monotonicity_in_design(self, mesh3):
         rng = np.random.default_rng(15)
         design = random_design(mesh3, rng)
-        B = fem.assemble_mass(mesh3)
+        B = assemble_mass(mesh3)
         op1 = fem.assemble_stiffness(mesh3, design, 1e5)
-        lam1, _ = fem.generalized_eigenpairs(op1, B)
+        lam1, _ = generalized_eigenpairs(op1, B)
         bigger = fem.DesignField(p=design.p * 1.5, q=design.q * 1.5)
         op2 = fem.assemble_stiffness(mesh3, bigger, 1e5)
-        lam2, _ = fem.generalized_eigenpairs(op2, B)
+        lam2, _ = generalized_eigenpairs(op2, B)
         assert lam2[0] > lam1[0]
 
     def test_size_guard(self):
@@ -508,7 +515,7 @@ class TestGeneralizedEigenpairs:
         rng = np.random.default_rng(16)
         op = fem.assemble_stiffness(mesh, random_design(mesh, rng), 1e5)
         with pytest.raises(ValueError):
-            fem.generalized_eigenpairs(op, fem.assemble_mass(mesh))
+            generalized_eigenpairs(op, assemble_mass(mesh))
 
 
 class TestDesignField:
@@ -535,3 +542,14 @@ class TestDesignField:
         OptimizerConfig(tolp=2.0, tolq=2.0, p_min=0.1).check_design(d)
         with pytest.raises(ValueError, match="p below lower bound"):
             OptimizerConfig(tolp=2.0, tolq=2.0, p_min=0.2).check_design(d)
+
+    def test_budget_message_prints_plain_floats(self, mesh4):
+        ones = np.ones(mesh4.ne)
+        cfg = OptimizerConfig(tolp=2.0, tolq=2.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "p budget violated: sum=16.0 target=2.0")):
+            cfg.check_design(fem.DesignField(p=ones, q=ones))
+        p = fem.uniform_design(mesh4, 2.0, 2.0).p
+        with pytest.raises(ValueError, match=re.escape(
+                "q budget violated: sum=16.0 target=2.0")):
+            cfg.check_design(fem.DesignField(p=p, q=ones))

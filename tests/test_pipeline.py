@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(
                 f"{cfg_file}:4: n_axes: given twice (first on line 2)")):
             pipeline.load_config(cfg_file)
+
+    @pytest.mark.parametrize("line, low, budget", [
+        ("p_min = 1", "p_min", "tolp"),
+        ("q_min = 0.5", "q_min", "tolq"),
+        ("tolp = 1e-300", "p_min", "tolp"),
+    ])
+    def test_bounds_over_budget_fail_at_load(self, tmp_path, line, low,
+                                             budget):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n1 = 12\nn2 = 12\n{line}\nclass_pairs = 0:1\n")
+        with pytest.raises(ValueError) as err:
+            pipeline.load_config(cfg_file)
+        msg = str(err.value)
+        assert msg.startswith(f"{cfg_file}: {low} * n1 * n2 = ")
+        assert f"exceeds {budget} = " in msg
+        key = line.split("=")[0].strip()
+        assert f"{key} on line 3" in msg
+        assert "n1 on line 1, n2 on line 2" in msg
+
+    @pytest.mark.parametrize("text", [
+        "class_pairs = 0:1\n", "n1 = 12\nn2 = 12\nclass_pairs = 0:1\n"])
+    def test_default_budgets_load(self, tmp_path, text):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        pipeline.load_config(cfg_file)
 
     def test_mirrored_pairs_are_two_forests(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -1042,3 +1071,18 @@ class TestCli:
                        "--out", str(out), "--split", "test"])
         assert rc == 0
         assert "test accuracy" in capsys.readouterr().out
+
+
+def test_import_path_loads_no_scipy_sparse():
+    # scipy.sparse serves only the test oracles; this process has already
+    # imported it through them, so the check runs in a fresh interpreter.
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; import meip, meip.cli, meip.pipeline; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
