@@ -3,9 +3,10 @@
 Images are stored row-major in the IDX files; internally every image is a
 (n1, n2) uint8 array of (row, column) pixels.  Preprocessing aligns the
 intensity centroid to the grid center by an integer pixel shift, scales to
-[0, 1], and normalizes each sample, producing a per-element grayscale
-vector in column-major pixel order (matching the mesh's column-priority
-element numbering).  A whole stack is preprocessed in one pass.
+[0, 1], and scales each sample to unit l2 norm, producing a per-element
+grayscale vector in column-major pixel order (matching the mesh's
+column-priority element numbering).  A whole stack is preprocessed in one
+pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "load_idx_labels",
     "write_idx_images",
     "write_idx_labels",
-    "NORMS",
     "preprocess",
     "Dataset",
 ]
@@ -30,8 +30,6 @@ __all__ = [
 MAGIC_IMAGES = 2051
 MAGIC_LABELS = 2049
 _KINDS = {MAGIC_IMAGES: "image", MAGIC_LABELS: "label"}
-
-NORMS = ("l2", "l1", "max", "none")
 
 
 class IdxFormatError(ValueError):
@@ -122,12 +120,9 @@ def _centroid_shifts(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.floor((n2 - 1) / 2.0 - c_sum / total + 0.5).astype(np.int64))
 
 
-def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
-    """Centroid-align, scale to [0, 1] and normalize a (count, n1, n2)
-    stack; returns the (count, n1*n2) grayscale matrix, column-major per
-    image (see ``preprocess``)."""
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+def _preprocess_stack(images: np.ndarray) -> np.ndarray:
+    """``preprocess`` of every image of a (count, n1, n2) stack, as the
+    rows of a (count, n1*n2) grayscale matrix."""
     n, n1, n2 = images.shape
     dr, dc = _centroid_shifts(images)
     # One slice assignment per distinct shift into a (column, row) stack;
@@ -146,26 +141,18 @@ def _preprocess_stack(images: np.ndarray, norm: str) -> np.ndarray:
     # Bit for bit as one image at a time: l2 is the per-row BLAS dot that
     # np.linalg.norm takes (a row-wise einsum rounds differently).  Pixels
     # are >= 0 and an aligned image keeps a nonzero one: no scale is 0.
-    if norm == "l2":
-        gray /= np.sqrt(np.matmul(gray[:, None, :], gray[:, :, None]))[:, 0]
-    elif norm == "l1":
-        gray /= gray.sum(axis=1)[:, None]
-    elif norm == "max":
-        gray /= gray.max(axis=1)[:, None]
+    gray /= np.sqrt(np.matmul(gray[:, None, :], gray[:, :, None]))[:, 0]
     return gray
 
 
-def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """Centroid-align, scale to [0, 1], and normalize one image.
-
-    Returns the grayscale vector of length n1*n2 in column-major pixel
-    order.  ``norm`` selects the final scaling: "l2" (unit Euclidean norm,
-    default), "l1", "max", or "none".
-    """
+def preprocess(pixels: np.ndarray) -> np.ndarray:
+    """Centroid-align one image, scale it to [0, 1] and then to unit l2
+    norm; returns its grayscale vector of length n1*n2 in column-major
+    pixel order."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ValueError("expected a 2-D pixel grid")
-    return _preprocess_stack(pixels[None], norm)[0]
+    return _preprocess_stack(pixels[None])[0]
 
 
 class Dataset:
@@ -186,6 +173,5 @@ class Dataset:
         return self.gray.shape[0]
 
     @classmethod
-    def from_arrays(cls, images: np.ndarray, labels: np.ndarray,
-                    norm: str = "l2") -> "Dataset":
-        return cls(_preprocess_stack(images, norm), labels)
+    def from_arrays(cls, images: np.ndarray, labels: np.ndarray) -> "Dataset":
+        return cls(_preprocess_stack(images), labels)

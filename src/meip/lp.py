@@ -9,9 +9,9 @@ The problem has a fixed tiny row structure:
 
 The two blocks share no row, so the LP is two continuous knapsacks
 (Dantzig 1957), each solved by sort-and-fill: every variable starts at its
-lower bound and the budget goes out in ascending order of c.  Both blocks
-are filled in one pass over shared buffers.  Sorting is stable, so equal
-costs fill lowest index first and the solver is deterministic.
+lower bound and the budget goes out in ascending order of c.  Sorting is
+stable, so equal costs fill lowest index first and the solver is
+deterministic.
 
 The linearized mutual-energy constraint G = u'Kv <= 0 of the paper's
 model is not a row here: the optimizer reports G but does not enforce it
@@ -55,6 +55,21 @@ class LpSolution:
     slack_used: float = 0.0   # no row can be violated: always 0
 
 
+def _fill(c: np.ndarray, lower: np.ndarray, upper: float,
+          budget: float) -> np.ndarray:
+    """One block's continuous knapsack: raise each entry from ``lower``
+    toward ``upper`` in ascending order of ``c`` until ``budget`` is out."""
+    order = c.argsort(kind="stable")
+    lo = lower[order]
+    cap = upper - lo
+    before = np.zeros_like(cap)   # budget already placed before each entry
+    cap[:-1].cumsum(out=before[1:])
+    take = np.minimum(np.maximum(budget - before, 0.0), cap)
+    x = np.empty_like(lower)
+    x[order] = np.where(take >= cap, upper, lo + take)
+    return x
+
+
 def solve_move_limit_lp(problem: MoveLimitLp) -> LpSolution:
     """Solve the move-limit LP; deterministic for identical inputs."""
     ne_p = problem.c_p.size
@@ -62,8 +77,7 @@ def solve_move_limit_lp(problem: MoveLimitLp) -> LpSolution:
     lower = np.concatenate([problem.lower_p, problem.lower_q],
                            dtype=np.float64)
     scalars = (problem.tolx_p, problem.tolx_q, problem.upper)
-    if not (np.isfinite(c).all() and np.isfinite(lower).all()
-            and np.isfinite(scalars).all()):
+    if not all(np.isfinite(v).all() for v in (c, lower, scalars)):
         raise ValueError("move-limit LP has non-finite coefficients or bounds")
     upper = float(problem.upper)
     if (lower > upper + 1e-15).any():
@@ -71,29 +85,15 @@ def solve_move_limit_lp(problem: MoveLimitLp) -> LpSolution:
 
     art_tol = 1e-9 * max(1.0, abs(problem.tolx_p), abs(problem.tolx_q))
     blocks = (slice(0, ne_p), slice(ne_p, c.size))
-    budgets = []
+    x = []
     for name, blk, tolx in zip("pq", blocks, scalars[:2]):
         budget = float(tolx - lower[blk].sum())
         resid = max(-budget, budget - (upper - lower[blk]).sum(), 0.0)
         if resid > art_tol:
             raise LpInfeasibleError(f"{name} budget row unsatisfiable within "
                                     f"boxes (residual {resid:.3e})")
-        budgets.append(budget)
+        x.append(_fill(c[blk], lower[blk], upper, budget))
 
-    # Raise each block from ``lower`` in ascending order of c.
-    order = np.empty(c.size, dtype=np.intp)
-    order[:ne_p] = c[:ne_p].argsort(kind="stable")
-    order[ne_p:] = c[ne_p:].argsort(kind="stable") + ne_p
-    lo = lower[order]
-    cap = upper - lo
-    before = np.zeros(c.size)
-    for blk in blocks:   # budget already placed before each entry
-        cap[blk][:-1].cumsum(out=before[blk][1:])
-    take = np.minimum(np.maximum(
-        np.repeat(budgets, (ne_p, c.size - ne_p)) - before, 0.0), cap)
-    x = np.empty_like(lower)
-    x[order] = np.where(take >= cap, upper, lo + take)
-
-    x_p, x_q = x[:ne_p], x[ne_p:]
+    x_p, x_q = x
     return LpSolution(x_p=x_p, x_q=x_q,
                       objective=float(problem.c_p @ x_p + problem.c_q @ x_q))

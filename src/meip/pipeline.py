@@ -27,7 +27,7 @@ from typing import get_type_hints
 import numpy as np
 
 from meip import classifier, fem, forest
-from meip.dataset import (NORMS, BlankImageError, Dataset, load_idx_images,
+from meip.dataset import (BlankImageError, Dataset, load_idx_images,
                           load_idx_labels)
 from meip.optimizer import OptimizerConfig
 
@@ -90,7 +90,6 @@ class PipelineConfig:
     test_images: str = ""
     test_labels: str = ""
     out_dir: str = "out"
-    norm: str = "l2"
     base_dir: Path = field(default_factory=Path)
 
     def optimizer_config(self, ref_kind: str) -> OptimizerConfig:
@@ -150,8 +149,6 @@ class PipelineConfig:
             raise ValueError("must not be negative")
         if attr == "ridge" and not 0 <= value < np.inf:
             raise ValueError("must be finite and not negative")
-        if attr == "norm" and value not in NORMS:
-            raise ValueError(f"must be one of {NORMS}")
         if attr in ("class_pairs", "one_vs_rest") and value:
             PipelineConfig(**{attr: value}).classes()
         if attr == "ref_kind" and not self.ref_kinds():
@@ -193,7 +190,9 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     cfg = PipelineConfig(base_dir=path.parent)
     first_line = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    with _text_file(path) as f:
+        text = f.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -285,10 +284,20 @@ class _Reader:
 
 
 @contextmanager
+def _text_file(path):
+    """``open(path)``, where a byte that is not UTF-8 names the file."""
+    try:
+        with open(path) as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
 def _reading(path, magic: str, kind: str, sep: str | None = None):
     """Yield a reader past the magic line, whose rest (a CSV's header
     fields) is ``reader.header``; nothing may follow the rows read."""
-    with open(path) as f:
+    with _text_file(path) as f:
         found, _, header = f.readline().strip().partition(sep or "\n")
         r = _Reader(f, path, sep, header)
         if found != magic:
@@ -526,15 +535,20 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
         raise ValueError(f"{img_path} holds {len(images)} images but "
                          f"{lbl_path} holds {len(labels)} labels")
     digits = cfg.classes()
-    missing = [d for d in digits if not np.any(labels == d)]
+    counts = [np.count_nonzero(labels == d) for d in digits]
+    missing = [d for d, n in zip(digits, counts) if n == 0]
     # training needs every configured digit, an eval split at least one
     if missing and (split == "train" or missing == digits):
         raise ValueError(f"{lbl_path}: no "
                          f"{'training' if split == 'train' else split} "
                          f"images of configured digit(s) {missing}")
+    single = [d for d, n in zip(digits, counts) if n == 1]
+    if single and split == "train":
+        raise ValueError(f"{lbl_path}: only 1 training image of configured "
+                         f"digit(s) {single}; a class covariance needs 2")
     keep = np.isin(labels, digits)
     try:
-        return Dataset.from_arrays(images[keep], labels[keep], norm=cfg.norm)
+        return Dataset.from_arrays(images[keep], labels[keep])
     except BlankImageError:  # name the first one as the file counts it
         blank = np.flatnonzero(keep & ~images.any(axis=(1, 2)))[0]
         raise BlankImageError(f"{img_path}: image {blank} is blank") from None
@@ -670,16 +684,19 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
         raise ValueError(f"{model_path}: model has {len(model)} classes, "
                          f"config says {len(cfg.classes())}")
     echo = dict(echo)
+    # older versions echo the image scaling, which was a setting
+    if echo.get("norm", "l2") != "l2":
+        raise ValueError(f"{model_path}: model was trained with norm "
+                         f"{echo['norm']}; images are scaled to unit l2 norm")
     trained = PipelineConfig(**{k: echo.get(k, "") for k in
-                                ("class_pairs", "one_vs_rest", "norm")})
+                                ("class_pairs", "one_vs_rest")})
     try:
         digits = trained.classes()
     except ValueError as exc:
         raise ValueError(f"{model_path}: config echo: {exc}") from None
-    if (digits, trained.norm) != (cfg.classes(), cfg.norm):
-        raise ValueError(
-            f"{model_path}: model was trained on classes {digits} (norm "
-            f"{trained.norm}), config says {cfg.classes()} (norm {cfg.norm})")
+    if digits != cfg.classes():
+        raise ValueError(f"{model_path}: model was trained on classes "
+                         f"{digits}, config says {cfg.classes()}")
     bundle_path = Path(model_path).parent / bundle_ref
     bundle = _load_bundle(cfg, bundle_path)
     if len(model[0].mean) != bundle.n_axes:
@@ -720,7 +737,7 @@ def cmd_inspect(path, out_dir) -> list[Path]:
     path = Path(path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(path) as f:
+    with _text_file(path) as f:
         header = f.readline().strip()
     written: list[Path] = []
 

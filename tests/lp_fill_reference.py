@@ -1,9 +1,9 @@
 """Reference for the move-limit LP solver: one sort-and-fill per budget block.
 
-This is the per-block form of ``meip.lp.solve_move_limit_lp``, before both
-budget blocks were filled in one pass over shared buffers.  The one-pass
-solver must agree with it bit for bit (same stable order, same per-block
-cumsum, same clip), so it serves as a differential oracle.
+This is a separately written form of ``meip.lp.solve_move_limit_lp``, which
+also fills each budget block once.  The solver must agree with it bit for
+bit (same stable order, same per-block cumsum, same clip), so it serves as
+a differential oracle.
 ``certificate`` is the dual certificate of a solution, rebuilt here from
 the problem and the solution x.
 """

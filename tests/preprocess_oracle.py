@@ -3,14 +3,14 @@
 This is the per-image code that ``meip.dataset`` replaced with one pass
 over a whole stack of images.  It is kept only as a differential oracle
 for the tests: the batched routine must reproduce it bit for bit on
-integer pixels, for every norm, and reject the same blank images.
+integer pixels and reject the same blank images.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from meip.dataset import NORMS, BlankImageError
+from meip.dataset import BlankImageError
 
 
 def _round_half_up(x: float) -> int:
@@ -49,12 +49,12 @@ def _shift_image(pixels: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """Centroid-align, scale to [0, 1], and normalize one image.
+def preprocess(pixels: np.ndarray) -> np.ndarray:
+    """Centroid-align, scale to [0, 1], and scale one image to unit
+    Euclidean norm.
 
     Returns the grayscale vector of length n1*n2 in column-major pixel
-    order.  ``norm`` selects the final scaling: "l2" (unit Euclidean norm,
-    default), "l1", "max", or "none".
+    order.
     """
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
@@ -62,16 +62,7 @@ def preprocess(pixels: np.ndarray, norm: str = "l2") -> np.ndarray:
     dr, dc = centroid_shift(pixels)
     shifted = _shift_image(pixels.astype(np.float64), dr, dc)
     gray = shifted.ravel(order="F") / 255.0
-    if norm == "l2":
-        scale = np.linalg.norm(gray)
-    elif norm == "l1":
-        scale = np.abs(gray).sum()
-    elif norm == "max":
-        scale = gray.max()
-    elif norm == "none":
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    scale = np.linalg.norm(gray)
     if scale <= 0:
         raise BlankImageError("blank image after centroid alignment")
     return gray / scale

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from meip.dataset import (NORMS, BlankImageError, Dataset, IdxFormatError,
+from meip.dataset import (BlankImageError, Dataset, IdxFormatError,
                           _centroid_shifts, load_idx_images, load_idx_labels,
                           preprocess, write_idx_images, write_idx_labels)
 import preprocess_oracle as oracle
@@ -199,16 +199,6 @@ class TestPreprocess:
         with pytest.raises(BlankImageError, match="blank image"):
             preprocess(np.zeros((28, 28)))
 
-    def test_norm_variants(self):
-        img = np.zeros((8, 8))
-        img[3:5, 3:5] = 100
-        assert np.abs(preprocess(img, norm="l1")).sum() == pytest.approx(1.0)
-        assert preprocess(img, norm="max").max() == pytest.approx(1.0)
-        un = preprocess(img, norm="none")
-        assert un.max() == pytest.approx(100 / 255)
-        with pytest.raises(ValueError, match="unknown norm"):
-            preprocess(img, norm="l3")
-
     def test_dropped_pixels_vanish(self):
         # mass near one corner plus a far outlier: the shift pushes the
         # outlier off the grid and the result only keeps surviving pixels
@@ -297,12 +287,10 @@ class TestBatchedPreprocess:
         for name, stack in _stacks(rng):
             stack = stack.astype(np.uint8)
             labels = np.zeros(len(stack), dtype=np.int64)
-            for norm in NORMS:
-                got = Dataset.from_arrays(stack, labels, norm).gray
-                want = np.array([oracle.preprocess(img, norm)
-                                 for img in stack])
-                assert np.array_equal(got, want), (name, norm)
-                assert np.array_equal(got[0], preprocess(stack[0], norm))
+            got = Dataset.from_arrays(stack, labels).gray
+            want = np.array([oracle.preprocess(img) for img in stack])
+            assert np.array_equal(got, want), name
+            assert np.array_equal(got[0], preprocess(stack[0]))
             for img in stack:
                 assert centroid_shift_of(img) == oracle.centroid_shift(img)
 
@@ -319,11 +307,10 @@ class TestBatchedPreprocess:
         stack[[13, 17]] = 0
         with pytest.raises(BlankImageError, match="^blank image 13: "):
             Dataset.from_arrays(stack, np.zeros(20, dtype=np.int64))
-        for norm in NORMS:
-            with pytest.raises(BlankImageError):
-                oracle.preprocess(stack[13], norm)
-            with pytest.raises(BlankImageError):
-                preprocess(stack[13], norm)
+        with pytest.raises(BlankImageError):
+            oracle.preprocess(stack[13])
+        with pytest.raises(BlankImageError):
+            preprocess(stack[13])
 
     # Smallest square side whose largest moment bound 255*n*n*n reaches
     # 2**24: single-precision sums of such a stack could round.
@@ -348,11 +335,9 @@ class TestBatchedPreprocess:
         for side, dtype in cases:
             for stack in self._bright_stacks(side, dtype):
                 labels = np.zeros(len(stack), dtype=np.int64)
-                for norm in NORMS:
-                    got = Dataset.from_arrays(stack, labels, norm).gray
-                    want = np.array([oracle.preprocess(img, norm)
-                                     for img in stack])
-                    assert np.array_equal(got, want), (side, dtype, norm)
+                got = Dataset.from_arrays(stack, labels).gray
+                want = np.array([oracle.preprocess(img) for img in stack])
+                assert np.array_equal(got, want), (side, dtype)
 
     def test_random_stacks_past_float32_bound_match_oracle(self):
         rng = np.random.default_rng(20)

@@ -55,6 +55,15 @@ class TestConfig:
                 f"{cfg_file}:2: unknown config key 'seed'")):
             pipeline.load_config(cfg_file)
 
+    @pytest.mark.parametrize("line", ["norm = l2", "norm = l7"])
+    def test_norm_is_not_a_key(self, tmp_path, line):
+        # every image is scaled to unit l2 norm; there is no setting
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"class_pairs = 0:1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg_file}:2: unknown config key 'norm'")):
+            pipeline.load_config(cfg_file)
+
     def test_requires_exactly_one_task_key(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("n_axes = 1\n")
@@ -83,7 +92,7 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "svd_k = -2", "n_axes = 0", "lambda = 7", "lambda = abc",
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
-        "norm = l7", "class_pairs = 3", "class_pairs = 3:3",
+        "class_pairs = 3", "class_pairs = 3:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
         "class_pairs = 2:256", "sigma0 = inf", "tolp = inf", "tolp = nan",
         "dx_max = inf", "ridge = nan", "ridge = -5", "max_iters = -1",
@@ -165,6 +174,17 @@ class TestConfig:
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in echo))
         assert pipeline.load_config(cfg_file) == cfg
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("\n# mesh", 1)[1].split("```")[0]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(block.split("\n", 1)[1])
+        cfg = pipeline.load_config(cfg_file)
+        paths = {k: getattr(cfg, k) for k in ("train_images", "train_labels",
+                                              "test_images", "test_labels")}
+        assert cfg == pipeline.PipelineConfig(class_pairs="0:1",
+                                              base_dir=tmp_path, **paths)
 
 
 class TestAxisBundleFormat:
@@ -902,30 +922,46 @@ class TestCommands:
             pipeline.cmd_eval(cfg, model_path,
                               pipeline.load_split(cfg, "test"), "test", out)
 
-    @pytest.mark.parametrize("old, new, message", [
-        # same digits, swapped order: every class index would swap
-        ("class_pairs = 3:7", "class_pairs = 7:3",
-         "model was trained on classes [3, 7] (norm l2), config says "
-         "[7, 3] (norm l2)"),
-        ("out_dir = out", "out_dir = out\nnorm = max",
-         "model was trained on classes [3, 7] (norm l2), config says "
-         "[3, 7] (norm max)"),
-    ], ids=["digit_order", "norm"])
-    def test_model_echo_checked_against_config(self, bars_workspace, old,
-                                               new, message):
+    @staticmethod
+    def _echo_model(bars_workspace, echo: dict):
+        """Run the bars pipeline, then rewrite its model with ``echo``
+        merged into the config echo; returns (config, out dir)."""
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
         pipeline.cmd_pipeline(cfg, out)
+        model, bundle_ref, items = pipeline.load_model(out / "model.txt")
+        pipeline.save_model(out / "model.txt", model, bundle_ref,
+                            sorted({**dict(items), **echo}.items()))
+        return cfg, out
+
+    @pytest.mark.parametrize("echo, message", [
+        # same digits, swapped order: every class index would swap
+        ({"class_pairs": "7:3"},
+         "model was trained on classes [7, 3], config says [3, 7]"),
+        # a model file from a version where the scaling was a setting
+        ({"norm": "max"}, "model was trained with norm max; images are "
+         "scaled to unit l2 norm"),
+    ], ids=["digit_order", "norm"])
+    def test_model_echo_checked_against_config(self, bars_workspace, echo,
+                                               message):
+        cfg, out = self._echo_model(bars_workspace, echo)
         scored = (out / "confusion_test.csv").read_bytes()
-        (bars_workspace / "other.cfg").write_text(
-            (bars_workspace / "run.cfg").read_text().replace(old, new))
-        other = pipeline.load_config(bars_workspace / "other.cfg")
         with pytest.raises(ValueError, match=re.escape(
                 f"{out / 'model.txt'}: {message}")):
-            pipeline.cmd_eval(other, out / "model.txt",
-                              pipeline.load_split(other, "test"), "test", out)
+            pipeline.cmd_eval(cfg, out / "model.txt",
+                              pipeline.load_split(cfg, "test"), "test", out)
         # rejected before scoring: the earlier confusion CSV is untouched
         assert (out / "confusion_test.csv").read_bytes() == scored
+
+    def test_model_echo_of_norm_l2_still_scores(self, bars_workspace):
+        # older versions echo norm = l2, the one scaling there is now
+        cfg, out = self._echo_model(bars_workspace, {"norm": "l2"})
+        scored = {name: (out / name).read_bytes() for name in
+                  ("confusion_test.csv", "predictions_test.csv")}
+        pipeline.cmd_eval(cfg, out / "model.txt",
+                          pipeline.load_split(cfg, "test"), "test", out)
+        for name, data in scored.items():
+            assert (out / name).read_bytes() == data, name
 
     def test_mesh_dimension_mismatch(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()
@@ -947,6 +983,22 @@ class TestCommands:
                 "config says 6x6")):
             pipeline.cmd_pipeline(cfg, out)
         assert not (out / "axes.txt").exists()
+
+    def test_single_training_image_fails_before_forests(self,
+                                                        bars_workspace):
+        for split in ("train", "test"):  # one image of digit 7 is left
+            labels = load_idx_labels(bars_workspace / f"{split}-lab.idx")
+            labels[np.flatnonzero(labels == 7)[1:]] = 5
+            write_idx_labels(bars_workspace / f"{split}-lab.idx", labels)
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bars_workspace / 'train-lab.idx'}: only 1 training image "
+                "of configured digit(s) [7]; a class covariance needs 2")):
+            pipeline.cmd_pipeline(cfg, out)
+        assert not (out / "axes.txt").exists()
+        # an eval split may hold a single image of a digit
+        assert sorted(pipeline.load_split(cfg, "test").labels)[-2:] == [3, 7]
 
     def test_unusable_test_split_fails_before_forests(self, bars_workspace):
         labels_path = bars_workspace / "test-lab.idx"
@@ -1061,6 +1113,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"[inspect] error: {path}:2: expected at least 1 axis, got 0\n")
+
+    @pytest.mark.parametrize("stage", ["config", "model", "inspect"])
+    def test_input_that_is_not_utf8_names_the_file(self, bars_workspace,
+                                                   capsys, stage):
+        idx = bars_workspace / "train-img.idx"
+        cfg = str(bars_workspace / "run.cfg")
+        argv = {"config": ["pipeline", "--config", str(idx)],
+                "model": ["eval", "--config", cfg, "--model", str(idx)],
+                "inspect": ["inspect", str(idx), "--out",
+                            str(bars_workspace / "viz")]}[stage]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"[{argv[0]}] error: {idx}: not UTF-8 text (")
 
     def test_eval_via_cli(self, bars_workspace, capsys):
         out = bars_workspace / "out"

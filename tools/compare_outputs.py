@@ -13,7 +13,8 @@ pipeline``, or for ``classify_bulk`` ``train --bundle`` then ``eval
 output file but ``timing.txt`` must be byte-identical; for a JSON file
 that differs, the top-level keys that differ are printed (for a list of
 records such as ``axes_provenance.json``, the differing records with
-their keys, and the two lengths if they differ), and for a report also
+their keys, and the two lengths if they differ), for any other file the
+first differing line of both sides, truncated, and for a report also
 both sides' test accuracy.  The last line counts the datasets
 whose test accuracy is better, worse and equal in the working tree, with
 the mean change.  Exits 1 on any difference.
@@ -22,6 +23,7 @@ the mean change.  Exits 1 on any difference.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -93,6 +95,23 @@ def json_key_diff(a: bytes, b: bytes) -> str:
     return "; ".join(parts)
 
 
+def line_diff(a: bytes, b: bytes, width: int = 60) -> str:
+    """The first line, with its ending, where two differing files differ;
+    each side is shown up to ``width`` characters."""
+    pairs = itertools.zip_longest(a.splitlines(keepends=True),
+                                  b.splitlines(keepends=True))
+    lineno, (x, y) = next((i, p) for i, p in enumerate(pairs, start=1)
+                          if p[0] != p[1])
+
+    def show(line: bytes | None) -> str:
+        if line is None:
+            return "end of file"
+        text = line.decode(errors="replace")
+        return repr(text[:width]) + ("..." if len(text) > width else "")
+
+    return f"line {lineno}: {show(x)} (base), {show(y)} (working tree)"
+
+
 def report_of(out: Path) -> Path:
     """``report.json`` of a pipeline, else ``report_test.json`` of an eval."""
     path = out / "report.json"
@@ -117,7 +136,8 @@ def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
             continue
         x, y = a.read_bytes(), b.read_bytes()
         if x != y:
-            detail = f": {json_key_diff(x, y)}" if rel.suffix == ".json" else ""
+            detail = ": " + (json_key_diff(x, y) if rel.suffix == ".json"
+                             else line_diff(x, y))
             if base / rel == report_of(base):
                 detail += (f"; test accuracy {accuracy_of(base):.4f} "
                            f"(base), {accuracy_of(head):.4f} "
