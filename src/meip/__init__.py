@@ -6,19 +6,9 @@ coordinate, grows a forest of such axes over recursively split training
 subsets, and classifies feature vectors with per-class Gaussians.
 """
 
-from meip.fem import (
-    GridMesh,
-    DesignField,
-    StiffnessOperator,
-    build_mesh,
-    assemble_stiffness,
-    grayscale_to_force,
-    mutual_energy,
-)
-from meip.dataset import Dataset, load_idx_images, load_idx_labels, preprocess
-from meip.lp import MoveLimitLp, LpSolution, solve_move_limit_lp
-from meip.optimizer import OptimizerConfig, AxisResult, optimize
-from meip.forest import AxisBundle, generate_axes, orthonormalize
-from meip.classifier import ClassGaussian, ConfusionMatrix, fit, predict_batch
+# Names are imported from the submodules, not from here.  The package still
+# loads them, in this order: loading none moved the benchmark process's heap
+# layout, and its peak resident set rose by up to 11% on classify_bulk.
+from meip import fem, dataset, lp, optimizer, forest, classifier  # noqa: F401
 
 __version__ = "0.1.0"

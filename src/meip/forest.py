@@ -1,13 +1,14 @@
 """Recursive axis generation over a pool of training subsets.
 
-The pool starts with the whole binary-labeled training set.  Each round
-picks the subset whose smaller class is largest, optimizes one axis on
-it, projects the subset onto the axis, splits it at the midpoint of the
-two class means, and returns both halves to the pool.  The first axis
-starts from a uniform design; every later one starts from the final
-design of the axis that split off its subset (continuation).  Axes
-accumulate until the requested count is reached or no subset holds both
-classes.
+The pool starts with the whole binary-labeled training set, and every
+entry keeps its sample indices split by class.  Each round picks the
+subset whose smaller class is largest, optimizes one axis on it, splits
+it at the midpoint of the two class means of the axis coordinates that
+the axis's final state already computed, and returns both halves to the
+pool.  The first axis starts from a uniform design; every later one
+starts from the final design of the axis that split off its subset
+(continuation).  Axes accumulate until the requested count is reached
+or no subset holds both classes.
 An axis bundle can afterwards be compressed to an orthonormal basis by
 singular value decomposition.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from meip import fem
-from meip.optimizer import OptimizerConfig, element_projection, optimize
+from meip.optimizer import OptimizerConfig, optimize
 
 __all__ = ["SubsetNode", "AxisBundle", "pick_subset", "split_subset",
            "generate_axes", "orthonormalize"]
@@ -30,24 +31,17 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SubsetNode:
-    """Sample indices of one pool entry plus its per-class counts.
+    """Ascending sample indices of each class of one pool entry.
 
     A subset split off by an axis carries that axis's index in the forest
     and its final design, the start of the next axis grown on the subset;
     the whole training set has neither.
     """
 
-    indices: np.ndarray
-    m0: int
-    m1: int
+    idx0: np.ndarray
+    idx1: np.ndarray
     parent: int | None = None
     start: fem.DesignField | None = None
-
-    @classmethod
-    def from_labels(cls, indices: np.ndarray, labels: np.ndarray) -> "SubsetNode":
-        sub = labels[indices]
-        return cls(indices=indices, m0=int((sub == 0).sum()),
-                   m1=int((sub == 1).sum()))
 
 
 @dataclass
@@ -72,37 +66,25 @@ class AxisBundle:
 
 
 def pick_subset(pool: list[SubsetNode]) -> int:
-    """Index of the subset maximizing min(m0, m1); lowest index on ties."""
+    """Index of the subset maximizing its smaller class; lowest on ties."""
     if not pool:
         raise ValueError("subset pool is empty")
-    best = 0
-    best_val = min(pool[0].m0, pool[0].m1)
-    for i in range(1, len(pool)):
-        val = min(pool[i].m0, pool[i].m1)
-        if val > best_val:
-            best, best_val = i, val
-    return best
+    return max(range(len(pool)),
+               key=lambda i: min(len(pool[i].idx0), len(pool[i].idx1)))
 
 
-def split_subset(node: SubsetNode, axis: np.ndarray, gray: np.ndarray,
-                 labels: np.ndarray,
-                 mesh: fem.GridMesh) -> tuple[SubsetNode, SubsetNode]:
-    """Split a subset at the midpoint of its per-class projection means.
+def split_subset(node: SubsetNode, z0: np.ndarray,
+                 z1: np.ndarray) -> tuple[SubsetNode, SubsetNode]:
+    """Split a subset at the midpoint of its per-class coordinate means.
 
-    Projections z are the axis dotted with each sample's force vector.
-    Samples with z <= threshold go left, z > threshold go right; one side
-    may come back empty when all projections coincide.
+    ``z0`` and ``z1`` are the axis coordinates of the rows of ``idx0`` and
+    ``idx1``.  Samples with z <= threshold go left, z > threshold go
+    right; one side may come back empty when all coordinates coincide.
     """
-    proj = element_projection(mesh, axis)
-    z = gray[node.indices] @ proj
-    y = labels[node.indices]
-    mu0 = z[y == 0].mean()
-    mu1 = z[y == 1].mean()
-    z_th = 0.5 * (mu0 + mu1)
-    left = node.indices[z <= z_th]
-    right = node.indices[z > z_th]
-    return (SubsetNode.from_labels(left, labels),
-            SubsetNode.from_labels(right, labels))
+    z_th = 0.5 * (z0.mean() + z1.mean())
+    left0, left1 = z0 <= z_th, z1 <= z_th
+    return (SubsetNode(node.idx0[left0], node.idx1[left1]),
+            SubsetNode(node.idx0[~left0], node.idx1[~left1]))
 
 
 def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
@@ -121,7 +103,8 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
     if (labels == 0).sum() == 0 or (labels == 1).sum() == 0:
         raise ValueError("training data must contain both classes")
 
-    pool = [SubsetNode.from_labels(np.arange(gray.shape[0]), labels)]
+    pool = [SubsetNode(np.flatnonzero(labels == 0),
+                       np.flatnonzero(labels == 1))]
     axes = []
     provenance = []
     fields = []
@@ -130,25 +113,24 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
     while len(axes) < n_axes:
         k = pick_subset(pool)
         node = pool[k]
-        if min(node.m0, node.m1) == 0:
+        m0, m1 = len(node.idx0), len(node.idx1)
+        if min(m0, m1) == 0:
             exhausted = True
             log.warning("axis pool exhausted after %d of %d axes",
                         len(axes), n_axes)
             break
         pool.pop(k)
 
-        idx = node.indices
-        y = labels[idx]
-        gray1, gray0 = gray[idx[y == 1]], gray[idx[y == 0]]
         try:
-            result = optimize(gray1, gray0, mesh, cfg, start=node.start)
+            result = optimize(gray[node.idx1], gray[node.idx0], mesh, cfg,
+                              start=node.start)
         except Exception as exc:
             raise RuntimeError(
                 f"axis {len(axes) + 1} of {n_axes} failed on a "
-                f"({node.m0}, {node.m1}) subset: {exc}") from exc
+                f"({m0}, {m1}) subset: {exc}") from exc
         axes.append(result.alpha)
         provenance.append({
-            "m0": node.m0, "m1": node.m1,
+            "m0": m0, "m1": m1,
             "iterations": result.iterations,
             "converged_by": result.converged_by,
             "j_final": result.j_history[-1],
@@ -161,12 +143,11 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
                        "p": result.design.p.copy(),
                        "q": result.design.q.copy()})
         log.info("axis %d/%d: subset (%d, %d), %d iterations, %s",
-                 len(axes), n_axes, node.m0, node.m1, result.iterations,
+                 len(axes), n_axes, m0, m1, result.iterations,
                  result.converged_by)
 
-        left, right = split_subset(node, result.alpha, gray, labels, mesh)
-        for child in (left, right):
-            if child.indices.size:
+        for child in split_subset(node, result.z0, result.z1):
+            if child.idx0.size or child.idx1.size:
                 child.parent, child.start = len(axes) - 1, result.design
                 pool.append(child)
 

@@ -109,6 +109,8 @@ class OptimizerState:
     f: np.ndarray
     g: np.ndarray
     h: np.ndarray
+    z1: np.ndarray
+    z0: np.ndarray
     mu1: float
     mu0: float
     s1_mask: np.ndarray
@@ -125,6 +127,8 @@ class AxisResult:
     design: fem.DesignField
     f: np.ndarray          # class-mean node forces the axis was fitted to
     g: np.ndarray
+    z1: np.ndarray         # coordinates of the class rows at the final design
+    z0: np.ndarray
     j_history: list
     iterations: int
     converged_by: str      # "eps_J" | "eps_x" | "max_iters"
@@ -190,7 +194,8 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
     g0 = float(u @ op.matvec(v))
 
     return OptimizerState(design=design, op=op, u=u, v=v, w=w, c=c,
-                          alpha=alpha, f=f, g=g, h=h, mu1=mu1, mu0=mu0,
+                          alpha=alpha, f=f, g=g, h=h, z1=z1, z0=z0,
+                          mu1=mu1, mu0=mu0,
                           s1_mask=s1_mask, s0_mask=s0_mask, j0=j0, g0=g0)
 
 
@@ -294,6 +299,6 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
 
     cfg.check_design(state.design)
     return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,
-                      j_history=j_history, iterations=accepted,
-                      converged_by=converged_by, state_evals=evals,
-                      g_final=state.g0)
+                      z1=state.z1, z0=state.z0, j_history=j_history,
+                      iterations=accepted, converged_by=converged_by,
+                      state_evals=evals, g_final=state.g0)

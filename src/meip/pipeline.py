@@ -733,39 +733,43 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
 
 
 def cmd_inspect(path, out_dir) -> list[Path]:
-    """Render a stored artifact to PGM rasters and raw-value CSVs."""
+    """Render a stored artifact to PGM rasters and raw-value CSVs.
+
+    The artifact is read in full before ``out_dir`` is created, so one
+    that fails to load leaves no directory behind."""
     path = Path(path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _text_file(path) as f:
         header = f.readline().strip()
-    written: list[Path] = []
+    grids = []   # (stem, grid, also as a raster)
+    if header == AXES_MAGIC:
+        bundle = load_axes(path)
+        for m, axis in enumerate(bundle.axes):
+            grids.append((f"axis_{m}", node_grid(axis, bundle.n1, bundle.n2),
+                          True))
+    elif header == FIELDS_MAGIC:
+        n1, n2, records = load_fields(path)
+        for i, rec in enumerate(records):
+            grids += [(f"axis_{i}_{k}", node_grid(rec[k], n1, n2), True)
+                      for k in "fg"]
+            grids += [(f"axis_{i}_{k}", element_grid(rec[k], n1, n2), True)
+                      for k in "pq"]
+    elif header == MODEL_MAGIC:
+        model, _, _ = load_model(path)
+        for j, g in enumerate(model):
+            grids += [(f"class_{j}_mean", g.mean[None, :], False),
+                      (f"class_{j}_cov", g.cov, False)]
+    else:
+        raise ValueError(f"{path}:1: unrecognized artifact header {header!r}")
 
-    def emit(stem: str, grid: np.ndarray, raster: bool = True):
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for stem, grid, raster in grids:
         if raster:
             write_pgm(out / f"{stem}.pgm", grid)
             written.append(out / f"{stem}.pgm")
         write_field_csv(out / f"{stem}.csv", stem, grid)
         written.append(out / f"{stem}.csv")
-
-    if header == AXES_MAGIC:
-        bundle = load_axes(path)
-        for m, axis in enumerate(bundle.axes):
-            emit(f"axis_{m}", node_grid(axis, bundle.n1, bundle.n2))
-    elif header == FIELDS_MAGIC:
-        n1, n2, records = load_fields(path)
-        for i, rec in enumerate(records):
-            emit(f"axis_{i}_f", node_grid(rec["f"], n1, n2))
-            emit(f"axis_{i}_g", node_grid(rec["g"], n1, n2))
-            emit(f"axis_{i}_p", element_grid(rec["p"], n1, n2))
-            emit(f"axis_{i}_q", element_grid(rec["q"], n1, n2))
-    elif header == MODEL_MAGIC:
-        model, _, _ = load_model(path)
-        for j, g in enumerate(model):
-            emit(f"class_{j}_mean", g.mean[None, :], raster=False)
-            emit(f"class_{j}_cov", g.cov, raster=False)
-    else:
-        raise ValueError(f"{path}:1: unrecognized artifact header {header!r}")
     return written
 
 

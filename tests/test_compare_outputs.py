@@ -1,5 +1,6 @@
 """The difference report of tools/compare_outputs.py: the keys of JSON
-outputs, and the first differing line of any other file."""
+outputs, and the first differing line of any other file with the number
+of lines only in each side."""
 
 import json
 import subprocess
@@ -28,16 +29,24 @@ CASES = {
 }
 
 MODEL = "MEIP-MODEL 1\nbundle axes.txt\nconfig 22\nlambda = 0.3\n"
+ONE_EACH = "; 1 line only in the base, 1 only in the working tree"
+
 LINE_CASES = {
     "config_block": (MODEL, MODEL.replace("config 22", "config 21"),
                      r"line 3: 'config 22\n' (base), 'config 21\n' "
-                     "(working tree)"),
+                     "(working tree)" + ONE_EACH),
     "truncated": ("a\n" + "1.5 " * 40, "a\n" + "1.5 " * 39 + "2.5 ",
                   "line 2: '" + "1.5 " * 15 + "'... (base), '" + "1.5 " * 15
-                  + "'... (working tree)"),
+                  + "'... (working tree)" + ONE_EACH),
     "end_of_file": ("a\n", "a\nb\n", r"line 2: end of file (base), 'b\n' "
-                    "(working tree)"),
-    "line_ending": ("a\n", "a", r"line 1: 'a\n' (base), 'a' (working tree)"),
+                    "(working tree); 0 lines only in the base, 1 only in the "
+                    "working tree"),
+    "line_ending": ("a\n", "a", r"line 1: 'a\n' (base), 'a' (working tree)"
+                    + ONE_EACH),
+    "deleted_line": (MODEL, MODEL.replace("bundle axes.txt\n", ""),
+                     r"line 2: 'bundle axes.txt\n' (base), 'config 22\n' "
+                     "(working tree); 1 line only in the base, 0 only in the "
+                     "working tree"),
 }
 
 # compare_outputs imports bench/run.py, which must pin the BLAS threads

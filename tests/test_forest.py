@@ -13,23 +13,44 @@ from conftest import blob_grays
 
 
 def make_node(indices, labels):
-    return SubsetNode.from_labels(np.asarray(indices), np.asarray(labels))
+    indices, labels = np.asarray(indices), np.asarray(labels)
+    return SubsetNode(indices[labels[indices] == 0],
+                      indices[labels[indices] == 1])
+
+
+def node_indices(node):
+    return sorted(np.concatenate([node.idx0, node.idx1]).tolist())
+
+
+def split_on(node, axis, gray, mesh):
+    """Split ``node`` on the coordinates its class rows have on ``axis``."""
+    proj = element_projection(mesh, axis)
+    return split_subset(node, gray[node.idx0] @ proj, gray[node.idx1] @ proj)
+
+
+def rescan(indices, axis, gray, labels, mesh):
+    """Left and right sample indices of a subset re-projected as a whole."""
+    z = gray[indices] @ element_projection(mesh, axis)
+    y = labels[indices]
+    z_th = 0.5 * (z[y == 0].mean() + z[y == 1].mean())
+    return (sorted(indices[z <= z_th].tolist()),
+            sorted(indices[z > z_th].tolist()))
 
 
 class TestPickSubset:
     def test_argmax_of_min(self):
-        pool = [SubsetNode(np.arange(60), 10, 50),
-                SubsetNode(np.arange(70), 30, 40),
-                SubsetNode(np.arange(30), 25, 5)]
+        pool = [SubsetNode(np.arange(10), np.arange(50)),
+                SubsetNode(np.arange(30), np.arange(40)),
+                SubsetNode(np.arange(25), np.arange(5))]
         assert pick_subset(pool) == 1
 
     def test_single_subset(self):
-        pool = [SubsetNode(np.arange(3), 2, 1)]
+        pool = [SubsetNode(np.arange(2), np.arange(1))]
         assert pick_subset(pool) == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        pool = [SubsetNode(np.arange(20), 10, 10),
-                SubsetNode(np.arange(30), 10, 20)]
+        pool = [SubsetNode(np.arange(10), np.arange(10)),
+                SubsetNode(np.arange(10), np.arange(20))]
         assert pick_subset(pool) == 0
 
     def test_empty_pool(self):
@@ -50,18 +71,18 @@ class TestSplitSubset:
         gray = np.array([[0.0], [2.0]])
         labels = np.array([0, 1])
         node = make_node([0, 1], labels)
-        left, right = split_subset(node, axis, gray, labels, mesh)
-        assert left.indices.tolist() == [0]
-        assert right.indices.tolist() == [1]
+        left, right = split_on(node, axis, gray, mesh)
+        assert node_indices(left) == [0]
+        assert node_indices(right) == [1]
 
     def test_identical_projections_go_left(self):
         mesh, axis = self.unit_axis_setup()
         gray = np.full((4, 1), 1.5)
         labels = np.array([0, 1, 0, 1])
         node = make_node([0, 1, 2, 3], labels)
-        left, right = split_subset(node, axis, gray, labels, mesh)
-        assert left.indices.tolist() == [0, 1, 2, 3]
-        assert right.indices.size == 0
+        left, right = split_on(node, axis, gray, mesh)
+        assert node_indices(left) == [0, 1, 2, 3]
+        assert node_indices(right) == []
 
     def test_partition_against_rescan_oracle(self, mesh4):
         rng = np.random.default_rng(0)
@@ -70,20 +91,18 @@ class TestSplitSubset:
         labels[:2] = [0, 1]  # ensure both classes
         axis = rng.standard_normal(mesh4.n_nodes)
         node = make_node(np.arange(20), labels)
-        left, right = split_subset(node, axis, gray, labels, mesh4)
+        left, right = split_on(node, axis, gray, mesh4)
 
-        # independent re-scan
-        proj = element_projection(mesh4, axis)
-        z = gray @ proj
-        z_th = 0.5 * (z[labels == 0].mean() + z[labels == 1].mean())
-        expect_left = set(np.flatnonzero(z <= z_th).tolist())
-        expect_right = set(np.flatnonzero(z > z_th).tolist())
-        assert set(left.indices.tolist()) == expect_left
-        assert set(right.indices.tolist()) == expect_right
-        assert not (expect_left & expect_right)
-        assert expect_left | expect_right == set(range(20))
-        assert left.m0 + left.m1 == left.indices.size
-        assert right.m0 + right.m1 == right.indices.size
+        # independent re-scan of the whole subset in one projection
+        expect_left, expect_right = rescan(np.arange(20), axis, gray, labels,
+                                           mesh4)
+        assert node_indices(left) == expect_left
+        assert node_indices(right) == expect_right
+        assert not (set(expect_left) & set(expect_right))
+        assert set(expect_left) | set(expect_right) == set(range(20))
+        for child in (left, right):
+            assert (labels[child.idx0] == 0).all()
+            assert (labels[child.idx1] == 1).all()
 
 
 class TestGenerateAxes:
@@ -166,6 +185,38 @@ class TestGenerateAxes:
             # the parent's final design, bit for bit
             final = bundle.fields[parent]
             assert firsts[k] == (final["p"].tobytes(), final["q"].tobytes())
+
+    def test_children_equal_the_rescan_of_their_parent(self, mesh4,
+                                                       monkeypatch):
+        # the data of test_child_axes_start_from_their_parent_design
+        rng = np.random.default_rng(0)
+        gray = rng.random((40, mesh4.ne))
+        gray[20:, :4] += 0.3
+        labels = np.array([0] * 20 + [1] * 20)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        splits = []
+        split = forest_mod.split_subset
+
+        def recording(node, z0, z1):
+            splits.append((node_indices(node), split(node, z0, z1)))
+            return splits[-1][1]
+
+        monkeypatch.setattr(forest_mod, "split_subset", recording)
+        bundle = generate_axes(gray, labels, 4, cfg, mesh4)
+        assert [p["start"] for p in bundle.provenance] == [
+            "uniform", "axis 0", "axis 0", "axis 2"]
+        assert len(splits) == 4
+        for axis, (parent, children) in zip(bundle.axes, splits):
+            expect = rescan(np.array(parent), axis, gray, labels, mesh4)
+            assert [node_indices(c) for c in children] == list(expect)
+            for child in children:
+                assert (labels[child.idx0] == 0).all()
+                assert (labels[child.idx1] == 1).all()
+        # every later axis grew on a child of its parent's split
+        for prov in bundle.provenance[1:]:
+            _, children = splits[int(prov["start"].split()[1])]
+            assert (prov["m0"], prov["m1"]) in [
+                (c.idx0.size, c.idx1.size) for c in children]
 
     def test_one_axis_forest_is_a_cold_start(self, mesh4, monkeypatch):
         rng = np.random.default_rng(2)

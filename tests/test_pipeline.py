@@ -543,7 +543,7 @@ def test_artifact_with_an_empty_shape_is_rejected(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
         pipeline.cmd_inspect(path, tmp_path / "out")
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 def _save_model(path, rng):
     z = rng.standard_normal((20, 2))
@@ -874,6 +874,7 @@ class TestCommands:
         bogus.write_text("garbage\n")
         with pytest.raises(ValueError, match="unrecognized artifact"):
             pipeline.cmd_inspect(bogus, tmp_path / "viz")
+        assert not (tmp_path / "viz").exists()
 
     def test_bundle_size_checked_against_config(self, bars_workspace,
                                                 capsys):
@@ -1113,6 +1114,7 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"[inspect] error: {path}:2: expected at least 1 axis, got 0\n")
+        assert not (tmp_path / "viz").exists()
 
     @pytest.mark.parametrize("stage", ["config", "model", "inspect"])
     def test_input_that_is_not_utf8_names_the_file(self, bars_workspace,
@@ -1126,6 +1128,7 @@ class TestCli:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(
             f"[{argv[0]}] error: {idx}: not UTF-8 text (")
+        assert not (bars_workspace / "viz").exists()
 
     def test_eval_via_cli(self, bars_workspace, capsys):
         out = bars_workspace / "out"

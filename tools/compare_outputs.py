@@ -14,14 +14,16 @@ output file but ``timing.txt`` must be byte-identical; for a JSON file
 that differs, the top-level keys that differ are printed (for a list of
 records such as ``axes_provenance.json``, the differing records with
 their keys, and the two lengths if they differ), for any other file the
-first differing line of both sides, truncated, and for a report also
-both sides' test accuracy.  The last line counts the datasets
-whose test accuracy is better, worse and equal in the working tree, with
-the mean change.  Exits 1 on any difference.
+first differing line of both sides, truncated, with the number of lines
+only in each side, and for a report also both sides' test accuracy.  The
+last line counts the datasets whose test accuracy is better, worse and
+equal in the working tree, with the mean change.  Exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
 import itertools
 import json
@@ -96,12 +98,12 @@ def json_key_diff(a: bytes, b: bytes) -> str:
 
 
 def line_diff(a: bytes, b: bytes, width: int = 60) -> str:
-    """The first line, with its ending, where two differing files differ;
-    each side is shown up to ``width`` characters."""
-    pairs = itertools.zip_longest(a.splitlines(keepends=True),
-                                  b.splitlines(keepends=True))
-    lineno, (x, y) = next((i, p) for i, p in enumerate(pairs, start=1)
-                          if p[0] != p[1])
+    """The first line, with its ending, where two differing files differ,
+    each side shown up to ``width`` characters, then the number of lines
+    only in each file by a line-level diff of the whole files."""
+    la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    lineno, (x, y) = next((i, p) for i, p in enumerate(
+        itertools.zip_longest(la, lb), start=1) if p[0] != p[1])
 
     def show(line: bytes | None) -> str:
         if line is None:
@@ -109,7 +111,14 @@ def line_diff(a: bytes, b: bytes, width: int = 60) -> str:
         text = line.decode(errors="replace")
         return repr(text[:width]) + ("..." if len(text) > width else "")
 
-    return f"line {lineno}: {show(x)} (base), {show(y)} (working tree)"
+    only_a = only_b = 0
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, la, lb, autojunk=False).get_opcodes():
+        if tag != "equal":
+            only_a, only_b = only_a + i2 - i1, only_b + j2 - j1
+    return (f"line {lineno}: {show(x)} (base), {show(y)} (working tree); "
+            f"{only_a} line{'s' * (only_a != 1)} only in the base, "
+            f"{only_b} only in the working tree")
 
 
 def report_of(out: Path) -> Path:
