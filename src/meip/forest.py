@@ -132,6 +132,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
         provenance.append({
             "m0": m0, "m1": m1,
             "iterations": result.iterations,
+            "state_evals": result.state_evals,
             "converged_by": result.converged_by,
             "j_final": result.j_history[-1],
             "g_final": result.g_final,

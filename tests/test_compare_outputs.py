@@ -1,6 +1,6 @@
 """The difference report of tools/compare_outputs.py: the keys of JSON
-outputs, and the first differing line of any other file with the number
-of lines only in each side."""
+outputs, the first differing line of any other file with the number of
+lines only in each side, and whether two files differ only in numbers."""
 
 import json
 import subprocess
@@ -49,24 +49,37 @@ LINE_CASES = {
                      "working tree"),
 }
 
+# (changed integers, largest change over the line's largest number), or
+# None when the text between the numbers differs
+NUMBER_CASES = {
+    "round_off": ("j 0.1234567890123456 2\n", "j 0.1234567890123457 2\n",
+                  [0, pytest.approx(5.55e-17, rel=1e-2)]),
+    "config_block": (MODEL, MODEL.replace("config 22", "config 21"),
+                     [1, pytest.approx(1 / 22)]),
+    "added_line": ("a 1\n", "a 1\nb 2\n", None),
+    "changed_word": ("lambda = 0.3\n", "gamma = 0.3\n", None),
+}
+
 # compare_outputs imports bench/run.py, which must pin the BLAS threads
 # before numpy loads, so the diffs are taken in a fresh interpreter
 SCRIPT = """
 import json, sys
-from compare_outputs import json_key_diff, line_diff
-cases, lines = json.load(sys.stdin)
+from compare_outputs import json_key_diff, line_diff, number_drift
+cases, lines, numbers = json.load(sys.stdin)
 print(json.dumps([{name: json_key_diff(json.dumps(a).encode(),
                                        json.dumps(b).encode())
                    for name, (a, b) in cases.items()},
                   {name: line_diff(a.encode(), b.encode())
-                   for name, (a, b) in lines.items()}]))
+                   for name, (a, b) in lines.items()},
+                  {name: number_drift(a.encode(), b.encode())
+                   for name, (a, b) in numbers.items()}]))
 """
 
 
 @pytest.fixture(scope="module")
 def diffs() -> list:
     cases = [{name: (a, b) for name, (a, b, _) in table.items()}
-             for table in (CASES, LINE_CASES)]
+             for table in (CASES, LINE_CASES, NUMBER_CASES)]
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=TOOLS,
                           input=json.dumps(cases), capture_output=True,
                           text=True, check=True)
@@ -81,3 +94,8 @@ def test_json_key_diff(diffs, name):
 @pytest.mark.parametrize("name", LINE_CASES)
 def test_line_diff(diffs, name):
     assert diffs[1][name] == LINE_CASES[name][2]
+
+
+@pytest.mark.parametrize("name", NUMBER_CASES)
+def test_number_drift(diffs, name):
+    assert diffs[2][name] == NUMBER_CASES[name][2]

@@ -129,6 +129,7 @@ class TestGenerateAxes:
         assert bundle.provenance[0]["m0"] == 10
         assert bundle.provenance[0]["m1"] == 10
         assert bundle.provenance[0]["g_final"] == results[0].g_final
+        assert bundle.provenance[0]["state_evals"] == results[0].state_evals
         assert len(bundle.fields) == 1
 
     def test_multiple_axes_and_determinism(self, mesh4):

@@ -137,6 +137,25 @@ class TestComputeState:
             resid = np.linalg.norm(stiffness_matrix(st.op) @ x - rhs)
             assert resid / max(np.linalg.norm(rhs), 1e-30) <= 1e-10
 
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    @pytest.mark.parametrize("ref_kind", REF_KINDS)
+    def test_j_and_g_from_solve_identities(self, mesh4, ref_kind, lam):
+        # J and G use K alpha and K v as the right-hand sides solved for;
+        # against the band products they differ by the solve residual,
+        # at most 1e-10 relative.
+        g1, g0 = self.setup_data(mesh4, seed=11)
+        cfg = OptimizerConfig(lam=lam, tolp=0.1, tolq=0.1, ref_kind=ref_kind)
+        design = random_design(mesh4, np.random.default_rng(12),
+                               tolp=0.1, tolq=0.1)
+        st = compute_state(design, g1, g0, mesh4, cfg,
+                           *mean_forces(g1, g0, mesh4))
+        K = stiffness_matrix(st.op)
+        k_alpha = K @ st.alpha
+        assert abs(st.j0 - st.c @ k_alpha) <= (
+            1e-10 * np.linalg.norm(st.c) * np.linalg.norm(k_alpha))
+        assert abs(st.g0 - st.u @ (K @ st.v)) <= (
+            1e-10 * np.linalg.norm(st.u) * np.linalg.norm(st.g))
+
     def test_mu_values(self, mesh4):
         g1, g0 = self.setup_data(mesh4, seed=7)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
@@ -445,6 +464,17 @@ class TestOptimize:
         assert np.array_equal(st.h, np.zeros(mesh4.n_nodes))
         res = optimize(g1, g0, mesh4, cfg)
         assert isinstance(res, AxisResult)
+
+    def test_no_band_product_in_the_loop(self, mesh4, monkeypatch):
+        # The axis loop only factors and solves: J and G come from the
+        # solved right-hand sides, and a solve refines nothing.
+        def no_dsbmv(*args, **kwargs):
+            raise AssertionError("the axis loop formed a band product")
+
+        monkeypatch.setattr(fem, "dsbmv", no_dsbmv)
+        g1, g0 = blob_grays(mesh4, 12, np.random.default_rng(17))
+        res = optimize(g1, g0, mesh4, OptimizerConfig(tolp=0.1, tolq=0.1))
+        assert res.state_evals > 1
 
     def test_ref_kind_variants(self, mesh4):
         rng = np.random.default_rng(16)

@@ -15,10 +15,14 @@ that differs, the top-level keys that differ are printed (for a list of
 records such as ``axes_provenance.json``, the differing records with
 their keys, and the two lengths if they differ), for any other file the
 first differing line of both sides, truncated, with the number of lines
-only in each side, and for a report also both sides' test accuracy.  The
-last line counts the datasets whose test accuracy is better, worse and
-equal in the working tree, with the mean change.  Exits 1 on any
-difference.
+only in each side, and for a report also both sides' test accuracy.
+Each differing file is then marked as differing in layout or in numbers
+only (the text between the numbers matches on every line); for the
+latter the count of changed integers and the largest change, divided by
+the largest number on its line, are printed.  Summary lines count the
+differing files of each kind and the datasets whose test accuracy is
+better, worse and equal in the working tree, with the mean change.
+Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -121,6 +126,44 @@ def line_diff(a: bytes, b: bytes, width: int = 60) -> str:
             f"{only_b} only in the working tree")
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_drift(a: bytes, b: bytes) -> tuple[int, float] | None:
+    """(integers changed, largest line-scaled change) when two files differ
+    only in the numbers on their lines, else None.
+
+    Each line is split on numbers; the text between them must match on
+    every line.  A number pair counts as a changed integer when their text
+    differs and either side is written without a point or exponent.  A
+    change is scaled by the largest magnitude among both lines' numbers.
+    """
+    la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    if len(la) != len(lb):
+        return None
+    integers, drift = 0, 0.0
+    for x, y in zip(la, lb):
+        if NUMBER.split(x) != NUMBER.split(y):
+            return None
+        nx, ny = NUMBER.findall(x), NUMBER.findall(y)
+        # a line of zeros changes by 0, whatever its scale
+        scale = max((abs(float(t)) for t in nx + ny), default=0.0) or 1.0
+        for p, q in zip(nx, ny):
+            if p != q:
+                integers += any(t.lstrip(b"+-").isdigit() for t in (p, q))
+                drift = max(drift, abs(float(p) - float(q)) / scale)
+    return integers, drift
+
+
+def drift_note(drift: tuple[int, float] | None) -> str:
+    """The ``number_drift`` of a differing file, as printed."""
+    if drift is None:
+        return "; layout differs"
+    k, d = drift
+    return (f"; numbers only, {k} integer{'s' * (k != 1)} changed, at most "
+            f"{d:.1e} of the line's largest")
+
+
 def report_of(out: Path) -> Path:
     """``report.json`` of a pipeline, else ``report_test.json`` of an eval."""
     path = out / "report.json"
@@ -132,8 +175,11 @@ def accuracy_of(out: Path) -> float:
     return report["test_confusion"]["accuracy"]
 
 
-def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
-    """(files compared, difference lines) of one dataset's two outputs."""
+def compare(base: Path, head: Path, name: str,
+            drifts: list) -> tuple[int, list[str]]:
+    """(files compared, difference lines) of one dataset's two outputs;
+    appends the ``number_drift`` of each file that differs on both sides
+    to ``drifts``."""
     files = {p.relative_to(d) for d in (base, head) for p in d.rglob("*")
              if p.is_file() and p.name not in SKIPPED}
     lines = []
@@ -145,8 +191,9 @@ def compare(base: Path, head: Path, name: str) -> tuple[int, list[str]]:
             continue
         x, y = a.read_bytes(), b.read_bytes()
         if x != y:
+            drifts.append(number_drift(x, y))
             detail = ": " + (json_key_diff(x, y) if rel.suffix == ".json"
-                             else line_diff(x, y))
+                             else line_diff(x, y)) + drift_note(drifts[-1])
             if base / rel == report_of(base):
                 detail += (f"; test accuracy {accuracy_of(base):.4f} "
                            f"(base), {accuracy_of(head):.4f} "
@@ -164,7 +211,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
-        total, diffs, deltas = 0, [], []
+        total, diffs, deltas, drifts = 0, [], [], []
         for wl, seeds in DATASETS.items():
             workload = run.WORKLOADS[wl]
             for seed in seeds:
@@ -176,7 +223,7 @@ def main(argv: list[str]) -> int:
                         run_meip(src, cfg, outs[side],
                                  bool(workload.bundle_axes))
                     n, lines = compare(outs["base"], outs["head"],
-                                       f"{wl}/seed{seed}/data{i}")
+                                       f"{wl}/seed{seed}/data{i}", drifts)
                     total += n
                     diffs += lines
                     deltas.append(accuracy_of(outs["head"])
@@ -185,6 +232,11 @@ def main(argv: list[str]) -> int:
         print(line)
     print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
           f"(without {', '.join(sorted(SKIPPED))}), {len(diffs)} differ")
+    numeric = [d for d in drifts if d is not None]
+    print(f"of the files on both sides that differ: {len(numeric)} in "
+          f"numbers only ({sum(k > 0 for k, _ in numeric)} with an integer "
+          f"changed, at most {max((d for _, d in numeric), default=0.0):.1e}"
+          f" of the line's largest), {len(drifts) - len(numeric)} in layout")
     print(f"test accuracy, working tree vs {rev}: "
           f"{sum(d > 0 for d in deltas)} better, "
           f"{sum(d < 0 for d in deltas)} worse, "
