@@ -39,8 +39,8 @@ u = op.solve(f)
 v = op.solve(g)
 print(f"solve residual: {np.linalg.norm(K @ u - f):.2e}")
 
-uku = fem.mutual_energy(op, u, u)
-ukv = fem.mutual_energy(op, u, v)
+uku = u @ K @ u
+ukv = u @ K @ v
 print(f"deformation energy of u: {0.5 * uku:.6e}")
 print(f"mutual energy <u,v>:     {ukv:.6e}")
 print(f"identity <u,v> = u'g:    {float(u @ g):.6e}")

@@ -54,8 +54,9 @@ def features_from_gray(bundle: AxisBundle, gray: np.ndarray) -> np.ndarray:
     directly on per-element grays through the scatter weights.
     """
     mesh = fem.build_mesh(bundle.n1, bundle.n2)
-    proj = np.stack([element_projection(mesh, axis) for axis in bundle.axes],
-                    axis=1)
+    # the GEMM takes a C-ordered (ne, m) operand: an F-ordered one can
+    # change the bits of its result
+    proj = np.ascontiguousarray(element_projection(mesh, bundle.axes).T)
     return np.asarray(gray) @ proj
 
 

@@ -3,11 +3,56 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import logging
+import os
 import sys
 from pathlib import Path
 
 from meip import pipeline
+
+log = logging.getLogger(__name__)
+
+# OpenBLAS's thread setter in plain, 64-bit-integer and scipy wheel builds
+_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                "scipy_openblas_set_num_threads",
+                "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    With more threads a GEMM's bits and the banded Cholesky's speed depend
+    on the core count.  OpenBLAS reads OPENBLAS_NUM_THREADS when numpy or
+    scipy loads it, which is before any meip code runs, so the count is
+    set through each loaded library (numpy and scipy may each bring one).
+    A BLAS that this cannot reach is logged, not guessed at.
+    """
+    try:
+        with open("/proc/self/maps") as f:   # the loaded libraries (Linux)
+            paths = {line.split(maxsplit=5)[5].strip() for line in f
+                     if "openblas" in line}
+    except OSError:
+        paths = set()
+    pinned = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _SET_THREADS
+                       if hasattr(lib, name)), None)
+        if setter is not None:   # void (int), also in 64-bit-integer builds
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            pinned.append(Path(path).name)
+    if pinned:
+        log.info("BLAS: one thread in %s", ", ".join(pinned))
+    else:
+        log.warning("meip could not set BLAS to one thread (no loaded "
+                    "OpenBLAS found); outputs may depend on the core count")
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
@@ -55,6 +100,7 @@ def main(argv=None) -> int:
     # every call: basicConfig leaves the level alone once a handler exists
     logging.getLogger().setLevel(
         logging.INFO if args.verbose else logging.WARNING)
+    _one_blas_thread()
     stage = args.command
     try:
         if stage == "inspect":

@@ -6,12 +6,10 @@ connectivity, assembles the global stiffness K (linear in p, q, plus a
 large boundary penalty sigma0 on boundary-node diagonals) from the 10
 upper entries of the element matrices straight into LAPACK upper band
 storage, converts per-pixel grayscale values to equivalent node forces,
-solves SPD systems through the banded Cholesky factor (one dpbtrs per
-solve), and evaluates products K x and the mutual-energy inner product
-a' K b from the band (dsbmv).  A band that is not finite is rejected
-before factoring; a K that is not positive definite raises
-FactorizationError with the order of the first failing leading minor, as
-dpbtrf reports it.
+and solves SPD systems through the banded Cholesky factor (one dpbtrs per
+solve).  A band that is not finite is rejected before factoring; a K that
+is not positive definite raises FactorizationError with the order of the
+first failing leading minor, as dpbtrf reports it.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 __all__ = [
@@ -30,7 +27,6 @@ __all__ = [
     "uniform_design",
     "assemble_stiffness",
     "grayscale_to_force",
-    "mutual_energy",
 ]
 
 # The 4x4 element coefficient matrices, from their integer numerators: the
@@ -150,13 +146,6 @@ class StiffnessOperator:
         self._chol = chol_upper
         self.shape = (ab.shape[1], ab.shape[1])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """K @ x for an (m,) vector by one dsbmv."""
-        m = self.shape[0]
-        if x.shape != (m,):
-            raise ValueError(f"x has shape {x.shape}, expected ({m},)")
-        return dsbmv(self.bandwidth, 1.0, self.ab, x)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs for an (m,) or (m, k) right-hand side, to a
         relative residual of at most 1e-10 in every column."""
@@ -206,11 +195,3 @@ def grayscale_to_force(mesh: GridMesh, gray: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.theta.ravel(), weights=contrib,
                        minlength=mesh.n_nodes)
 
-
-def mutual_energy(op: StiffnessOperator, a: np.ndarray, b: np.ndarray) -> float:
-    """Mutual-energy inner product a' K b of two node vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (op.shape[0],) or b.shape != (op.shape[0],):
-        raise ValueError("node vector length does not match operator size")
-    return float(a @ op.matvec(b))

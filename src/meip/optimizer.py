@@ -149,8 +149,9 @@ def mean_forces(gray1: np.ndarray, gray0: np.ndarray,
 
 
 def element_projection(mesh: fem.GridMesh, alpha: np.ndarray) -> np.ndarray:
-    """Per-element weights such that weights @ gray = alpha' force(gray)."""
-    return 0.25 * alpha[mesh.theta].sum(axis=1)
+    """Per-element weights such that weights @ gray = alpha' force(gray),
+    for one node vector ``alpha`` or for each row of an (m, n_nodes) stack."""
+    return 0.25 * alpha[..., mesh.theta].sum(axis=-1)
 
 
 def compute_state(design: fem.DesignField, gray1: np.ndarray,

@@ -14,9 +14,12 @@ byte-reproduces them (wall-clock timing goes to a separate file).
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import logging
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields
@@ -39,7 +42,7 @@ __all__ = ["PipelineConfig", "RunReport", "load_config", "save_axes",
 log = logging.getLogger(__name__)
 
 AXES_MAGIC = "MEIP-AXES 1"
-MODEL_MAGIC = "MEIP-MODEL 1"
+MODEL_MAGIC = "MEIP-MODEL 2"
 FIELDS_MAGIC = "MEIP-FIELDS 1"
 FIELD_MAGIC = "MEIP-FIELD 1"
 CONFUSION_MAGIC = "MEIP-CONFUSION 1"
@@ -61,9 +64,11 @@ def _fmt(rows, tag: str | None = None, sep: str = " ") -> str:
 class PipelineConfig:
     """Parsed run configuration with the published experiment defaults.
 
-    The fields are the config schema: every field but ``base_dir`` is a
-    config key of the field's name and type (``lam`` is spelled
-    ``lambda``).  The optimizer settings default to ``OptimizerConfig``.
+    The fields are the config schema: every field but ``base_dir`` and
+    ``origin`` is a config key of the field's name and type (``lam`` is
+    spelled ``lambda``).  The optimizer settings default to
+    ``OptimizerConfig``.  ``origin`` maps each key read from a file to
+    its ``path:line``.
     """
 
     n1: int = 28
@@ -91,6 +96,7 @@ class PipelineConfig:
     test_labels: str = ""
     out_dir: str = "out"
     base_dir: Path = field(default_factory=Path)
+    origin: dict = field(default_factory=dict, compare=False, repr=False)
 
     def optimizer_config(self, ref_kind: str) -> OptimizerConfig:
         cfg = OptimizerConfig(
@@ -178,7 +184,8 @@ _TYPES = get_type_hints(PipelineConfig)
 # config key -> (PipelineConfig attribute, value type)
 CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name):
                (f.name, _TYPES[f.name])
-               for f in dc_fields(PipelineConfig) if f.name != "base_dir"}
+               for f in dc_fields(PipelineConfig)
+               if f.name not in ("base_dir", "origin")}
 
 
 def load_config(path) -> PipelineConfig:
@@ -206,6 +213,7 @@ def load_config(path) -> PipelineConfig:
             raise ValueError(f"{path}:{lineno}: {key}: given twice (first on "
                              f"line {first_line[key]})")
         first_line[key] = lineno
+        cfg.origin[key] = f"{path}:{lineno}"
         attr, typ = CONFIG_KEYS[key]
         # Every earlier line passed its check, so a failure here is this
         # line's fault.
@@ -284,23 +292,30 @@ class _Reader:
 
 
 @contextmanager
-def _text_file(path):
-    """``open(path)``, where a byte that is not UTF-8 names the file."""
+def _text_file(path, data: bytes | None = None):
+    """``open(path)``, or the text of ``data`` already read from it, where
+    a byte that is not UTF-8 names the file."""
     try:
-        with open(path) as f:
+        with (open(path) if data is None else
+              io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as f:
             yield f
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @contextmanager
-def _reading(path, magic: str, kind: str, sep: str | None = None):
+def _reading(path, magic: str, kind: str, sep: str | None = None,
+             data: bytes | None = None):
     """Yield a reader past the magic line, whose rest (a CSV's header
     fields) is ``reader.header``; nothing may follow the rows read."""
-    with _text_file(path) as f:
+    with _text_file(path, data) as f:
         found, _, header = f.readline().strip().partition(sep or "\n")
         r = _Reader(f, path, sep, header)
         if found != magic:
+            name, _, version = found.partition(" ")
+            if name == magic.partition(" ")[0]:
+                raise r.error(f"{kind} of version {version[:40]}; this "
+                              f"meip reads {magic}")
             raise r.error(f"not {kind} ({found[:40]!r})")
         yield r
         if f.readline():
@@ -308,16 +323,20 @@ def _reading(path, magic: str, kind: str, sep: str | None = None):
             raise r.error("expected end of file")
 
 
-def save_axes(path, bundle: forest.AxisBundle) -> None:
-    with open(path, "w") as f:
-        f.write(AXES_MAGIC + "\n")
-        f.write(_fmt([[bundle.n1, bundle.n2, bundle.axes.shape[1],
-                       bundle.n_axes]]))
-        f.write(_fmt(bundle.axes))
+def save_axes(path, bundle: forest.AxisBundle) -> str:
+    """Write ``bundle``; returns the SHA-256 hex digest of the bytes."""
+    data = "".join([AXES_MAGIC + "\n",
+                    _fmt([[bundle.n1, bundle.n2, bundle.axes.shape[1],
+                           bundle.n_axes]]),
+                    _fmt(bundle.axes)]).encode()
+    with open(path, "wb") as f:
+        f.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def load_axes(path) -> forest.AxisBundle:
-    with _reading(path, AXES_MAGIC, "an axis bundle file") as r:
+def load_axes(path, data: bytes | None = None) -> forest.AxisBundle:
+    """Load the bundle file at ``path``, or parse ``data`` read from it."""
+    with _reading(path, AXES_MAGIC, "an axis bundle file", data=data) as r:
         n1, n2, m, n_axes = r.row(None, 4, _counts)
         if min(n1, n2) < 1:
             raise r.error(f"expected a mesh of at least 1x1, got {n1}x{n2}")
@@ -331,10 +350,12 @@ def load_axes(path) -> forest.AxisBundle:
 
 
 def save_model(path, model: list[classifier.ClassGaussian],
-               bundle_ref: str, config_items: list[tuple[str, str]]) -> None:
+               bundle_ref: str, bundle_sha256: str,
+               config_items: list[tuple[str, str]]) -> None:
     with open(path, "w") as f:
         f.write(MODEL_MAGIC + "\n")
         f.write(_fmt([[bundle_ref]], "bundle"))
+        f.write(_fmt([[bundle_sha256]], "bundle_sha256"))
         f.write(_fmt([[len(config_items)]], "config"))
         f.write(_fmt(config_items, sep=" = "))
         f.write(_fmt([[len(model), "dim", model[0].mean.shape[0]]], "classes"))
@@ -346,7 +367,8 @@ def save_model(path, model: list[classifier.ClassGaussian],
 
 
 def load_model(path):
-    """Load a model file; returns (model, bundle_ref, config_items).
+    """Load a model file; returns (model, bundle_ref, bundle_sha256,
+    config_items).
 
     The bundle reference and config values are read verbatim (paths may
     hold spaces).  The discriminant terms are recomputed from the stored
@@ -354,6 +376,10 @@ def load_model(path):
     """
     with _reading(path, MODEL_MAGIC, "a model file") as r:
         bundle_ref = r.text("bundle")
+        bundle_sha256 = r.text("bundle_sha256")
+        if not re.fullmatch("[0-9a-f]{64}", bundle_sha256):
+            raise r.error(f"expected a SHA-256 hex digest, got "
+                          f"{bundle_sha256[:40]!r}")
         config_items = []
         for _ in range(r.row("config", 1, _counts)[0]):
             key, eq, value = r.text().partition("=")
@@ -380,7 +406,7 @@ def load_model(path):
                     classifier.gaussian_from_moments(mean, cov, prior))
             except ValueError as exc:
                 raise r.error(f"expected a valid class {j}: {exc}") from None
-    return model, bundle_ref, config_items
+    return model, bundle_ref, bundle_sha256, config_items
 
 
 def save_fields(path, n1: int, n2: int, records: list[dict]) -> None:
@@ -521,16 +547,11 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
     """Load and preprocess one split restricted to the configured digits."""
     if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
-    img_path = getattr(cfg, f"{split}_images")
-    lbl_path = getattr(cfg, f"{split}_labels")
-    if not img_path or not lbl_path:
-        raise ValueError(f"config does not define {split} dataset paths")
-    img_path, lbl_path = cfg.resolve(img_path), cfg.resolve(lbl_path)
-    images = load_idx_images(img_path)
+    img_path, images = _read_input(cfg, f"{split}_images", load_idx_images)
     if images.shape[1:] != (cfg.n1, cfg.n2):
         raise ValueError(f"{img_path}: images are {images.shape[1]}x"
                          f"{images.shape[2]}, config says {cfg.n1}x{cfg.n2}")
-    labels = load_idx_labels(lbl_path)
+    lbl_path, labels = _read_input(cfg, f"{split}_labels", load_idx_labels)
     if len(images) != len(labels):
         raise ValueError(f"{img_path} holds {len(images)} images but "
                          f"{lbl_path} holds {len(labels)} labels")
@@ -552,6 +573,22 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
     except BlankImageError:  # name the first one as the file counts it
         blank = np.flatnonzero(keep & ~images.any(axis=(1, 2)))[0]
         raise BlankImageError(f"{img_path}: image {blank} is blank") from None
+
+
+def _read_input(cfg: PipelineConfig, key: str, load):
+    """The resolved path of the file named by config ``key`` and what
+    ``load`` reads from it; an empty key or a file that cannot be opened
+    names the key and its config line."""
+    where = cfg.origin.get(key, "config")
+    if not getattr(cfg, key):
+        raise ValueError(f"{where}: {key}: names no file")
+    path = cfg.resolve(getattr(cfg, key))
+    try:
+        return path, load(path)
+    except OSError as exc:
+        raise ValueError(f"{where}: {key}: "
+                         f"{(exc.strerror or str(exc)).lower()} "
+                         f"{str(path)!r}") from None
 
 
 def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
@@ -612,9 +649,10 @@ def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
 
 
 def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
-                   out_dir) -> forest.AxisBundle:
+                   out_dir) -> tuple[forest.AxisBundle, str]:
     """Grow every configured forest on ``data``; write the axis bundle to
-    ``<out_dir>/axes.txt`` and return it."""
+    ``<out_dir>/axes.txt`` and return it with the SHA-256 hex digest of
+    the file's bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
@@ -639,18 +677,22 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
                         cfg.svd_k, combined.n_axes)
         combined = forest.orthonormalize(combined, k)
 
-    save_axes(out / "axes.txt", combined)
+    sha256 = save_axes(out / "axes.txt", combined)
     (out / "axes_provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True) + "\n")
-    return combined
+    return combined, sha256
 
 
-def _load_bundle(cfg: PipelineConfig, path) -> forest.AxisBundle:
-    bundle = load_axes(path)
+def _load_bundle(cfg: PipelineConfig,
+                 path) -> tuple[forest.AxisBundle, str]:
+    """The bundle at ``path`` and the SHA-256 hex digest of its bytes,
+    which are read once."""
+    data = Path(path).read_bytes()
+    bundle = load_axes(path, data)
     if (bundle.n1, bundle.n2) != (cfg.n1, cfg.n2):
         raise ValueError(f"{path}: bundle is {bundle.n1}x{bundle.n2}, config "
                          f"says {cfg.n1}x{cfg.n2}")
-    return bundle
+    return bundle, hashlib.sha256(data).hexdigest()
 
 
 def cmd_train(cfg: PipelineConfig, bundle_path, data: Dataset,
@@ -658,19 +700,22 @@ def cmd_train(cfg: PipelineConfig, bundle_path, data: Dataset,
     """Fit the per-class Gaussian model on the training split ``data``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _fit(cfg, _load_bundle(cfg, bundle_path), bundle_path, data, out)
+    bundle, sha256 = _load_bundle(cfg, bundle_path)
+    _fit(cfg, bundle, sha256, bundle_path, data, out)
     return out / "model.txt"
 
 
-def _fit(cfg: PipelineConfig, bundle: forest.AxisBundle, bundle_path,
-         data: Dataset, out: Path):
+def _fit(cfg: PipelineConfig, bundle: forest.AxisBundle, bundle_sha256: str,
+         bundle_path, data: Dataset, out: Path):
     """Fit the model on ``data`` and write ``model.txt``, which refers to
-    ``bundle_path``; returns the model and the features of ``data``."""
+    ``bundle_path`` and its digest; returns the model and the features of
+    ``data``."""
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
     model = classifier.fit(z, targets, len(cfg.classes()), ridge=cfg.ridge)
     bundle_ref = os.path.relpath(Path(bundle_path).resolve(), out.resolve())
-    save_model(out / "model.txt", model, bundle_ref, cfg.echo_items())
+    save_model(out / "model.txt", model, bundle_ref, bundle_sha256,
+               cfg.echo_items())
     return model, z
 
 
@@ -679,7 +724,7 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     """Evaluate a model on the ``split`` ``data``; writes CSVs and a report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, bundle_ref, echo = load_model(model_path)
+    model, bundle_ref, bundle_sha256, echo = load_model(model_path)
     if len(model) != len(cfg.classes()):
         raise ValueError(f"{model_path}: model has {len(model)} classes, "
                          f"config says {len(cfg.classes())}")
@@ -698,7 +743,11 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
         raise ValueError(f"{model_path}: model was trained on classes "
                          f"{digits}, config says {cfg.classes()}")
     bundle_path = Path(model_path).parent / bundle_ref
-    bundle = _load_bundle(cfg, bundle_path)
+    bundle, sha256 = _load_bundle(cfg, bundle_path)
+    if sha256 != bundle_sha256:
+        raise ValueError(f"{model_path}: model was fitted on a bundle of "
+                         f"SHA-256 {bundle_sha256}, but {bundle_path} has "
+                         f"SHA-256 {sha256}")
     if len(model[0].mean) != bundle.n_axes:
         raise ValueError(f"{model_path}: model has dim {len(model[0].mean)}, "
                          f"but {bundle_path} holds {bundle.n_axes} axes")
@@ -754,7 +803,7 @@ def cmd_inspect(path, out_dir) -> list[Path]:
             grids += [(f"axis_{i}_{k}", element_grid(rec[k], n1, n2), True)
                       for k in "pq"]
     elif header == MODEL_MAGIC:
-        model, _, _ = load_model(path)
+        model = load_model(path)[0]
         for j, g in enumerate(model):
             grids += [(f"class_{j}_mean", g.mean[None, :], False),
                       (f"class_{j}_cov", g.cov, False)]
@@ -783,9 +832,9 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     t0 = time.perf_counter()
     train, test = load_split(cfg, "train"), load_split(cfg, "test")
     t1 = time.perf_counter()
-    bundle = cmd_train_axes(cfg, train, out)
+    bundle, sha256 = cmd_train_axes(cfg, train, out)
     t2 = time.perf_counter()
-    model, z_train = _fit(cfg, bundle, out / "axes.txt", train, out)
+    model, z_train = _fit(cfg, bundle, sha256, out / "axes.txt", train, out)
     t3 = time.perf_counter()
     train_report = _evaluate(cfg, model, z_train, train, "train", out)
     z_test = classifier.features_from_gray(bundle, test.gray)

@@ -1,10 +1,12 @@
 """Dense spectral oracle: the stiffness K, the mass B and K phi = lambda B phi.
 
 The pipeline never forms K as a matrix; it works from the LAPACK upper
-band (``StiffnessOperator.ab``).  The tests use this module to check the
-paper's spectral reading of the mutual-energy inner product: u'Kv expands
-over the generalized eigenpairs of K and the mass matrix B with weights
-1/lambda_n.  Everything here is dense or sparse scipy, for small meshes.
+band (``StiffnessOperator.ab``) and forms no product with K.  The tests
+take K x and the mutual-energy inner product a'Kb from
+``stiffness_matrix`` here, and check the paper's spectral reading of
+u'Kv: it expands over the generalized eigenpairs of K and the mass matrix
+B with weights 1/lambda_n.  Everything here is dense or sparse scipy, for
+small meshes.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ from meip.classifier import (confusion_from_predictions, discriminants,
                              predict_batch, predict_posterior)
 from meip.dataset import Dataset
 from meip.forest import AxisBundle
+from meip.optimizer import element_projection
 from conftest import random_design
+from spectral_oracle import stiffness_matrix
 from test_acceptance import render_strokes
 
 
@@ -47,8 +49,9 @@ class TestExtractFeatures:
         bundle = simple_bundle(mesh4, axes)
         z = features_from_gray(bundle, gray[None])[0]
         d = op.solve(force)
+        K = stiffness_matrix(op)
         for m in range(4):
-            ref = fem.mutual_energy(op, d, axes[m])
+            ref = d @ (K @ axes[m])
             assert z[m] == pytest.approx(ref, rel=1e-9)
 
     def test_batch_matches_single(self, mesh4):
@@ -62,6 +65,20 @@ class TestExtractFeatures:
             # per sample: each axis dotted with the node-force vector
             assert np.allclose(zb[i], bundle.axes @ force,
                                rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("side, n_axes", [(12, 3), (14, 3), (28, 60)])
+    def test_one_gather_matches_the_per_axis_stack(self, side, n_axes):
+        # the weights of every axis come from one gather, and the GEMM
+        # gets the operand a per-axis stack built, bit for bit
+        mesh = fem.build_mesh(side, side)
+        rng = np.random.default_rng(4)
+        bundle = simple_bundle(mesh,
+                               rng.standard_normal((n_axes, mesh.n_nodes)))
+        gray = rng.random((300, mesh.ne))
+        stack = np.stack([element_projection(mesh, axis)
+                          for axis in bundle.axes], axis=1)
+        assert np.array_equal(element_projection(mesh, bundle.axes).T, stack)
+        assert np.array_equal(features_from_gray(bundle, gray), gray @ stack)
 
     def test_dimension_mismatch(self, mesh4):
         bundle = simple_bundle(mesh4, np.ones((1, mesh4.n_nodes)))

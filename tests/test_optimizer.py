@@ -1,11 +1,15 @@
 """Axis optimization loop: state assembly, gradients, and convergence."""
 
 import copy
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 
+import meip
 from meip import fem, optimizer
 from meip.lp import solve_move_limit_lp
 from meip.optimizer import (REF_KINDS, AxisResult, OptimizerConfig,
@@ -467,11 +471,18 @@ class TestOptimize:
 
     def test_no_band_product_in_the_loop(self, mesh4, monkeypatch):
         # The axis loop only factors and solves: J and G come from the
-        # solved right-hand sides, and a solve refines nothing.
+        # solved right-hand sides, a solve refines nothing, and no meip
+        # module binds the band product, under any name.
+        dsbmv = scipy.linalg.blas.dsbmv
+        for info in pkgutil.iter_modules(meip.__path__):
+            names = vars(importlib.import_module(f"meip.{info.name}"))
+            assert "dsbmv" not in names, info.name
+            assert not any(v is dsbmv for v in names.values()), info.name
+
         def no_dsbmv(*args, **kwargs):
             raise AssertionError("the axis loop formed a band product")
 
-        monkeypatch.setattr(fem, "dsbmv", no_dsbmv)
+        monkeypatch.setattr(scipy.linalg.blas, "dsbmv", no_dsbmv)
         g1, g0 = blob_grays(mesh4, 12, np.random.default_rng(17))
         res = optimize(g1, g0, mesh4, OptimizerConfig(tolp=0.1, tolq=0.1))
         assert res.state_evals > 1

@@ -220,9 +220,12 @@ class TestModelFormat:
         labels = np.array([0] * 40 + [1] * 40)
         model = fit(z, labels, 2, ridge=1e-6)
         path = tmp_path / "model.txt"
-        pipeline.save_model(path, model, "axes.txt", [("ridge", "1e-06")])
-        loaded, bundle_ref, items = pipeline.load_model(path)
+        digest = hashlib.sha256(b"axes").hexdigest()
+        pipeline.save_model(path, model, "axes.txt", digest,
+                            [("ridge", "1e-06")])
+        loaded, bundle_ref, bundle_sha256, items = pipeline.load_model(path)
         assert bundle_ref == "axes.txt"
+        assert bundle_sha256 == digest
         assert items == [("ridge", "1e-06")]
         for orig, back in zip(model, loaded):
             assert np.array_equal(orig.mean, back.mean)
@@ -532,11 +535,12 @@ class TestFieldsFormat:
     ("MEIP-FIELDS 1\n0 0 1\naxis 0\nf 0\ng 0\np\nq\n",
      "2: expected a mesh of at least 1x1, got 0x0"),
     ("MEIP-FIELDS 1\n2 2 0\n", "2: expected at least 1 axis, got 0"),
-    ("MEIP-MODEL 1\nbundle axes.txt\nconfig 0\nclasses 0 dim 2\n",
-     "4: expected at least 1 class, got 0"),
-    # dimension 0 fails at its own line, not at the mean on line 7
-    ("MEIP-MODEL 1\nbundle axes.txt\nconfig 0\nclasses 1 dim 0\nclass 0\n"
-     "prior 1\nmean\n", "4: expected at least 1 dimension, got 0"),
+    (f"MEIP-MODEL 2\nbundle axes.txt\nbundle_sha256 {'0' * 64}\nconfig 0\n"
+     "classes 0 dim 2\n", "5: expected at least 1 class, got 0"),
+    # dimension 0 fails at its own line, not at the mean on line 8
+    (f"MEIP-MODEL 2\nbundle axes.txt\nbundle_sha256 {'0' * 64}\nconfig 0\n"
+     "classes 1 dim 0\nclass 0\nprior 1\nmean\n",
+     "5: expected at least 1 dimension, got 0"),
 ], ids=["axes", "fields", "fields_no_axis", "model", "model_no_dim"])
 def test_artifact_with_an_empty_shape_is_rejected(tmp_path, text, message):
     path = tmp_path / "artifact.txt"
@@ -551,8 +555,13 @@ def _save_model(path, rng):
     # config values are verbatim text: a path with a space, and a key
     # (seed) that older versions echoed
     pipeline.save_model(path, model, "my bundle/axes.txt",
+                        hashlib.sha256(b"my bundle").hexdigest(),
                         [("ridge", "1e-06"), ("seed", "0"),
                          ("train_images", "my data/train.idx")])
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _save_confusion(path, rng):
@@ -618,8 +627,8 @@ class TestDamagedArtifacts:
     def test_corrupted_numbers(self, tmp_path, fmt):
         path, load, lines = self.real_file(tmp_path, fmt)
         for i, line in enumerate(lines):
-            if " = " in line or line.startswith("bundle "):
-                continue    # model bundle reference and config: verbatim text
+            if " = " in line or line.startswith("bundle"):
+                continue    # model bundle reference, digest and config: text
             bad_lines = list(_corruptions(line.rstrip("\n")))
             assert len(bad_lines) >= 2, line
             for bad in bad_lines:
@@ -633,8 +642,8 @@ class TestDamagedArtifacts:
         path, load, lines = self.real_file(tmp_path, fmt)
         messages = []
         for i, line in enumerate(lines):
-            if " = " in line or line.startswith("bundle "):
-                continue    # model bundle reference and config: verbatim text
+            if " = " in line or line.startswith("bundle"):
+                continue    # model bundle reference, digest and config: text
             parts = re.split(r"([ ,])", line.rstrip("\n"))
             numbers = [j for j in range(0, len(parts), 2)
                        if _is_number(parts[j])]
@@ -903,7 +912,8 @@ class TestCommands:
         z = np.random.default_rng(0).standard_normal((30, report.n_axes))
         model_path = out / "model3.txt"
         pipeline.save_model(model_path, fit(z, np.arange(30) % 3, 3),
-                            "axes.txt", cfg.echo_items())
+                            "axes.txt", _sha256(out / "axes.txt"),
+                            cfg.echo_items())
         with pytest.raises(ValueError, match=re.escape(
                 f"{model_path}: model has 3 classes, config says 2")):
             pipeline.cmd_eval(cfg, model_path,
@@ -916,12 +926,59 @@ class TestCommands:
         z = np.random.default_rng(0).standard_normal((30, n_axes + 1))
         model_path = out / "model_wide.txt"
         pipeline.save_model(model_path, fit(z, np.arange(30) % 2, 2),
-                            "axes.txt", cfg.echo_items())
+                            "axes.txt", _sha256(out / "axes.txt"),
+                            cfg.echo_items())
         with pytest.raises(ValueError, match=re.escape(
                 f"{model_path}: model has dim {n_axes + 1}, but "
                 f"{out / 'axes.txt'} holds {n_axes} axes")):
             pipeline.cmd_eval(cfg, model_path,
                               pipeline.load_split(cfg, "test"), "test", out)
+
+    def test_a_rewritten_bundle_is_rejected(self, bars_workspace, capsys):
+        # train-axes into the model's directory rewrites the bundle the
+        # model was fitted on; eval then names both files
+        cfg_path, out = bars_workspace / "run.cfg", bars_workspace / "out"
+        pipeline.cmd_pipeline(pipeline.load_config(cfg_path), out)
+        fitted = _sha256(out / "axes.txt")
+        other = bars_workspace / "other.cfg"
+        other.write_text(cfg_path.read_text() + "lambda = 0.9\n")
+        common = ["--out", str(out)]
+        assert cli.main(["train-axes", "--config", str(other)] + common) == 0
+        rewritten = _sha256(out / "axes.txt")
+        assert rewritten != fitted
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg_path)] + common) == 1
+        assert capsys.readouterr().err == (
+            f"[eval] error: {out / 'model.txt'}: model was fitted on a bundle "
+            f"of SHA-256 {fitted}, but {out / 'axes.txt'} has SHA-256 "
+            f"{rewritten}\n")
+
+    def test_a_version_1_model_names_its_version(self, bars_workspace):
+        cfg = pipeline.load_config(bars_workspace / "run.cfg")
+        out = bars_workspace / "out"
+        pipeline.cmd_pipeline(cfg, out)
+        lines = (out / "model.txt").read_text().splitlines(keepends=True)
+        assert lines[0] == "MEIP-MODEL 2\n"
+        assert lines[2] == f"bundle_sha256 {_sha256(out / 'axes.txt')}\n"
+        # version 1 had no digest line
+        (out / "model.txt").write_text("".join(["MEIP-MODEL 1\n", lines[1],
+                                                *lines[3:]]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{out / 'model.txt'}:1: a model file of version 1; this "
+                "meip reads MEIP-MODEL 2")):
+            pipeline.cmd_eval(cfg, out / "model.txt",
+                              pipeline.load_split(cfg, "test"), "test", out)
+
+    def test_a_malformed_digest_is_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        _save_model(path, np.random.default_rng(5))
+        lines = path.read_text().splitlines(keepends=True)
+        for bad in ("A" * 64, "0" * 63, "", "0" * 64 + " 0"):
+            path.write_text("".join([*lines[:2], f"bundle_sha256 {bad}\n",
+                                     *lines[3:]]))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:3: expected a SHA-256 hex digest, got")):
+                pipeline.load_model(path)
 
     @staticmethod
     def _echo_model(bars_workspace, echo: dict):
@@ -930,8 +987,9 @@ class TestCommands:
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
         pipeline.cmd_pipeline(cfg, out)
-        model, bundle_ref, items = pipeline.load_model(out / "model.txt")
-        pipeline.save_model(out / "model.txt", model, bundle_ref,
+        model, bundle_ref, digest, items = pipeline.load_model(
+            out / "model.txt")
+        pipeline.save_model(out / "model.txt", model, bundle_ref, digest,
                             sorted({**dict(items), **echo}.items()))
         return cfg, out
 
@@ -1088,6 +1146,23 @@ class TestCli:
         assert rc == 1
         assert "[train-axes] error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("train_images", "nope"), ("test_labels", "nope"),
+        ("test_images", "")])
+    def test_missing_input_names_its_key_and_line(self, bars_workspace,
+                                                  capsys, key, value):
+        cfg_path = bars_workspace / "run.cfg"
+        lines = cfg_path.read_text().splitlines(keepends=True)
+        i = next(k for k, line in enumerate(lines) if line.startswith(key))
+        lines[i] = f"{key} = {value}\n"
+        cfg_path.write_text("".join(lines))
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
+        problem = (f"no such file or directory "
+                   f"{str(bars_workspace / value)!r}" if value else
+                   "names no file")
+        assert capsys.readouterr().err == (
+            f"[pipeline] error: {cfg_path}:{i + 1}: {key}: {problem}\n")
+
     def test_verbose_applies_to_each_in_process_call(self, bars_workspace,
                                                      caplog, capsys):
         root = logging.getLogger()
@@ -1105,6 +1180,21 @@ class TestCli:
             root.setLevel(level)
         capsys.readouterr()
         assert iteration_lines[0] == 0 and iteration_lines[1] > 0
+
+    def test_a_blas_that_cannot_be_pinned_is_logged(self, monkeypatch,
+                                                    caplog):
+        def not_loaded(*args, **kwargs):
+            raise OSError("not loaded")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", not_loaded)
+        cli._one_blas_thread.cache_clear()
+        try:
+            with caplog.at_level(logging.INFO, logger="meip.cli"):
+                cli._one_blas_thread()
+        finally:
+            cli._one_blas_thread.cache_clear()
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "could not set BLAS to one thread" in caplog.text
 
     def test_inspect_of_an_empty_fields_file_exit_nonzero(self, tmp_path,
                                                           capsys):
@@ -1154,3 +1244,44 @@ def test_import_path_loads_no_scipy_sparse():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="a second BLAS thread needs a second CPU")
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # A 60-axis bundle over 28x28 glyphs, the classify_bulk shape: without
+    # the CLI's pin, the feature GEMM gives other bits on 2 OpenBLAS
+    # threads than on 1, and so do model.txt and hist_test.csv.
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import glyphs
+    finally:
+        sys.path.remove(str(bench))
+    rng = np.random.default_rng(3)
+    paths = glyphs.write_dataset(tmp_path, rng, glyphs.make_bank(rng, 28),
+                                 range(5), 200, 200)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("one_vs_rest = 0,1,2,3,4\n" + "".join(
+        f"{key} = {p.name}\n" for key, p in paths.items()))
+    axes, _ = np.linalg.qr(rng.standard_normal((29 * 29, 60)))
+    bundle = tmp_path / "bundle.txt"
+    pipeline.save_axes(bundle, AxisBundle(axes=axes.T.copy(), n1=28, n2=28))
+
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("2", "1"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs.append(tmp_path / f"out{threads}")
+        for argv in (["train", "--bundle", str(bundle)], ["eval"]):
+            subprocess.run([sys.executable, "-m", "meip.cli", *argv,
+                            "--config", str(cfg), "--out", str(outs[-1])],
+                           env=env, capture_output=True, check=True)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "model.txt" in names and "hist_test.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == \
+            (outs[1] / name).read_bytes(), name
