@@ -13,8 +13,9 @@ predicted change and the trial's J, by a factor kept within
 [0.1, gamma] (safeguarded interpolation backtracking; Nocedal & Wright,
 Numerical Optimization, 2nd ed., 3.5; Dennis & Schnabel 1983, A6.3.1).
 
-The loop stops on a step of at most eps_x, on |dJ| <= eps_j or after
-max_iters accepted steps.  Rejections need no cap: a step is at most the
+The loop stops on a step of at most eps_x (with no LP once the move
+limit itself is at most eps_x), on |dJ| <= eps_j or after max_iters
+accepted steps.  Rejections need no cap: a step is at most the
 move limit, which never grows and shrinks by at most gamma per rejection,
 so ceil(log(eps_x / dx_max) / log(gamma)) rejections (13 at the defaults)
 bring the step down to eps_x.
@@ -265,6 +266,10 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
     # first, and each accepted one; a rejected trial keeps the state and
     # retries with a shrunken move limit.
     while accepted < cfg.max_iters:
+        # a step is at most the move limit, so a spent limit needs no LP
+        if dx_max <= cfg.eps_x:
+            converged_by = "eps_x"
+            break
         if grads is None:
             grads = gradients(state, mesh)
         sol = solve_move_limit_lp(_build_lp(state, grads, cfg, dx_max))

@@ -333,6 +333,23 @@ class TestOptimize:
         assert res.iterations == 0
         assert res.state_evals == 1 + rejections
 
+    @pytest.mark.parametrize("seed", [1, 3, 9])
+    def test_no_lp_at_a_spent_move_limit(self, mesh4, monkeypatch, seed):
+        # a step can never exceed the move limit, so the loop stops by
+        # eps_x without solving an LP whose limit is at most eps_x
+        uppers = []
+
+        def solve(prob):
+            uppers.append(prob.upper)
+            return solve_move_limit_lp(prob)
+
+        monkeypatch.setattr(optimizer, "solve_move_limit_lp", solve)
+        g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(seed))
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
+        res = optimize(g1, g0, mesh4, cfg)
+        assert res.converged_by == "eps_x"
+        assert uppers and min(uppers) > cfg.eps_x
+
     @pytest.mark.parametrize(
         "seed, overrides, reason, iterations, evals, ends_on_accept", [
             (3, dict(), "eps_x", 3, 9, False),
@@ -387,9 +404,9 @@ class TestOptimize:
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         optimize(g1, g0, mesh4, cfg)
         # js[k] is the trial of lps[k - 1]; a rejection's shrink shows in
-        # the LP after it
+        # the LP after it, or, when it spends the limit, in the loop's end
         factors, j0 = [], js[0]
-        for k in range(1, len(lps)):
+        for k in range(1, len(js)):
             upper, pred = lps[k - 1]
             dj = js[k] - j0
             if dj < 0:
@@ -399,7 +416,10 @@ class TestOptimize:
                 factor = min(max(-pred / (2 * (dj - pred)), 0.1), cfg.gamma)
             else:
                 factor = cfg.gamma
-            assert lps[k][0] == upper * factor, f"LP {k}"
+            if k < len(lps):
+                assert lps[k][0] == upper * factor, f"LP {k}"
+            else:
+                assert upper * factor <= cfg.eps_x
             factors.append(factor)
         if predicted == "lp":
             assert all(pred <= 0 for _, pred in lps)
