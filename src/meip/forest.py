@@ -136,6 +136,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
             "converged_by": result.converged_by,
             "j_final": result.j_history[-1],
             "g_final": result.g_final,
+            "dx_first_accept": result.dx_first_accept,
             "ref_kind": cfg.ref_kind,
             "start": ("uniform" if node.parent is None
                       else f"axis {node.parent}"),

@@ -13,12 +13,15 @@ predicted change and the trial's J, by a factor kept within
 [0.1, gamma] (safeguarded interpolation backtracking; Nocedal & Wright,
 Numerical Optimization, 2nd ed., 3.5; Dennis & Schnabel 1983, A6.3.1).
 
-The loop stops on a step of at most eps_x (with no LP once the move
-limit itself is at most eps_x), on |dJ| <= eps_j or after max_iters
-accepted steps.  Rejections need no cap: a step is at most the
-move limit, which never grows and shrinks by at most gamma per rejection,
-so ceil(log(eps_x / dx_max) / log(gamma)) rejections (13 at the defaults)
-bring the step down to eps_x.
+Every axis starts at the move limit L0 = min(dx_max, min(tolp, tolq) / Ne),
+the uniform element value capped by dx_max (a scaled initial trust
+region; Sartenaer 1997, SIAM J. Sci. Comput. 18(6)).  The loop stops on a
+step of at most eps_x (with no LP once the move limit itself is at most
+eps_x), on |dJ| <= eps_j or after max_iters accepted steps.  Rejections
+need no cap: a step is at most the move limit, which never grows and
+shrinks by at most gamma per rejection, so
+ceil(log(eps_x / L0) / log(gamma)) rejections (9 at 12x12 and 4 at 28x28
+with the defaults) bring the limit down to eps_x.
 
 A state evaluation factors K once and makes two banded solves and no
 band product: J and G = u'K v are read off the solved right-hand sides
@@ -57,10 +60,10 @@ class OptimizerConfig:
     p_min: float = 1e-3
     q_min: float = 1e-3
     sigma0: float = 1e5
-    dx_max: float = 0.08
+    dx_max: float = 0.08   # cap on the move limit
     eps_x: float = 8e-4
     eps_j: float = 1e-7
-    gamma: float = 0.7     # largest factor a rejection shrinks dx_max by
+    gamma: float = 0.7     # largest factor a rejection shrinks the limit by
     max_iters: int = 500
     ref_kind: str = "u_minus_v"
 
@@ -137,6 +140,8 @@ class AxisResult:
     converged_by: str      # "eps_J" | "eps_x" | "max_iters"
     state_evals: int = 0
     g_final: float = 0.0   # G at the final design, a diagnostic
+    dx_first_accept: float | None = None  # move limit of the first accepted
+                                          # step, None without one
 
 
 def mean_forces(gray1: np.ndarray, gray0: np.ndarray,
@@ -236,7 +241,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
 
     The loop starts from ``start`` (``fem.uniform_design`` when None),
     which must keep ``cfg``'s bounds and budgets; the first move limit is
-    ``cfg.dx_max`` either way.
+    ``min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / mesh.ne)`` either way.
     """
     cfg.validate()
     if gray1.ndim != 2 or gray0.ndim != 2:
@@ -256,9 +261,11 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
         design = start
     state = compute_state(design, gray1, gray0, mesh, cfg, f, g)
     j_history = [state.j0]
-    dx_max = cfg.dx_max
+    # the uniform element value, capped by cfg.dx_max
+    dx_max = min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / mesh.ne)
     evals = 1
     accepted = 0
+    dx_first_accept = None
     grads = None
     converged_by = "max_iters"
 
@@ -290,6 +297,8 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
 
         rejected = not new_state.j0 < state.j0
         if not rejected:
+            if not accepted:
+                dx_first_accept = dx_max
             state = new_state
             accepted += 1
             grads = None
@@ -309,4 +318,5 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
     return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,
                       z1=state.z1, z0=state.z0, j_history=j_history,
                       iterations=accepted, converged_by=converged_by,
-                      state_evals=evals, g_final=state.g0)
+                      state_evals=evals, g_final=state.g0,
+                      dx_first_accept=dx_first_accept)

@@ -225,17 +225,26 @@ def load_config(path) -> PipelineConfig:
     if bool(cfg.class_pairs) == bool(cfg.one_vs_rest):
         raise ValueError(
             f"{path}: exactly one of class_pairs / one_vs_rest must be set")
+    def where(*keys: str) -> str:
+        return ", ".join(f"{key} on line {first_line[key]}" for key in keys
+                         if key in first_line)
+
     # Every element holds at least its lower bound, so the bounds alone
     # must fit in the budget, or the first move-limit LP has no room.
     for low, budget in (("p_min", "tolp"), ("q_min", "tolq")):
         floor = getattr(cfg, low) * cfg.n1 * cfg.n2
         if floor > getattr(cfg, budget):
-            where = ", ".join(f"{key} on line {first_line[key]}"
-                              for key in (low, budget, "n1", "n2")
-                              if key in first_line)
             raise ValueError(
                 f"{path}: {low} * n1 * n2 = {floor!r} exceeds {budget} = "
-                f"{getattr(cfg, budget)!r} ({where})")
+                f"{getattr(cfg, budget)!r} ({where(low, budget, 'n1', 'n2')})")
+    # A step is at most the first move limit, which must exceed eps_x, or
+    # every axis stops before its first step.
+    first = min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / (cfg.n1 * cfg.n2))
+    if first <= cfg.eps_x:
+        raise ValueError(
+            f"{path}: the first move limit min(dx_max, min(tolp, tolq) / "
+            f"(n1 * n2)) = {first!r} is at most eps_x = {cfg.eps_x!r} ("
+            f"{where('dx_max', 'tolp', 'tolq', 'n1', 'n2', 'eps_x')})")
     return cfg
 
 
@@ -789,20 +798,22 @@ def cmd_inspect(path, out_dir) -> list[Path]:
     path = Path(path)
     with _text_file(path) as f:
         header = f.readline().strip()
+    # the kind's loader names a version it does not read
+    kind = header.partition(" ")[0]
     grids = []   # (stem, grid, also as a raster)
-    if header == AXES_MAGIC:
+    if kind == AXES_MAGIC.partition(" ")[0]:
         bundle = load_axes(path)
         for m, axis in enumerate(bundle.axes):
             grids.append((f"axis_{m}", node_grid(axis, bundle.n1, bundle.n2),
                           True))
-    elif header == FIELDS_MAGIC:
+    elif kind == FIELDS_MAGIC.partition(" ")[0]:
         n1, n2, records = load_fields(path)
         for i, rec in enumerate(records):
             grids += [(f"axis_{i}_{k}", node_grid(rec[k], n1, n2), True)
                       for k in "fg"]
             grids += [(f"axis_{i}_{k}", element_grid(rec[k], n1, n2), True)
                       for k in "pq"]
-    elif header == MODEL_MAGIC:
+    elif kind == MODEL_MAGIC.partition(" ")[0]:
         model = load_model(path)[0]
         for j, g in enumerate(model):
             grids += [(f"class_{j}_mean", g.mean[None, :], False),

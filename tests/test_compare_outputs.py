@@ -1,6 +1,7 @@
 """The difference report of tools/compare_outputs.py: the keys of JSON
 outputs, the first differing line of any other file with the number of
-lines only in each side, and whether two files differ only in numbers."""
+lines only in each side, whether two files differ only in numbers, and
+the state evaluations and j_final ratios of two axis provenances."""
 
 import json
 import subprocess
@@ -60,26 +61,53 @@ NUMBER_CASES = {
     "changed_word": ("lambda = 0.3\n", "gamma = 0.3\n", None),
 }
 
+
+
+def axis(forest, evals, j):
+    return {"forest": forest, "state_evals": evals, "j_final": j}
+
+
+# (base state evaluations, working tree's, j_final ratios working tree /
+# base of the axes matched by forest and index, forests in name order)
+PROVENANCE_CASES = {
+    "matched": ([axis("a", 9, 2.0), axis("a", 5, 4.0), axis("b", 7, 1.0)],
+                [axis("a", 6, 1.0), axis("a", 4, 5.0), axis("b", 7, 1.5)],
+                [21, 17, [0.5, 1.25, 1.5]]),
+    "forest_order": ([axis("b", 3, 2.0), axis("a", 4, 1.0)],
+                     [axis("a", 2, 3.0), axis("b", 5, 1.0)],
+                     [7, 7, [3.0, 0.5]]),
+    "unmatched": ([axis("a", 9, 2.0), axis("c", 1, 1.0)],
+                  [axis("a", 6, 1.0), axis("a", 8, 1.0), axis("b", 3, 1.0)],
+                  [10, 17, [0.5]]),
+    "zero_base": ([axis("a", 2, 0.0), axis("a", 3, -2.0)],
+                  [axis("a", 2, 1.0), axis("a", 3, -1.0)], [5, 5, [0.5]]),
+}
+
 # compare_outputs imports bench/run.py, which must pin the BLAS threads
 # before numpy loads, so the diffs are taken in a fresh interpreter
 SCRIPT = """
 import json, sys
-from compare_outputs import json_key_diff, line_diff, number_drift
-cases, lines, numbers = json.load(sys.stdin)
+from compare_outputs import (json_key_diff, line_diff, number_drift,
+                             provenance_stats)
+cases, lines, numbers, provenances = json.load(sys.stdin)
 print(json.dumps([{name: json_key_diff(json.dumps(a).encode(),
                                        json.dumps(b).encode())
                    for name, (a, b) in cases.items()},
                   {name: line_diff(a.encode(), b.encode())
                    for name, (a, b) in lines.items()},
                   {name: number_drift(a.encode(), b.encode())
-                   for name, (a, b) in numbers.items()}]))
+                   for name, (a, b) in numbers.items()},
+                  {name: provenance_stats(json.dumps(a).encode(),
+                                          json.dumps(b).encode())
+                   for name, (a, b) in provenances.items()}]))
 """
 
 
 @pytest.fixture(scope="module")
 def diffs() -> list:
     cases = [{name: (a, b) for name, (a, b, _) in table.items()}
-             for table in (CASES, LINE_CASES, NUMBER_CASES)]
+             for table in (CASES, LINE_CASES, NUMBER_CASES,
+                           PROVENANCE_CASES)]
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=TOOLS,
                           input=json.dumps(cases), capture_output=True,
                           text=True, check=True)
@@ -99,3 +127,8 @@ def test_line_diff(diffs, name):
 @pytest.mark.parametrize("name", NUMBER_CASES)
 def test_number_drift(diffs, name):
     assert diffs[2][name] == NUMBER_CASES[name][2]
+
+
+@pytest.mark.parametrize("name", PROVENANCE_CASES)
+def test_provenance_stats(diffs, name):
+    assert diffs[3][name] == PROVENANCE_CASES[name][2]

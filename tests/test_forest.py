@@ -8,7 +8,8 @@ import meip.optimizer as optimizer_mod
 from meip import fem
 from meip.forest import (AxisBundle, SubsetNode, generate_axes,
                          orthonormalize, pick_subset, split_subset)
-from meip.optimizer import OptimizerConfig, element_projection
+from meip.lp import solve_move_limit_lp
+from meip.optimizer import OptimizerConfig, compute_state, element_projection
 from conftest import blob_grays
 
 
@@ -111,7 +112,7 @@ class TestGenerateAxes:
         g1, g0 = blob_grays(mesh4, 10, rng)
         gray = np.vstack([g0, g1])
         labels = np.array([0] * 10 + [1] * 10)
-        calls, results = [], []
+        calls, results, uppers, js = [], [], [], []
         real = forest_mod.optimize
 
         def counting(g1_, g0_, mesh_, cfg_, start=None):
@@ -119,7 +120,18 @@ class TestGenerateAxes:
             results.append(real(g1_, g0_, mesh_, cfg_, start=start))
             return results[-1]
 
+        def solve(prob):
+            uppers.append(prob.upper)
+            return solve_move_limit_lp(prob)
+
+        def state(*args):
+            st = compute_state(*args)
+            js.append(st.j0)
+            return st
+
         monkeypatch.setattr(forest_mod, "optimize", counting)
+        monkeypatch.setattr(optimizer_mod, "solve_move_limit_lp", solve)
+        monkeypatch.setattr(optimizer_mod, "compute_state", state)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
         bundle = generate_axes(gray, labels, 1, cfg, mesh4)
         assert len(calls) == 1
@@ -130,6 +142,9 @@ class TestGenerateAxes:
         assert bundle.provenance[0]["m1"] == 10
         assert bundle.provenance[0]["g_final"] == results[0].g_final
         assert bundle.provenance[0]["state_evals"] == results[0].state_evals
+        # js[k] is the trial of uppers[k - 1]
+        first = next(k for k in range(1, len(js)) if js[k] < js[0])
+        assert bundle.provenance[0]["dx_first_accept"] == uppers[first - 1]
         assert len(bundle.fields) == 1
 
     def test_multiple_axes_and_determinism(self, mesh4):

@@ -326,11 +326,13 @@ class TestOptimize:
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(3))
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         res = optimize(g1, g0, mesh4, cfg)
-        rejections = math.ceil(math.log(cfg.eps_x / cfg.dx_max)
+        first = min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / mesh4.ne)
+        rejections = math.ceil(math.log(cfg.eps_x / first)
                                / math.log(cfg.gamma))
-        assert rejections == 13
+        assert rejections == 6
         assert res.converged_by == "eps_x"
         assert res.iterations == 0
+        assert res.dx_first_accept is None
         assert res.state_evals == 1 + rejections
 
     @pytest.mark.parametrize("seed", [1, 3, 9])
@@ -352,11 +354,11 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "seed, overrides, reason, iterations, evals, ends_on_accept", [
-            (3, dict(), "eps_x", 3, 9, False),
-            (1, dict(), "eps_x", 3, 4, False),
-            (1, dict(eps_j=3.0), "eps_J", 3, 4, True),
-            (3, dict(eps_j=3.0), "eps_J", 2, 4, False),
-            (3, dict(max_iters=3), "max_iters", 3, 8, True),
+            (3, dict(), "eps_x", 5, 7, False),
+            (2, dict(), "eps_x", 13, 14, False),
+            (1, dict(eps_j=3.0), "eps_J", 4, 5, True),
+            (13, dict(eps_j=3.0), "eps_J", 3, 5, False),
+            (3, dict(max_iters=3), "max_iters", 3, 4, True),
         ], ids=["eps_x_after_reject", "eps_x", "eps_J_after_accept",
                 "eps_J_after_reject", "max_iters"])
     def test_stopping_rules(self, mesh4, monkeypatch, seed, overrides,
@@ -429,6 +431,21 @@ class TestOptimize:
         else:
             assert factors and set(factors) == {cfg.gamma}
 
+    @pytest.mark.parametrize("tolp, tolq, first", [
+        (0.1, 0.1, 0.1 / 16), (2.0, 0.5, 0.5 / 16), (2.0, 2.0, 0.08)])
+    def test_first_move_limit(self, mesh4, monkeypatch, tolp, tolq, first):
+        # the uniform element value of the smaller budget, capped by dx_max
+        uppers = []
+
+        def solve(prob):
+            uppers.append(prob.upper)
+            return solve_move_limit_lp(prob)
+
+        monkeypatch.setattr(optimizer, "solve_move_limit_lp", solve)
+        g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(3))
+        optimize(g1, g0, mesh4, OptimizerConfig(tolp=tolp, tolq=tolq))
+        assert uppers[0] == first
+
     def test_start_design(self, mesh4, monkeypatch):
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(9))
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
@@ -438,8 +455,8 @@ class TestOptimize:
         assert same.alpha.tobytes() == cold.alpha.tobytes()
         assert same.state_evals == cold.state_evals
 
-        # any other start is the first state, with the full move limit,
-        # and is left as it was
+        # any other start is the first state, with the same first move
+        # limit, and is left as it was
         uppers, designs = [], []
 
         def solve(prob):
@@ -455,7 +472,7 @@ class TestOptimize:
         start = random_design(mesh4, np.random.default_rng(3), 0.1, 0.1)
         kept = copy.deepcopy(start)
         optimize(g1, g0, mesh4, cfg, start=start)
-        assert designs[0] is start and uppers[0] == cfg.dx_max
+        assert designs[0] is start and uppers[0] == cfg.tolp / mesh4.ne
         assert start.p.tobytes() == kept.p.tobytes()
         assert start.q.tobytes() == kept.q.tobytes()
 

@@ -143,6 +143,30 @@ class TestConfig:
         assert f"{key} on line 3" in msg
         assert "n1 on line 1, n2 on line 2" in msg
 
+    @pytest.mark.parametrize("lines, first, where", [
+        (["n1 = 50", "n2 = 50", "p_min = 1e-4", "q_min = 1e-4"], 2 / 2500,
+         "n1 on line 1, n2 on line 2"),
+        (["dx_max = 5e-4"], 5e-4, "dx_max on line 1"),
+        (["eps_x = inf"], 2 / 784, "eps_x on line 1"),
+    ], ids=["50x50", "dx_max", "eps_x_inf"])
+    def test_a_spent_first_move_limit_fails_at_load(self, tmp_path, lines,
+                                                    first, where):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\n".join([*lines, "class_pairs = 0:1\n"]))
+        with pytest.raises(ValueError) as err:
+            pipeline.load_config(cfg_file)
+        assert str(err.value).startswith(
+            f"{cfg_file}: the first move limit min(dx_max, min(tolp, tolq) "
+            f"/ (n1 * n2)) = {first!r} is at most eps_x = ")
+        assert f"({where})" in str(err.value)
+
+    def test_a_first_move_limit_above_eps_x_loads(self, tmp_path):
+        # 2 / 2401 just exceeds eps_x = 8e-4, which 2 / 2500 equals
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n1 = 49\nn2 = 49\np_min = 1e-4\nq_min = 1e-4\n"
+                            "class_pairs = 0:1\n")
+        assert pipeline.load_config(cfg_file).n1 == 49
+
     @pytest.mark.parametrize("text", [
         "class_pairs = 0:1\n", "n1 = 12\nn2 = 12\nclass_pairs = 0:1\n"])
     def test_default_budgets_load(self, tmp_path, text):
@@ -883,6 +907,23 @@ class TestCommands:
         bogus.write_text("garbage\n")
         with pytest.raises(ValueError, match="unrecognized artifact"):
             pipeline.cmd_inspect(bogus, tmp_path / "viz")
+        assert not (tmp_path / "viz").exists()
+
+    @pytest.mark.parametrize("header, message", [
+        ("MEIP-AXES 0", "an axis bundle file of version 0; this meip reads "
+         "MEIP-AXES 1"),
+        ("MEIP-FIELDS 2", "a fields file of version 2; this meip reads "
+         "MEIP-FIELDS 1"),
+        ("MEIP-MODEL 1", "a model file of version 1; this meip reads "
+         "MEIP-MODEL 2"),
+    ], ids=["axes", "fields", "model"])
+    def test_inspect_names_an_unread_version(self, tmp_path, header,
+                                             message):
+        old = tmp_path / "old.txt"
+        old.write_text(f"{header}\nbundle axes.txt\nconfig 0\n")
+        with pytest.raises(ValueError) as err:
+            pipeline.cmd_inspect(old, tmp_path / "viz")
+        assert str(err.value) == f"{old}:1: {message}"
         assert not (tmp_path / "viz").exists()
 
     def test_bundle_size_checked_against_config(self, bars_workspace,

@@ -21,8 +21,11 @@ only (the text between the numbers matches on every line); for the
 latter the count of changed integers and the largest change, divided by
 the largest number on its line, are printed.  Summary lines count the
 differing files of each kind and the datasets whose test accuracy is
-better, worse and equal in the working tree, with the mean change.
-Exits 1 on any difference.
+better, worse and equal in the working tree, with the mean change.  Where
+both sides wrote ``axes_provenance.json``, two more give the total
+``state_evals`` of each side and the median ratio of ``j_final``, working
+tree over base, of the axes matched by forest and index, in total and per
+workload.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -164,6 +168,34 @@ def drift_note(drift: tuple[int, float] | None) -> str:
             f"{d:.1e} of the line's largest")
 
 
+def provenance_stats(a: bytes,
+                     b: bytes) -> tuple[int, int, list[float]]:
+    """(state evaluations of the base, of the working tree, ``j_final``
+    ratios working tree / base) of two ``axes_provenance.json`` files; the
+    ratios pair the i-th axis of a forest on both sides, forests in name
+    order, and skip a base axis whose ``j_final`` is 0."""
+    da, db = json.loads(a), json.loads(b)
+
+    def j_by_forest(records: list) -> dict:
+        out = {}
+        for r in records:
+            out.setdefault(r["forest"], []).append(r["j_final"])
+        return out
+
+    ja, jb = j_by_forest(da), j_by_forest(db)
+    ratios = [y / x for forest in sorted(ja.keys() & jb.keys())
+              for x, y in zip(ja[forest], jb[forest]) if x]
+    return (sum(r["state_evals"] for r in da),
+            sum(r["state_evals"] for r in db), ratios)
+
+
+def median_text(ratios: list[float]) -> str:
+    if not ratios:
+        return "no matched axes"
+    return (f"{statistics.median(ratios):.4f} over {len(ratios)} "
+            + ("axis" if len(ratios) == 1 else "axes"))
+
+
 def report_of(out: Path) -> Path:
     """``report.json`` of a pipeline, else ``report_test.json`` of an eval."""
     path = out / "report.json"
@@ -212,6 +244,8 @@ def main(argv: list[str]) -> int:
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         total, diffs, deltas, drifts = 0, [], [], []
+        # workload -> [base state evaluations, working tree's, j ratios]
+        axes = {}
         for wl, seeds in DATASETS.items():
             workload = run.WORKLOADS[wl]
             for seed in seeds:
@@ -228,6 +262,15 @@ def main(argv: list[str]) -> int:
                     diffs += lines
                     deltas.append(accuracy_of(outs["head"])
                                   - accuracy_of(outs["base"]))
+                    prov = [outs[side] / "axes_provenance.json"
+                            for side in sides]
+                    if all(p.is_file() for p in prov):
+                        ea, eb, ratios = provenance_stats(
+                            *(p.read_bytes() for p in prov))
+                        acc = axes.setdefault(wl, [0, 0, []])
+                        acc[0] += ea
+                        acc[1] += eb
+                        acc[2] += ratios
     for line in diffs:
         print(line)
     print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
@@ -242,6 +285,17 @@ def main(argv: list[str]) -> int:
           f"{sum(d < 0 for d in deltas)} worse, "
           f"{sum(d == 0 for d in deltas)} equal, "
           f"mean change {sum(deltas) / len(deltas):+.4f}")
+    if axes:
+        print(f"state evaluations, {rev} vs working tree: "
+              f"{sum(a[0] for a in axes.values())} vs "
+              f"{sum(a[1] for a in axes.values())} ("
+              + ", ".join(f"{wl} {a[0]} vs {a[1]}" for wl, a in axes.items())
+              + ")")
+        ratios = [r for a in axes.values() for r in a[2]]
+        print("median j_final ratio, working tree / "
+              f"{rev}: {median_text(ratios)} ("
+              + ", ".join(f"{wl} {median_text(a[2])}"
+                          for wl, a in axes.items()) + ")")
     return 1 if diffs else 0
 
 
