@@ -84,6 +84,11 @@ class OptimizerConfig:
         if self.ref_kind not in REF_KINDS:
             raise ValueError(f"ref_kind must be one of {REF_KINDS}")
 
+    def first_move_limit(self, ne: int) -> float:
+        """The move limit every axis on ``ne`` elements starts at: the
+        uniform element value of the smaller budget, capped by dx_max."""
+        return min(self.dx_max, min(self.tolp, self.tolq) / ne)
+
     def check_design(self, design: fem.DesignField) -> None:
         """Raise if ``design`` breaks the bounds or budget totals by more
         than 1e-9."""
@@ -241,7 +246,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
 
     The loop starts from ``start`` (``fem.uniform_design`` when None),
     which must keep ``cfg``'s bounds and budgets; the first move limit is
-    ``min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / mesh.ne)`` either way.
+    ``cfg.first_move_limit(mesh.ne)`` either way.
     """
     cfg.validate()
     if gray1.ndim != 2 or gray0.ndim != 2:
@@ -261,8 +266,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
         design = start
     state = compute_state(design, gray1, gray0, mesh, cfg, f, g)
     j_history = [state.j0]
-    # the uniform element value, capped by cfg.dx_max
-    dx_max = min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / mesh.ne)
+    dx_max = cfg.first_move_limit(mesh.ne)
     evals = 1
     accepted = 0
     dx_first_accept = None

@@ -225,6 +225,7 @@ def load_config(path) -> PipelineConfig:
     if bool(cfg.class_pairs) == bool(cfg.one_vs_rest):
         raise ValueError(
             f"{path}: exactly one of class_pairs / one_vs_rest must be set")
+
     def where(*keys: str) -> str:
         return ", ".join(f"{key} on line {first_line[key]}" for key in keys
                          if key in first_line)
@@ -239,7 +240,8 @@ def load_config(path) -> PipelineConfig:
                 f"{getattr(cfg, budget)!r} ({where(low, budget, 'n1', 'n2')})")
     # A step is at most the first move limit, which must exceed eps_x, or
     # every axis stops before its first step.
-    first = min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / (cfg.n1 * cfg.n2))
+    first = cfg.optimizer_config(cfg.ref_kinds()[0]).first_move_limit(
+        cfg.n1 * cfg.n2)
     if first <= cfg.eps_x:
         raise ValueError(
             f"{path}: the first move limit min(dx_max, min(tolp, tolq) / "
