@@ -604,28 +604,26 @@ def _read_input(cfg: PipelineConfig, key: str, load):
 
 def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
     """Map digit labels to 0-based class indices in config order."""
-    digits = cfg.classes()
-    lut = np.full(max(digits) + 1, -1, dtype=np.int64)
-    lut[digits] = np.arange(len(digits))
-    targets = lut[labels]
-    if np.any(targets < 0):
+    match = np.asarray(labels)[:, None] == np.asarray(cfg.classes())
+    if not match.any(axis=1).all():
         raise ValueError("dataset contains labels outside configured classes")
-    return targets
+    return match.argmax(axis=1)
 
 
 def _forests(cfg: PipelineConfig, labels: np.ndarray):
-    """Yield (name, ref_kind, selection mask, 0/1 labels of the selected
-    samples) for each forest, in config order."""
+    """Yield (name, ref_kind, 0/1 labels) for each forest, in config order.
+
+    Every forest grows on all the samples, so every label must be a
+    configured digit, which for a pair config is one of the pair's two."""
+    class_targets(cfg, labels)
     if cfg.class_pairs:
-        views = ((f"{a}v{b}", np.isin(labels, (a, b)), labels == b)
-                 for a, b in cfg.pairs())
+        views = ((f"{a}v{b}", b) for a, b in cfg.pairs())
     else:
-        views = ((f"{d}vrest", np.ones(len(labels), dtype=bool), labels == d)
-                 for d in cfg.classes())
-    for stem, mask, positive in views:
-        ybin = positive[mask].astype(np.int64)
+        views = ((f"{d}vrest", d) for d in cfg.classes())
+    for stem, positive in views:
+        ybin = (labels == positive).astype(np.int64)
         for ref in cfg.ref_kinds():
-            yield f"{stem}_{ref}", ref, mask, ybin
+            yield f"{stem}_{ref}", ref, ybin
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +666,10 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
     out.mkdir(parents=True, exist_ok=True)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
     bundles, provenance = [], []
-    for name, ref, mask, ybin in _forests(cfg, data.labels):
-        log.info("forest %s: %d samples (%d/%d per class)", name,
-                 int(mask.sum()), int((ybin == 0).sum()), int((ybin == 1).sum()))
-        b = forest.generate_axes(data.gray[mask], ybin, cfg.n_axes,
+    for name, ref, ybin in _forests(cfg, data.labels):
+        log.info("forest %s: %d samples (%d/%d per class)", name, len(ybin),
+                 int((ybin == 0).sum()), int((ybin == 1).sum()))
+        b = forest.generate_axes(data.gray, ybin, cfg.n_axes,
                                  cfg.optimizer_config(ref), mesh)
         save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
         provenance += [{"forest": name, **prov} for prov in b.provenance]
@@ -740,10 +738,6 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
         raise ValueError(f"{model_path}: model has {len(model)} classes, "
                          f"config says {len(cfg.classes())}")
     echo = dict(echo)
-    # older versions echo the image scaling, which was a setting
-    if echo.get("norm", "l2") != "l2":
-        raise ValueError(f"{model_path}: model was trained with norm "
-                         f"{echo['norm']}; images are scaled to unit l2 norm")
     trained = PipelineConfig(**{k: echo.get(k, "") for k in
                                 ("class_pairs", "one_vs_rest")})
     try:

@@ -15,8 +15,8 @@ import pytest
 
 from meip import classifier, cli, fem, forest, pipeline
 from meip.classifier import confusion_from_predictions, fit
-from meip.dataset import (load_idx_images, load_idx_labels, write_idx_images,
-                          write_idx_labels)
+from meip.dataset import (Dataset, load_idx_images, load_idx_labels,
+                          write_idx_images, write_idx_labels)
 from meip.forest import AxisBundle
 from meip.optimizer import REF_KINDS, OptimizerConfig
 from artifact_readers import read_confusion_csv, read_field_csv
@@ -697,6 +697,34 @@ class TestCommands:
                 "[3, 7]")):
             pipeline.load_split(cfg, "test")
 
+    def test_class_targets_rejects_an_unconfigured_digit(self):
+        cfg = pipeline.PipelineConfig(class_pairs="2:3")
+        assert pipeline.class_targets(cfg, np.array([3, 2, 3])).tolist() == [
+            1, 0, 1]
+        # a digit below, between and above the configured ones
+        for labels in ([2, 3, 0], [1, 2, 3], [2, 3, 7]):
+            with pytest.raises(ValueError, match="dataset contains labels "
+                               "outside configured classes"):
+                pipeline.class_targets(cfg, np.array(labels))
+
+    @pytest.mark.parametrize("config", ["class_pairs = 3:7",
+                                        "one_vs_rest = 3,7"],
+                             ids=["pair", "one_vs_rest"])
+    def test_train_axes_rejects_an_unconfigured_digit(self, bars_workspace,
+                                                      config):
+        cfg_path = bars_workspace / "run.cfg"
+        cfg_path.write_text(cfg_path.read_text().replace("class_pairs = 3:7",
+                                                          config))
+        cfg = pipeline.load_config(cfg_path)
+        train = pipeline.load_split(cfg, "train")
+        labels = train.labels.copy()
+        labels[0] = 5  # neither dropped from a pair nor put into "rest"
+        out = bars_workspace / "out"
+        with pytest.raises(ValueError, match="dataset contains labels "
+                           "outside configured classes"):
+            pipeline.cmd_train_axes(cfg, Dataset(train.gray, labels), out)
+        assert not (out / "axes.txt").exists()
+
     def test_count_mismatch_names_both_files(self, bars_workspace):
         labels_path = bars_workspace / "test-lab.idx"
         write_idx_labels(labels_path, load_idx_labels(labels_path)[:-1])
@@ -1038,10 +1066,7 @@ class TestCommands:
         # same digits, swapped order: every class index would swap
         ({"class_pairs": "7:3"},
          "model was trained on classes [7, 3], config says [3, 7]"),
-        # a model file from a version where the scaling was a setting
-        ({"norm": "max"}, "model was trained with norm max; images are "
-         "scaled to unit l2 norm"),
-    ], ids=["digit_order", "norm"])
+    ], ids=["digit_order"])
     def test_model_echo_checked_against_config(self, bars_workspace, echo,
                                                message):
         cfg, out = self._echo_model(bars_workspace, echo)
@@ -1054,7 +1079,7 @@ class TestCommands:
         assert (out / "confusion_test.csv").read_bytes() == scored
 
     def test_model_echo_of_norm_l2_still_scores(self, bars_workspace):
-        # older versions echo norm = l2, the one scaling there is now
+        # an echo key this meip does not know is ignored
         cfg, out = self._echo_model(bars_workspace, {"norm": "l2"})
         scored = {name: (out / name).read_bytes() for name in
                   ("confusion_test.csv", "predictions_test.csv")}
@@ -1115,22 +1140,29 @@ class TestCommands:
 
     def test_pipeline_loads_each_split_once(self, bars_workspace,
                                             monkeypatch):
-        events = []
+        events, splits, grown = [], {}, []
         load_split, generate_axes = pipeline.load_split, forest.generate_axes
 
         def counting_load(cfg, split):
             events.append(split)
-            return load_split(cfg, split)
+            splits[split] = load_split(cfg, split)
+            return splits[split]
 
-        def noting_forest(*args, **kwargs):
+        def noting_forest(gray, *args, **kwargs):
             events.append("forest")
-            return generate_axes(*args, **kwargs)
+            grown.append(gray)
+            return generate_axes(gray, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_split", counting_load)
         monkeypatch.setattr(forest, "generate_axes", noting_forest)
-        cfg = pipeline.load_config(bars_workspace / "run.cfg")
-        pipeline.cmd_pipeline(cfg, bars_workspace / "out")
-        assert events == ["train", "test", "forest"]
+        cfg_path = bars_workspace / "two.cfg"
+        cfg_path.write_text((bars_workspace / "run.cfg").read_text()
+                            + "ref_kind = u,v\n")
+        pipeline.cmd_pipeline(pipeline.load_config(cfg_path),
+                              bars_workspace / "out")
+        assert events == ["train", "test", "forest", "forest"]
+        # every forest grows on the training split's own matrix, not a copy
+        assert all(gray is splits["train"].gray for gray in grown)
 
     @pytest.mark.parametrize("extra", ["", "ref_kind = u,v\nsvd_k = 2\n"],
                              ids=["one_forest", "two_forests_svd"])
