@@ -142,8 +142,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
                       else f"axis {node.parent}"),
         })
         fields.append({"f": result.f, "g": result.g,
-                       "p": result.design.p.copy(),
-                       "q": result.design.q.copy()})
+                       "p": result.design.p, "q": result.design.q})
         log.info("axis %d/%d: subset (%d, %d), %d iterations, %s",
                  len(axes), n_axes, m0, m1, result.iterations,
                  result.converged_by)

@@ -13,8 +13,8 @@ predicted change and the trial's J, by a factor kept within
 [0.1, gamma] (safeguarded interpolation backtracking; Nocedal & Wright,
 Numerical Optimization, 2nd ed., 3.5; Dennis & Schnabel 1983, A6.3.1).
 
-Every axis starts at the move limit L0 = min(dx_max, min(tolp, tolq) / Ne),
-the uniform element value capped by dx_max (a scaled initial trust
+Every axis starts at the move limit L0 = min(tolp, tolq) / Ne, the
+uniform element value of the smaller budget (a scaled initial trust
 region; Sartenaer 1997, SIAM J. Sci. Comput. 18(6)).  The loop stops on a
 step of at most eps_x (with no LP once the move limit itself is at most
 eps_x), on |dJ| <= eps_j or after max_iters accepted steps.  Rejections
@@ -60,7 +60,6 @@ class OptimizerConfig:
     p_min: float = 1e-3
     q_min: float = 1e-3
     sigma0: float = 1e5
-    dx_max: float = 0.08   # cap on the move limit
     eps_x: float = 8e-4
     eps_j: float = 1e-7
     gamma: float = 0.7     # largest factor a rejection shrinks the limit by
@@ -72,7 +71,7 @@ class OptimizerConfig:
             raise ValueError("lam must lie in [0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        for name in ("tolp", "tolq", "p_min", "q_min", "sigma0", "dx_max"):
+        for name in ("tolp", "tolq", "p_min", "q_min", "sigma0"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         # an infinite threshold is a rule that stops at its first test
@@ -86,8 +85,8 @@ class OptimizerConfig:
 
     def first_move_limit(self, ne: int) -> float:
         """The move limit every axis on ``ne`` elements starts at: the
-        uniform element value of the smaller budget, capped by dx_max."""
-        return min(self.dx_max, min(self.tolp, self.tolq) / ne)
+        uniform element value of the smaller budget."""
+        return min(self.tolp, self.tolq) / ne
 
     def check_design(self, design: fem.DesignField) -> None:
         """Raise if ``design`` breaks the bounds or budget totals by more
@@ -228,15 +227,15 @@ def gradients(state: OptimizerState, mesh: fem.GridMesh):
 
 
 def _build_lp(state: OptimizerState, grads, cfg: OptimizerConfig,
-              dx_max: float) -> MoveLimitLp:
+              limit: float) -> MoveLimitLp:
     design = state.design
     return MoveLimitLp(
         c_p=grads[0], c_q=grads[1],
         tolx_p=cfg.tolp - design.p.sum(),
         tolx_q=cfg.tolq - design.q.sum(),
-        lower_p=np.maximum(cfg.p_min - design.p, -dx_max),
-        lower_q=np.maximum(cfg.q_min - design.q, -dx_max),
-        upper=dx_max)
+        lower_p=np.maximum(cfg.p_min - design.p, -limit),
+        lower_q=np.maximum(cfg.q_min - design.q, -limit),
+        upper=limit)
 
 
 def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
@@ -266,7 +265,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
         design = start
     state = compute_state(design, gray1, gray0, mesh, cfg, f, g)
     j_history = [state.j0]
-    dx_max = cfg.first_move_limit(mesh.ne)
+    limit = cfg.first_move_limit(mesh.ne)
     evals = 1
     accepted = 0
     dx_first_accept = None
@@ -278,12 +277,12 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
     # retries with a shrunken move limit.
     while accepted < cfg.max_iters:
         # a step is at most the move limit, so a spent limit needs no LP
-        if dx_max <= cfg.eps_x:
+        if limit <= cfg.eps_x:
             converged_by = "eps_x"
             break
         if grads is None:
             grads = gradients(state, mesh)
-        sol = solve_move_limit_lp(_build_lp(state, grads, cfg, dx_max))
+        sol = solve_move_limit_lp(_build_lp(state, grads, cfg, limit))
         step = max(np.abs(sol.x_p).max(initial=0.0),
                    np.abs(sol.x_q).max(initial=0.0))
         if step <= cfg.eps_x:
@@ -296,13 +295,13 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
         evals += 1
         dj = new_state.j0 - state.j0
 
-        log.info("iter=%d J0=%.9e G0=%.3e dx_max=%.4g dJ=%.3e",
-                 accepted + 1, new_state.j0, new_state.g0, dx_max, dj)
+        log.info("iter=%d J0=%.9e G0=%.3e limit=%.4g dJ=%.3e",
+                 accepted + 1, new_state.j0, new_state.g0, limit, dj)
 
         rejected = not new_state.j0 < state.j0
         if not rejected:
             if not accepted:
-                dx_first_accept = dx_max
+                dx_first_accept = limit
             state = new_state
             accepted += 1
             grads = None
@@ -316,7 +315,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             # A NaN t falls to 0.1.
             pred = sol.objective
             t = -pred / (2.0 * (dj - pred)) if pred < 0 else cfg.gamma
-            dx_max *= min(cfg.gamma, max(0.1, t))
+            limit *= min(cfg.gamma, max(0.1, t))
 
     cfg.check_design(state.design)
     return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,

@@ -79,7 +79,6 @@ class PipelineConfig:
     p_min: float = OptimizerConfig.p_min
     q_min: float = OptimizerConfig.q_min
     sigma0: float = OptimizerConfig.sigma0
-    dx_max: float = OptimizerConfig.dx_max
     eps_x: float = OptimizerConfig.eps_x
     eps_j: float = OptimizerConfig.eps_j
     gamma: float = OptimizerConfig.gamma
@@ -244,9 +243,9 @@ def load_config(path) -> PipelineConfig:
         cfg.n1 * cfg.n2)
     if first <= cfg.eps_x:
         raise ValueError(
-            f"{path}: the first move limit min(dx_max, min(tolp, tolq) / "
-            f"(n1 * n2)) = {first!r} is at most eps_x = {cfg.eps_x!r} ("
-            f"{where('dx_max', 'tolp', 'tolq', 'n1', 'n2', 'eps_x')})")
+            f"{path}: the first move limit min(tolp, tolq) / (n1 * n2) = "
+            f"{first!r} is at most eps_x = {cfg.eps_x!r} ("
+            f"{where('tolp', 'tolq', 'n1', 'n2', 'eps_x')})")
     return cfg
 
 

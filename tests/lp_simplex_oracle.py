@@ -5,7 +5,7 @@ replaced.  It works on the LP as stated, with no use of its structure:
 
     min  c_p' x_p + c_q' x_q
     s.t. sum(x_p) = tolx_p,  sum(x_q) = tolx_q
-         lower <= x <= dx_max
+         lower <= x <= upper
 
 revised primal simplex with an explicit 2x2 basis inverse, big-M
 artificials on the budget rows and Bland's rule (lowest index enters,

@@ -63,24 +63,31 @@ NUMBER_CASES = {
 
 
 
-def axis(forest, evals, j):
-    return {"forest": forest, "state_evals": evals, "j_final": j}
+def axis(forest, evals, j, iterations=1):
+    return {"forest": forest, "state_evals": evals, "j_final": j,
+            "iterations": iterations}
 
 
-# (base state evaluations, working tree's, j_final ratios working tree /
-# base of the axes matched by forest and index, forests in name order)
+# (base state evaluations, working tree's, base zero-progress axes, working
+# tree's, j_final ratios working tree / base of the axes matched by forest
+# and index, forests in name order)
 PROVENANCE_CASES = {
     "matched": ([axis("a", 9, 2.0), axis("a", 5, 4.0), axis("b", 7, 1.0)],
                 [axis("a", 6, 1.0), axis("a", 4, 5.0), axis("b", 7, 1.5)],
-                [21, 17, [0.5, 1.25, 1.5]]),
+                [21, 17, 0, 0, [0.5, 1.25, 1.5]]),
     "forest_order": ([axis("b", 3, 2.0), axis("a", 4, 1.0)],
                      [axis("a", 2, 3.0), axis("b", 5, 1.0)],
-                     [7, 7, [3.0, 0.5]]),
+                     [7, 7, 0, 0, [3.0, 0.5]]),
     "unmatched": ([axis("a", 9, 2.0), axis("c", 1, 1.0)],
                   [axis("a", 6, 1.0), axis("a", 8, 1.0), axis("b", 3, 1.0)],
-                  [10, 17, [0.5]]),
+                  [10, 17, 0, 0, [0.5]]),
     "zero_base": ([axis("a", 2, 0.0), axis("a", 3, -2.0)],
-                  [axis("a", 2, 1.0), axis("a", 3, -1.0)], [5, 5, [0.5]]),
+                  [axis("a", 2, 1.0), axis("a", 3, -1.0)],
+                  [5, 5, 0, 0, [0.5]]),
+    "zero_progress": ([axis("a", 9, 2.0), axis("a", 4, 1.0, iterations=0)],
+                      [axis("a", 5, 2.0, iterations=0),
+                       axis("a", 4, 1.0, iterations=0)],
+                      [13, 9, 1, 2, [1.0, 1.0]]),
 }
 
 # compare_outputs imports bench/run.py, which must pin the BLAS threads

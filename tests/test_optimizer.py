@@ -326,7 +326,7 @@ class TestOptimize:
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(3))
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         res = optimize(g1, g0, mesh4, cfg)
-        first = min(cfg.dx_max, min(cfg.tolp, cfg.tolq) / mesh4.ne)
+        first = cfg.first_move_limit(mesh4.ne)
         rejections = math.ceil(math.log(cfg.eps_x / first)
                                / math.log(cfg.gamma))
         assert rejections == 6
@@ -432,9 +432,9 @@ class TestOptimize:
             assert factors and set(factors) == {cfg.gamma}
 
     @pytest.mark.parametrize("tolp, tolq, first", [
-        (0.1, 0.1, 0.1 / 16), (2.0, 0.5, 0.5 / 16), (2.0, 2.0, 0.08)])
+        (0.1, 0.1, 0.1 / 16), (2.0, 0.5, 0.5 / 16), (2.0, 2.0, 2.0 / 16)])
     def test_first_move_limit(self, mesh4, monkeypatch, tolp, tolq, first):
-        # the uniform element value of the smaller budget, capped by dx_max
+        # the uniform element value of the smaller budget
         uppers = []
 
         def solve(prob):

@@ -38,7 +38,6 @@ class TestConfig:
         assert cfg.n_axes == 7
         assert cfg.n1 == 28  # untouched default
         assert cfg.tolp == 2.0
-        assert cfg.dx_max == 0.08
         assert cfg.eps_x == 8e-4
         assert cfg.eps_j == 1e-7
 
@@ -55,13 +54,16 @@ class TestConfig:
                 f"{cfg_file}:2: unknown config key 'seed'")):
             pipeline.load_config(cfg_file)
 
-    @pytest.mark.parametrize("line", ["norm = l2", "norm = l7"])
-    def test_norm_is_not_a_key(self, tmp_path, line):
-        # every image is scaled to unit l2 norm; there is no setting
+    # every image is scaled to unit l2 norm, and every axis starts at the
+    # uniform element value of the smaller budget; neither is a setting
+    @pytest.mark.parametrize("line", ["norm = l2", "norm = l7",
+                                      "dx_max = 0.08"])
+    def test_removed_key_is_not_a_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"class_pairs = 0:1\n{line}\n")
+        key = line.split("=")[0].strip()
         with pytest.raises(ValueError, match=re.escape(
-                f"{cfg_file}:2: unknown config key 'norm'")):
+                f"{cfg_file}:2: unknown config key '{key}'")):
             pipeline.load_config(cfg_file)
 
     def test_requires_exactly_one_task_key(self, tmp_path):
@@ -95,7 +97,7 @@ class TestConfig:
         "class_pairs = 3", "class_pairs = 3:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
         "class_pairs = 2:256", "sigma0 = inf", "tolp = inf", "tolp = nan",
-        "dx_max = inf", "ridge = nan", "ridge = -5", "max_iters = -1",
+        "ridge = nan", "ridge = -5", "max_iters = -1",
     ])
     def test_bad_value_names_file_line_and_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
@@ -146,9 +148,9 @@ class TestConfig:
     @pytest.mark.parametrize("lines, first, where", [
         (["n1 = 50", "n2 = 50", "p_min = 1e-4", "q_min = 1e-4"], 2 / 2500,
          "n1 on line 1, n2 on line 2"),
-        (["dx_max = 5e-4"], 5e-4, "dx_max on line 1"),
+        (["tolq = 0.5", "q_min = 1e-4"], 0.5 / 784, "tolq on line 1"),
         (["eps_x = inf"], 2 / 784, "eps_x on line 1"),
-    ], ids=["50x50", "dx_max", "eps_x_inf"])
+    ], ids=["50x50", "tolq", "eps_x_inf"])
     def test_a_spent_first_move_limit_fails_at_load(self, tmp_path, lines,
                                                     first, where):
         cfg_file = tmp_path / "run.cfg"
@@ -156,8 +158,8 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             pipeline.load_config(cfg_file)
         assert str(err.value).startswith(
-            f"{cfg_file}: the first move limit min(dx_max, min(tolp, tolq) "
-            f"/ (n1 * n2)) = {first!r} is at most eps_x = ")
+            f"{cfg_file}: the first move limit min(tolp, tolq) / (n1 * n2) "
+            f"= {first!r} is at most eps_x = ")
         assert f"({where})" in str(err.value)
 
     def test_a_first_move_limit_above_eps_x_loads(self, tmp_path):

@@ -22,10 +22,11 @@ latter the count of changed integers and the largest change, divided by
 the largest number on its line, are printed.  Summary lines count the
 differing files of each kind and the datasets whose test accuracy is
 better, worse and equal in the working tree, with the mean change.  Where
-both sides wrote ``axes_provenance.json``, two more give the total
-``state_evals`` of each side and the median ratio of ``j_final``, working
-tree over base, of the axes matched by forest and index, in total and per
-workload.  Exits 1 on any difference.
+both sides wrote ``axes_provenance.json``, three more give the total
+``state_evals`` of each side, the zero-progress axes of each side (those
+with no accepted step, ``iterations`` 0) and the median ratio of
+``j_final``, working tree over base, of the axes matched by forest and
+index, in total and per workload.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -169,11 +170,12 @@ def drift_note(drift: tuple[int, float] | None) -> str:
 
 
 def provenance_stats(a: bytes,
-                     b: bytes) -> tuple[int, int, list[float]]:
-    """(state evaluations of the base, of the working tree, ``j_final``
-    ratios working tree / base) of two ``axes_provenance.json`` files; the
-    ratios pair the i-th axis of a forest on both sides, forests in name
-    order, and skip a base axis whose ``j_final`` is 0."""
+                     b: bytes) -> tuple[int, int, int, int, list[float]]:
+    """(state evaluations of the base, of the working tree, zero-progress
+    axes of the base, of the working tree, ``j_final`` ratios working tree
+    / base) of two ``axes_provenance.json`` files; the ratios pair the i-th
+    axis of a forest on both sides, forests in name order, and skip a base
+    axis whose ``j_final`` is 0."""
     da, db = json.loads(a), json.loads(b)
 
     def j_by_forest(records: list) -> dict:
@@ -186,7 +188,9 @@ def provenance_stats(a: bytes,
     ratios = [y / x for forest in sorted(ja.keys() & jb.keys())
               for x, y in zip(ja[forest], jb[forest]) if x]
     return (sum(r["state_evals"] for r in da),
-            sum(r["state_evals"] for r in db), ratios)
+            sum(r["state_evals"] for r in db),
+            sum(r["iterations"] == 0 for r in da),
+            sum(r["iterations"] == 0 for r in db), ratios)
 
 
 def median_text(ratios: list[float]) -> str:
@@ -244,7 +248,8 @@ def main(argv: list[str]) -> int:
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         total, diffs, deltas, drifts = 0, [], [], []
-        # workload -> [base state evaluations, working tree's, j ratios]
+        # workload -> [base state evaluations, working tree's, base
+        # zero-progress axes, working tree's, j ratios]
         axes = {}
         for wl, seeds in DATASETS.items():
             workload = run.WORKLOADS[wl]
@@ -265,12 +270,11 @@ def main(argv: list[str]) -> int:
                     prov = [outs[side] / "axes_provenance.json"
                             for side in sides]
                     if all(p.is_file() for p in prov):
-                        ea, eb, ratios = provenance_stats(
+                        stats = provenance_stats(
                             *(p.read_bytes() for p in prov))
-                        acc = axes.setdefault(wl, [0, 0, []])
-                        acc[0] += ea
-                        acc[1] += eb
-                        acc[2] += ratios
+                        acc = axes.setdefault(wl, [0, 0, 0, 0, []])
+                        for k, value in enumerate(stats):
+                            acc[k] += value
     for line in diffs:
         print(line)
     print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
@@ -286,15 +290,17 @@ def main(argv: list[str]) -> int:
           f"{sum(d == 0 for d in deltas)} equal, "
           f"mean change {sum(deltas) / len(deltas):+.4f}")
     if axes:
-        print(f"state evaluations, {rev} vs working tree: "
-              f"{sum(a[0] for a in axes.values())} vs "
-              f"{sum(a[1] for a in axes.values())} ("
-              + ", ".join(f"{wl} {a[0]} vs {a[1]}" for wl, a in axes.items())
-              + ")")
-        ratios = [r for a in axes.values() for r in a[2]]
+        for what, k in (("state evaluations", 0),
+                        ("zero-progress axes (no accepted step)", 2)):
+            print(f"{what}, {rev} vs working tree: "
+                  f"{sum(a[k] for a in axes.values())} vs "
+                  f"{sum(a[k + 1] for a in axes.values())} ("
+                  + ", ".join(f"{wl} {a[k]} vs {a[k + 1]}"
+                              for wl, a in axes.items()) + ")")
+        ratios = [r for a in axes.values() for r in a[4]]
         print("median j_final ratio, working tree / "
               f"{rev}: {median_text(ratios)} ("
-              + ", ".join(f"{wl} {median_text(a[2])}"
+              + ", ".join(f"{wl} {median_text(a[4])}"
                           for wl, a in axes.items()) + ")")
     return 1 if diffs else 0
 

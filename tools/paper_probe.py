@@ -11,8 +11,9 @@ in a child process with one BLAS thread, on the working tree's ``src`` or,
 with ``--rev``, on ``REV:src`` exported with ``git archive`` as
 ``tools/compare_outputs.py`` does.  Per probe it prints the wall seconds
 of the child, the lines of its ``timing.txt``, the child's peak RSS (from
-``os.wait4``), the total ``state_evals`` of ``axes_provenance.json``, the
-test accuracy, and a SHA-256 digest over every output but
+``os.wait4``), the total ``state_evals`` of ``axes_provenance.json`` and
+its zero-progress axes (no accepted step, ``iterations`` 0), the test
+accuracy, and a SHA-256 digest over every output but
 ``timing.txt``, which is equal on two trees exactly when their outputs
 are byte-identical.  The datasets are generated in a spawned process, so
 this one stays small: Linux counts the memory high-water mark of the
@@ -113,6 +114,8 @@ def main(argv: list[str]) -> int:
             report = json.loads((out / "report.json").read_text())
             print(f"{name}: wall {wall:.2f}s, peak RSS {rss:.1f} MB, "
                   f"state_evals {sum(r['state_evals'] for r in records)}, "
+                  "zero-progress axes "
+                  f"{sum(r['iterations'] == 0 for r in records)}, "
                   "test accuracy "
                   f"{report['test_confusion']['accuracy']:.4f}")
             print(f"  timing: {', '.join(timing)}")
