@@ -9,9 +9,10 @@ field c, evaluates the objective J = c'K alpha, computes its adjoint
 gradient element by element, and solves the move-limit LP for design
 increments.  A trial that fails to decrease J is rolled back and the move
 limit shrinks to the minimizer of the quadratic through J0, the LP's
-predicted change and the trial's J, by a factor kept within
-[0.1, gamma] (safeguarded interpolation backtracking; Nocedal & Wright,
-Numerical Optimization, 2nd ed., 3.5; Dennis & Schnabel 1983, A6.3.1).
+predicted change and the trial's J, by a factor kept within the fixed
+safeguard interval SHRINK = [0.1, 0.7] (safeguarded interpolation
+backtracking; Nocedal & Wright, Numerical Optimization, 2nd ed., 3.5;
+Dennis & Schnabel 1983, A6.3.1).
 
 Every axis starts at the move limit L0 = min(tolp, tolq) / Ne, the
 uniform element value of the smaller budget (a scaled initial trust
@@ -19,8 +20,8 @@ region; Sartenaer 1997, SIAM J. Sci. Comput. 18(6)).  The loop stops on a
 step of at most eps_x (with no LP once the move limit itself is at most
 eps_x), on |dJ| <= eps_j or after max_iters accepted steps.  Rejections
 need no cap: a step is at most the move limit, which never grows and
-shrinks by at most gamma per rejection, so
-ceil(log(eps_x / L0) / log(gamma)) rejections (9 at 12x12 and 4 at 28x28
+shrinks by a factor of at most 0.7 per rejection, so
+ceil(log(eps_x / L0) / log(0.7)) rejections (9 at 12x12 and 4 at 28x28
 with the defaults) bring the limit down to eps_x.
 
 A state evaluation factors K once and makes two banded solves and no
@@ -48,6 +49,8 @@ __all__ = ["OptimizerConfig", "OptimizerState", "AxisResult",
 log = logging.getLogger(__name__)
 
 REF_KINDS = ("u", "v", "u_minus_v")
+# the least and largest factor a rejected trial shrinks the move limit by
+SHRINK = (0.1, 0.7)
 
 
 @dataclass
@@ -62,15 +65,12 @@ class OptimizerConfig:
     sigma0: float = 1e5
     eps_x: float = 8e-4
     eps_j: float = 1e-7
-    gamma: float = 0.7     # largest factor a rejection shrinks the limit by
     max_iters: int = 500
     ref_kind: str = "u_minus_v"
 
     def validate(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
         for name in ("tolp", "tolq", "p_min", "q_min", "sigma0"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -311,11 +311,12 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             break
         if rejected:
             # t minimizes the quadratic through J0 with slope pred at 0 and
-            # J0 + dJ at 1; without a predicted decrease, shrink by gamma.
-            # A NaN t falls to 0.1.
+            # J0 + dJ at 1; without a predicted decrease, shrink by the
+            # largest factor.  A NaN t falls to the least.
             pred = sol.objective
-            t = -pred / (2.0 * (dj - pred)) if pred < 0 else cfg.gamma
-            limit *= min(cfg.gamma, max(0.1, t))
+            low, high = SHRINK
+            t = -pred / (2.0 * (dj - pred)) if pred < 0 else high
+            limit *= min(high, max(low, t))
 
     cfg.check_design(state.design)
     return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,

@@ -61,33 +61,26 @@ def _fmt(rows, tag: str | None = None, sep: str = " ") -> str:
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(OptimizerConfig):
     """Parsed run configuration with the published experiment defaults.
 
     The fields are the config schema: every field but ``base_dir`` and
     ``origin`` is a config key of the field's name and type (``lam`` is
-    spelled ``lambda``).  The optimizer settings default to
-    ``OptimizerConfig``.  ``origin`` maps each key read from a file to
-    its ``path:line``.
+    spelled ``lambda``).  The optimizer settings (``lam``, the budgets and
+    bounds, ``sigma0``, the stopping rules and ``ref_kind``) and their
+    defaults are inherited from ``OptimizerConfig``; here ``ref_kind`` is
+    a comma list that grows one forest per kind, so the pipeline never
+    calls the inherited ``validate()`` and checks each kind's
+    ``optimizer_config`` instead.  ``origin`` maps each key read from a
+    file to its ``path:line``.
     """
 
     n1: int = 28
     n2: int = 28
-    lam: float = OptimizerConfig.lam
-    tolp: float = OptimizerConfig.tolp
-    tolq: float = OptimizerConfig.tolq
-    p_min: float = OptimizerConfig.p_min
-    q_min: float = OptimizerConfig.q_min
-    sigma0: float = OptimizerConfig.sigma0
-    eps_x: float = OptimizerConfig.eps_x
-    eps_j: float = OptimizerConfig.eps_j
-    gamma: float = OptimizerConfig.gamma
-    max_iters: int = OptimizerConfig.max_iters
-    ref_kind: str = OptimizerConfig.ref_kind  # comma list: one forest per kind
     n_axes: int = 1
     ridge: float = 1e-6
     svd_k: int = 0
-    class_pairs: str = ""           # e.g. "0:1" or "3:4"
+    class_pairs: str = ""           # one pair a:b, e.g. "0:1" or "3:4"
     one_vs_rest: str = ""           # e.g. "0,1,2,3,4"
     train_images: str = ""
     train_labels: str = ""
@@ -106,7 +99,9 @@ class PipelineConfig:
 
     def ref_kinds(self) -> list[str]:
         kinds = [r.strip() for r in self.ref_kind.split(",") if r.strip()]
-        _once(kinds)
+        for i, kind in enumerate(kinds):  # each kind grows its own forest
+            if kind in kinds[:i]:
+                raise ValueError(f"names {kind} twice")
         return kinds
 
     def classes(self) -> list[int]:
@@ -117,24 +112,17 @@ class PipelineConfig:
                 raise ValueError("one_vs_rest must list at least 2 distinct "
                                  "digits")
             return digits
-        digits = list(dict.fromkeys(d for pair in self.pairs() for d in pair))
+        first, *more = self.class_pairs.split(",")
+        digits = first.split(":")
         if len(digits) != 2:
-            raise ValueError(
-                "class_pairs must involve exactly 2 digits for a binary "
-                "classifier; use one_vs_rest for more")
-        return digits
-
-    def pairs(self) -> list[tuple[int, int]]:
-        if not self.class_pairs:
-            return []
-        out = []
-        for tok in self.class_pairs.split(","):
-            digits = tok.split(":")
-            if len(digits) != 2:
-                raise ValueError(f"expected a digit pair 'a:b', got {tok!r}")
-            out.append((_digit(digits[0]), _digit(digits[1])))
-        _once([f"{a}:{b}" for a, b in out])
-        return out
+            raise ValueError(f"expected a digit pair 'a:b', got {first!r}")
+        a, b = _digit(digits[0]), _digit(digits[1])
+        if a == b:
+            raise ValueError(f"expected two different digits, got {first!r}")
+        if more:
+            raise ValueError(f"names more than one pair; one_vs_rest = {b},{a}"
+                             f" grows the forests of both {a}:{b} and {b}:{a}")
+        return [a, b]
 
     def resolve(self, path: str) -> Path:
         p = Path(path)
@@ -161,13 +149,6 @@ class PipelineConfig:
         if attr in _OPTIMIZER_FIELDS:
             for ref in self.ref_kinds():
                 self.optimizer_config(ref)
-
-
-def _once(names: list[str]) -> None:
-    """Raise if ``names`` repeats one: each name grows its own forest."""
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"names {name} twice")
 
 
 def _digit(token: str) -> int:
@@ -239,8 +220,7 @@ def load_config(path) -> PipelineConfig:
                 f"{getattr(cfg, budget)!r} ({where(low, budget, 'n1', 'n2')})")
     # A step is at most the first move limit, which must exceed eps_x, or
     # every axis stops before its first step.
-    first = cfg.optimizer_config(cfg.ref_kinds()[0]).first_move_limit(
-        cfg.n1 * cfg.n2)
+    first = cfg.first_move_limit(cfg.n1 * cfg.n2)
     if first <= cfg.eps_x:
         raise ValueError(
             f"{path}: the first move limit min(tolp, tolq) / (n1 * n2) = "
@@ -616,7 +596,8 @@ def _forests(cfg: PipelineConfig, labels: np.ndarray):
     configured digit, which for a pair config is one of the pair's two."""
     class_targets(cfg, labels)
     if cfg.class_pairs:
-        views = ((f"{a}v{b}", b) for a, b in cfg.pairs())
+        a, b = cfg.classes()
+        views = [(f"{a}v{b}", b)]
     else:
         views = ((f"{d}vrest", d) for d in cfg.classes())
     for stem, positive in views:
@@ -683,7 +664,11 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
         if k < cfg.svd_k:
             log.warning("svd_k=%d capped to %d available axes",
                         cfg.svd_k, combined.n_axes)
-        combined = forest.orthonormalize(combined, k)
+        try:
+            combined = forest.orthonormalize(combined, k)
+        except ValueError as exc:
+            raise ValueError(f"{cfg.origin.get('svd_k', 'config')}: svd_k: "
+                             f"{exc}") from None
 
     sha256 = save_axes(out / "axes.txt", combined)
     (out / "axes_provenance.json").write_text(

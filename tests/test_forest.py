@@ -248,6 +248,29 @@ class TestGenerateAxes:
         two = generate_axes(gray, labels, 2, cfg, mesh4)
         assert two.axes[0].tobytes() == cold.alpha.tobytes()
 
+    def test_swapping_the_labels_negates_every_axis(self, mesh4):
+        # Each axis negates (see the optimizer's class-swap test), so a
+        # split makes the same two children, left and right trading places,
+        # and each starts from the same design.  As the children join the
+        # pool in the other order, this holds while no pick is a tie
+        # between pool entries and no coordinate lies on a threshold, as on
+        # these data.
+        rng = np.random.default_rng(1)
+        gray = rng.random((40, mesh4.ne))
+        gray[20:, :4] += 0.3
+        labels = np.array([0] * 20 + [1] * 20)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        a = generate_axes(gray, labels, 6, cfg, mesh4)
+        b = generate_axes(gray, 1 - labels, 6, cfg, mesh4)
+        starts = [prov["start"] for prov in a.provenance]
+        assert starts == ["uniform", "axis 0", "axis 1", "axis 0", "axis 3",
+                          "axis 2"]
+        assert [prov["start"] for prov in b.provenance] == starts
+        assert b.axes.tobytes() == (-a.axes).tobytes()
+        for fa, fb in zip(a.fields, b.fields):
+            assert fb["p"].tobytes() == fa["p"].tobytes()
+            assert fb["q"].tobytes() == fa["q"].tobytes()
+
     def test_pool_exhaustion_flag(self, mesh4):
         # perfectly separable data exhausts the pool after one axis
         rng = np.random.default_rng(3)

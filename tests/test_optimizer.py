@@ -295,6 +295,23 @@ class TestOptimize:
                    zip(res.j_history, res.j_history[1:]))
         assert res.converged_by in ("eps_J", "eps_x", "max_iters")
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_swapping_the_classes_negates_the_axis(self, n):
+        # Under u_minus_v, swapping gray1 and gray0 swaps f and g, hence u
+        # and v: alpha, w, c and the coordinates change sign exactly, while
+        # J, the S-sides and both gradients do not, so the loop takes the
+        # same steps to the same design.
+        mesh = fem.build_mesh(n, n)
+        g1, g0 = blob_grays(mesh, 12, np.random.default_rng(n))
+        a = optimize(g1, g0, mesh, OptimizerConfig())
+        b = optimize(g0, g1, mesh, OptimizerConfig())
+        assert a.iterations > 0
+        assert b.alpha.tobytes() == (-a.alpha).tobytes()
+        assert b.design.p.tobytes() == a.design.p.tobytes()
+        assert b.design.q.tobytes() == a.design.q.tobytes()
+        assert b.j_history == a.j_history
+        assert (b.iterations, b.state_evals) == (a.iterations, a.state_evals)
+
     def test_max_iters_flag(self, mesh4):
         rng = np.random.default_rng(14)
         g1, g0 = blob_grays(mesh4, 16, rng)
@@ -305,8 +322,8 @@ class TestOptimize:
 
     def test_rejections_end_on_eps_x(self, mesh4, monkeypatch):
         # Every trial is worse than the start and no LP predicts a
-        # decrease, so each rejection shrinks the move limit by exactly
-        # gamma: the loop stops by eps_x once the limit is below it.
+        # decrease, so each rejection shrinks the move limit by exactly the
+        # largest factor: the loop stops by eps_x once the limit is below it.
         js = []
 
         def state(*args):
@@ -328,7 +345,7 @@ class TestOptimize:
         res = optimize(g1, g0, mesh4, cfg)
         first = cfg.first_move_limit(mesh4.ne)
         rejections = math.ceil(math.log(cfg.eps_x / first)
-                               / math.log(cfg.gamma))
+                               / math.log(optimizer.SHRINK[1]))
         assert rejections == 6
         assert res.converged_by == "eps_x"
         assert res.iterations == 0
@@ -383,9 +400,9 @@ class TestOptimize:
     @pytest.mark.parametrize("predicted", ["lp", "no_decrease"])
     def test_shrink_after_rejection(self, mesh4, monkeypatch, predicted):
         # After a rejected trial the next LP gets the move limit times
-        # t = -pred / (2 (dJ - pred)) clamped to [0.1, gamma], where pred is
-        # the rejected LP's objective; times gamma when pred >= 0, which
-        # the "no_decrease" run forces by reporting |objective|.
+        # t = -pred / (2 (dJ - pred)) clamped to SHRINK = [low, high], where
+        # pred is the rejected LP's objective; times high when pred >= 0,
+        # which the "no_decrease" run forces by reporting |objective|.
         lps, js = [], []
 
         def solve(prob):
@@ -405,6 +422,7 @@ class TestOptimize:
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(9))
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         optimize(g1, g0, mesh4, cfg)
+        low, high = optimizer.SHRINK
         # js[k] is the trial of lps[k - 1]; a rejection's shrink shows in
         # the LP after it, or, when it spends the limit, in the loop's end
         factors, j0 = [], js[0]
@@ -415,9 +433,9 @@ class TestOptimize:
                 j0 = js[k]
                 continue
             if pred < 0:
-                factor = min(max(-pred / (2 * (dj - pred)), 0.1), cfg.gamma)
+                factor = min(max(-pred / (2 * (dj - pred)), low), high)
             else:
-                factor = cfg.gamma
+                factor = high
             if k < len(lps):
                 assert lps[k][0] == upper * factor, f"LP {k}"
             else:
@@ -426,10 +444,10 @@ class TestOptimize:
         if predicted == "lp":
             assert all(pred <= 0 for _, pred in lps)
             # the lower clamp and an interior t are both reached
-            assert 0.1 in factors
-            assert any(0.1 < f < cfg.gamma for f in factors)
+            assert low in factors
+            assert any(low < f < high for f in factors)
         else:
-            assert factors and set(factors) == {cfg.gamma}
+            assert factors and set(factors) == {high}
 
     @pytest.mark.parametrize("tolp, tolq, first", [
         (0.1, 0.1, 0.1 / 16), (2.0, 0.5, 0.5 / 16), (2.0, 2.0, 2.0 / 16)])
@@ -547,7 +565,5 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="lam"):
             OptimizerConfig(lam=1.5).validate()
-        with pytest.raises(ValueError, match="gamma"):
-            OptimizerConfig(gamma=1.0).validate()
         with pytest.raises(ValueError, match="ref_kind"):
             OptimizerConfig(ref_kind="w").validate()

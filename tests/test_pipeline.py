@@ -54,10 +54,11 @@ class TestConfig:
                 f"{cfg_file}:2: unknown config key 'seed'")):
             pipeline.load_config(cfg_file)
 
-    # every image is scaled to unit l2 norm, and every axis starts at the
-    # uniform element value of the smaller budget; neither is a setting
+    # every image is scaled to unit l2 norm, every axis starts at the
+    # uniform element value of the smaller budget, and a rejection shrinks
+    # the move limit within a fixed interval; none is a setting
     @pytest.mark.parametrize("line", ["norm = l2", "norm = l7",
-                                      "dx_max = 0.08"])
+                                      "dx_max = 0.08", "gamma = 0.7"])
     def test_removed_key_is_not_a_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"class_pairs = 0:1\n{line}\n")
@@ -94,7 +95,7 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "svd_k = -2", "n_axes = 0", "lambda = 7", "lambda = abc",
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
-        "class_pairs = 3", "class_pairs = 3:3",
+        "class_pairs = 3", "class_pairs = 3:3", "class_pairs = 3:7,7:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
         "class_pairs = 2:256", "sigma0 = inf", "tolp = inf", "tolp = nan",
         "ridge = nan", "ridge = -5", "max_iters = -1",
@@ -111,13 +112,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("lines, error", [
         ("ref_kind = u,u\nclass_pairs = 3:7\n", ":1: ref_kind: names u twice"),
-        ("class_pairs = 3:7, 3:7\n", ":1: class_pairs: names 3:7 twice"),
-    ], ids=["ref_kind", "class_pairs"])
+    ], ids=["ref_kind"])
     def test_a_forest_named_twice_is_an_error(self, tmp_path, lines, error):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(lines)
         with pytest.raises(ValueError, match=re.escape(f"{cfg_file}{error}")):
             pipeline.load_config(cfg_file)
+
+    def test_a_pair_list_names_one_vs_rest(self, tmp_path):
+        # the forests of 3:7 and 7:3 are those of one_vs_rest = 7,3
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n_axes = 2\nclass_pairs = 3:7,7:3\n")
+        with pytest.raises(ValueError) as err:
+            pipeline.load_config(cfg_file)
+        assert str(err.value) == (
+            f"{cfg_file}:2: class_pairs: names more than one pair; "
+            "one_vs_rest = 7,3 grows the forests of both 3:7 and 7:3")
 
     def test_a_key_given_twice_is_an_error(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -175,11 +185,6 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(text)
         pipeline.load_config(cfg_file)
-
-    def test_mirrored_pairs_are_two_forests(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("class_pairs = 3:7,7:3\n")
-        assert pipeline.load_config(cfg_file).pairs() == [(3, 7), (7, 3)]
 
     def test_optimizer_defaults_have_one_source(self):
         for kind in REF_KINDS:
@@ -856,6 +861,20 @@ class TestCommands:
         assert bundle.n_axes == 2  # 2 forests x 1 axis, svd keeps 2
         gram = bundle.axes @ bundle.axes.T
         assert np.abs(gram - np.eye(2)).max() <= 1e-10
+
+    def test_svd_rank_error_names_key_and_line(self, bars_workspace):
+        # the two u_minus_v axes of 3vrest and 7vrest negate each other
+        cfg_path = bars_workspace / "run.cfg"
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "class_pairs = 3:7", "one_vs_rest = 3,7").replace(
+            "n_axes = 2", "n_axes = 1") + "svd_k = 2\n")
+        line = cfg_path.read_text().splitlines().index("svd_k = 2") + 1
+        cfg = pipeline.load_config(cfg_path)
+        with pytest.raises(ValueError) as err:
+            pipeline.cmd_train_axes(cfg, pipeline.load_split(cfg, "train"),
+                                    bars_workspace / "out")
+        assert str(err.value) == (f"{cfg_path}:{line}: svd_k: k=2 exceeds "
+                                  "the numerical rank 1")
 
     def test_axis_count_without_svd(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()
