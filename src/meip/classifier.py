@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from meip import fem
 from meip.forest import AxisBundle
@@ -71,13 +71,15 @@ def gaussian_from_moments(mean: np.ndarray, cov: np.ndarray,
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
     dim = mean.shape[0]
-    try:
-        chol = scipy.linalg.cho_factor(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError("covariance not positive definite") from exc
-    log_det = 2.0 * float(np.log(np.diag(chol[0])).sum())
-    b = scipy.linalg.cho_solve(chol, mean)
-    H = -scipy.linalg.cho_solve(chol, np.eye(dim))
+    # LAPACK would factor NaNs without complaint
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("moments hold non-finite values")
+    chol, info = dpotrf(cov, lower=1, clean=0)
+    if info > 0:
+        raise ValueError("covariance not positive definite")
+    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+    b = dpotrs(chol, mean, lower=1)[0]
+    H = -dpotrs(chol, np.eye(dim), lower=1)[0]
     H = 0.5 * (H + H.T)
     c = float(-0.5 * mean @ b - 0.5 * log_det + np.log(prior))
     return ClassGaussian(mean=mean, cov=cov, prior=prior, H=H, b=b, c=c,

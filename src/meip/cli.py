@@ -62,7 +62,10 @@ def _add_config(p: argparse.ArgumentParser) -> None:
                    help="output directory (default: out_dir from the config)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``meip`` argument parser, built once per process: parsing
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="meip",
         description="Membrane-energy feature coordinates: axis training, "

@@ -64,15 +64,15 @@ def _fmt(rows, tag: str | None = None, sep: str = " ") -> str:
 class PipelineConfig(OptimizerConfig):
     """Parsed run configuration with the published experiment defaults.
 
-    The fields are the config schema: every field but ``base_dir`` and
-    ``origin`` is a config key of the field's name and type (``lam`` is
-    spelled ``lambda``).  The optimizer settings (``lam``, the budgets and
-    bounds, ``sigma0``, the stopping rules and ``ref_kind``) and their
-    defaults are inherited from ``OptimizerConfig``; here ``ref_kind`` is
-    a comma list that grows one forest per kind, so the pipeline never
-    calls the inherited ``validate()`` and checks each kind's
-    ``optimizer_config`` instead.  ``origin`` maps each key read from a
-    file to its ``path:line``.
+    The fields are the config schema: every field but ``base_dir``,
+    ``source`` and ``origin`` is a config key of the field's name and type
+    (``lam`` is spelled ``lambda``).  The optimizer settings (``lam``, the
+    budgets and bounds, ``sigma0``, the stopping rules and ``ref_kind``)
+    and their defaults are inherited from ``OptimizerConfig``; here
+    ``ref_kind`` is a comma list that grows one forest per kind, so the
+    pipeline never calls the inherited ``validate()`` and checks each
+    kind's ``optimizer_config`` instead.  ``source`` is the path of the config
+    file, and ``origin`` maps each key read from it to its ``path:line``.
     """
 
     n1: int = 28
@@ -88,6 +88,7 @@ class PipelineConfig(OptimizerConfig):
     test_labels: str = ""
     out_dir: str = "out"
     base_dir: Path = field(default_factory=Path)
+    source: str = field(default="config", compare=False, repr=False)
     origin: dict = field(default_factory=dict, compare=False, repr=False)
 
     def optimizer_config(self, ref_kind: str) -> OptimizerConfig:
@@ -165,7 +166,7 @@ _TYPES = get_type_hints(PipelineConfig)
 CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name):
                (f.name, _TYPES[f.name])
                for f in dc_fields(PipelineConfig)
-               if f.name not in ("base_dir", "origin")}
+               if f.name not in ("base_dir", "source", "origin")}
 
 
 def load_config(path) -> PipelineConfig:
@@ -175,7 +176,7 @@ def load_config(path) -> PipelineConfig:
     errors that name the file, the line and the key.
     """
     path = Path(path)
-    cfg = PipelineConfig(base_dir=path.parent)
+    cfg = PipelineConfig(base_dir=path.parent, source=str(path))
     first_line = {}
     with _text_file(path) as f:
         text = f.read()
@@ -539,8 +540,11 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
         raise ValueError(f"unknown split {split!r}")
     img_path, images = _read_input(cfg, f"{split}_images", load_idx_images)
     if images.shape[1:] != (cfg.n1, cfg.n2):
+        origin = ", ".join(f"{key} on {cfg.origin[key]}" if key in cfg.origin
+                           else f"{key} default" for key in ("n1", "n2"))
         raise ValueError(f"{img_path}: images are {images.shape[1]}x"
-                         f"{images.shape[2]}, config says {cfg.n1}x{cfg.n2}")
+                         f"{images.shape[2]}, config says {cfg.n1}x{cfg.n2} "
+                         f"({origin})")
     lbl_path, labels = _read_input(cfg, f"{split}_labels", load_idx_labels)
     if len(images) != len(labels):
         raise ValueError(f"{img_path} holds {len(images)} images but "
@@ -568,8 +572,9 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
 def _read_input(cfg: PipelineConfig, key: str, load):
     """The resolved path of the file named by config ``key`` and what
     ``load`` reads from it; an empty key or a file that cannot be opened
-    names the key and its config line."""
-    where = cfg.origin.get(key, "config")
+    names the key and its config line (the config file if no line sets
+    the key)."""
+    where = cfg.origin.get(key, cfg.source)
     if not getattr(cfg, key):
         raise ValueError(f"{where}: {key}: names no file")
     path = cfg.resolve(getattr(cfg, key))
@@ -667,7 +672,7 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
         try:
             combined = forest.orthonormalize(combined, k)
         except ValueError as exc:
-            raise ValueError(f"{cfg.origin.get('svd_k', 'config')}: svd_k: "
+            raise ValueError(f"{cfg.origin.get('svd_k', cfg.source)}: svd_k: "
                              f"{exc}") from None
 
     sha256 = save_axes(out / "axes.txt", combined)

@@ -1,9 +1,11 @@
 """Feature extraction, Gaussian fitting, prediction, and confusion counts."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from meip import fem
 from meip.classifier import (confusion_from_predictions, discriminants,
@@ -138,6 +140,49 @@ class TestFit:
         labels = np.zeros(3, dtype=int)
         model = fit(z, labels, 1, ridge=1e-6)
         assert np.isfinite(model[0].log_det)
+
+    def test_overflowing_covariance_rejected(self):
+        z = np.array([[1e200], [-1e200], [3.0], [4.0]])  # cov[0, 0] is inf
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=re.escape("class 0: covariance not "
+                                            "positive definite after ridging")):
+            fit(z, np.array([0, 0, 1, 1]), 2)
+
+
+class TestGaussianFromMoments:
+    """The discriminant terms come from LAPACK's dpotrf/dpotrs directly;
+    scipy's checked ``cho_factor``/``cho_solve`` is the reference."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 60])
+    def test_matches_scipy_cholesky_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.standard_normal((dim, dim))
+            cov = scale ** 2 * (a @ a.T / dim + 0.1 * np.eye(dim))
+            mean = scale * rng.standard_normal(dim)
+            g = gaussian_from_moments(mean, cov, 0.25)
+            chol = scipy.linalg.cho_factor(cov, lower=True)
+            H = -scipy.linalg.cho_solve(chol, np.eye(dim))
+            assert g.log_det == 2.0 * np.log(np.diag(chol[0])).sum()
+            assert np.array_equal(g.b, scipy.linalg.cho_solve(chol, mean))
+            assert np.array_equal(g.H, 0.5 * (H + H.T))
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariance_rejected(self, entry):
+        cov = np.eye(3)
+        cov[2, 0] = entry   # in the triangle that dpotrf reads
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussian_from_moments(np.zeros(3), cov, 0.5)
+
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussian_from_moments(np.array([0.0, np.inf]), np.eye(2), 0.5)
+
+    def test_indefinite_covariance_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^covariance not positive definite$"):
+            gaussian_from_moments(np.zeros(2), np.array([[1.0, 2.0],
+                                                         [2.0, 1.0]]), 0.5)
 
 
 class TestPredict:

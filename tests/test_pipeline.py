@@ -1,5 +1,6 @@
 """Config parsing, artifact formats, commands, and the CLI."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -294,6 +295,18 @@ class TestModelFormat:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}:{i + 1}: expected a prior in (0, 1], got "
                 f"{float(prior)!r}")):
+            pipeline.load_model(path)
+
+    def test_indefinite_covariance_names_its_class(self, tmp_path):
+        path = tmp_path / "model.txt"
+        _save_model(path, np.random.default_rng(5))
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(k for k, line in enumerate(lines) if line.startswith("cov "))
+        path.write_text("".join(lines[:i] + ["cov 1 2\n", "cov 2 1\n"]
+                                + lines[i + 2:]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{i + 2}: expected a valid class 0: covariance not "
+                "positive definite")):
             pipeline.load_model(path)
 
 
@@ -1119,6 +1132,22 @@ class TestCommands:
                 "config says 8x6")):
             pipeline.load_split(cfg, "train")
 
+    @pytest.mark.parametrize("lines, says", [
+        ("n2 = 8\nn1 = 6\n", "6x8 (n1 on {cfg}:2, n2 on {cfg}:1)"),
+        ("", "28x28 (n1 default, n2 default)")], ids=["lines", "defaults"])
+    def test_mesh_mismatch_names_where_n1_and_n2_come_from(
+            self, bars_workspace, lines, says):
+        cfg_text = (bars_workspace / "run.cfg").read_text()
+        cfg_path = bars_workspace / "mesh.cfg"
+        # the default budgets leave a 28x28 mesh a first move limit
+        cfg_path.write_text(lines + cfg_text.replace(
+            "n1 = 6\nn2 = 6\n", "").replace("tolp = 0.1\ntolq = 0.1\n", ""))
+        cfg = pipeline.load_config(cfg_path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bars_workspace / 'train-img.idx'}: images are 6x6, "
+                f"config says {says.format(cfg=cfg_path)}") + "$"):
+            pipeline.load_split(cfg, "train")
+
     def test_test_image_size_checked_before_forests(self, bars_workspace):
         images, _ = bar_images(8, 30, np.random.default_rng(3))
         write_idx_images(bars_workspace / "test-img.idx", images)
@@ -1257,6 +1286,15 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"[pipeline] error: {cfg_path}:{i + 1}: {key}: {problem}\n")
 
+    def test_an_unset_input_names_the_config_file(self, bars_workspace,
+                                                  capsys):
+        cfg_path = bars_workspace / "run.cfg"
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "train_labels = train-lab.idx\n", ""))
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"[pipeline] error: {cfg_path}: train_labels: names no file\n")
+
     def test_verbose_applies_to_each_in_process_call(self, bars_workspace,
                                                      caplog, capsys):
         root = logging.getLogger()
@@ -1274,6 +1312,35 @@ class TestCli:
             root.setLevel(level)
         capsys.readouterr()
         assert iteration_lines[0] == 0 and iteration_lines[1] > 0
+
+    def test_the_parser_is_built_once_per_process(self, bars_workspace,
+                                                  capsys, monkeypatch):
+        out = bars_workspace / "once"
+        common = ["--config", str(bars_workspace / "run.cfg"),
+                  "--out", str(out)]
+        assert cli.main(["train-axes"] + common) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        written = []
+        for _ in range(2):
+            assert cli.main(["train"] + common) == 0
+            assert cli.main(["eval"] + common) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+            # a call that argparse rejects leaves the next call as it was
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["train"])
+            assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert built == []
+        assert written[1] == written[0]
+        assert {"model.txt", "predictions_test.csv"} <= set(written[0])
 
     def test_a_blas_that_cannot_be_pinned_is_logged(self, monkeypatch,
                                                     caplog):
