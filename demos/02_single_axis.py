@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from meip import fem, pipeline
-from meip.optimizer import OptimizerConfig, optimize, element_projection
+from meip.optimizer import OptimizerConfig, optimize
 
 rng = np.random.default_rng(7)
 n = 12
@@ -47,25 +47,26 @@ gray0 = samples(120, ring)   # class 0
 
 cfg = OptimizerConfig(tolp=0.3, tolq=0.3)
 result = optimize(gray1, gray0, mesh, cfg)
+state = result.state
 
 print(f"converged by {result.converged_by} after {result.iterations} "
       f"accepted iterations ({result.state_evals} evaluations)")
 print("objective history:")
 for i, j in enumerate(result.j_history):
     print(f"  iter {i:2d}: J = {j:+.6e}")
-print(f"final constraint value G = {result.g_final:.4e}")
+print(f"final constraint value G = {state.g0:.4e}")
 
-proj = element_projection(mesh, result.alpha)
-z1, z0 = gray1 @ proj, gray0 @ proj
+# the coordinates of the class rows on the axis at the final design
+z1, z0 = state.z1, state.z0
 print(f"\ncoordinate separation: class1 [{z1.min():.3f}, {z1.max():.3f}], "
       f"class0 [{z0.min():.3f}, {z0.max():.3f}]")
 
 out = Path("out_single_axis")
 out.mkdir(exist_ok=True)
 pipeline.write_pgm(out / "axis.pgm",
-                   pipeline.node_grid(result.alpha, n, n))
+                   pipeline.node_grid(state.alpha, n, n))
 pipeline.write_pgm(out / "design_p.pgm",
-                   pipeline.element_grid(result.design.p, n, n))
+                   pipeline.element_grid(state.design.p, n, n))
 pipeline.write_pgm(out / "design_q.pgm",
-                   pipeline.element_grid(result.design.q, n, n))
+                   pipeline.element_grid(state.design.q, n, n))
 print(f"\nwrote axis.pgm, design_p.pgm, design_q.pgm under {out}")

@@ -128,34 +128,37 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
             raise RuntimeError(
                 f"axis {len(axes) + 1} of {n_axes} failed on a "
                 f"({m0}, {m1}) subset: {exc}") from exc
-        axes.append(result.alpha)
+        state = result.state
+        start = "uniform" if node.parent is None else f"axis {node.parent}"
+        axes.append(state.alpha)
         provenance.append({
             "m0": m0, "m1": m1,
             "iterations": result.iterations,
             "state_evals": result.state_evals,
             "converged_by": result.converged_by,
             "j_final": result.j_history[-1],
-            "g_final": result.g_final,
+            "g_final": state.g0,
             "dx_first_accept": result.dx_first_accept,
             "ref_kind": cfg.ref_kind,
-            "start": ("uniform" if node.parent is None
-                      else f"axis {node.parent}"),
+            "start": start,
         })
-        fields.append({"f": result.f, "g": result.g,
-                       "p": result.design.p, "q": result.design.q})
+        fields.append({"f": state.f, "g": state.g,
+                       "p": state.design.p, "q": state.design.q})
         log.info("axis %d/%d: subset (%d, %d), %d iterations, %s",
                  len(axes), n_axes, m0, m1, result.iterations,
                  result.converged_by)
+        if result.iterations == 0 and result.state_evals > 1:
+            log.warning("axis %d on a (%d, %d) subset accepted no step "
+                        "(start: %s)", len(axes) - 1, m0, m1, start)
 
-        for child in split_subset(node, result.z0, result.z1):
+        for child in split_subset(node, state.z0, state.z1):
             if child.idx0.size or child.idx1.size:
-                child.parent, child.start = len(axes) - 1, result.design
+                child.parent, child.start = len(axes) - 1, state.design
                 pool.append(child)
 
-    bundle = AxisBundle(axes=np.array(axes), n1=mesh.n1, n2=mesh.n2,
-                        provenance=provenance, fields=fields,
-                        pool_exhausted=exhausted)
-    return bundle
+    return AxisBundle(axes=np.array(axes), n1=mesh.n1, n2=mesh.n2,
+                      provenance=provenance, fields=fields,
+                      pool_exhausted=exhausted)
 
 
 def orthonormalize(bundle: AxisBundle, k: int) -> AxisBundle:

@@ -131,21 +131,17 @@ class OptimizerState:
 
 @dataclass
 class AxisResult:
-    """Optimized axis with its design and convergence record."""
+    """The loop's final ``state`` (axis, design, forces, coordinates and G
+    as ``state.g0``) and the record that only the loop knows: J at the
+    start and after each accepted step, the accepted steps, the stopping
+    rule, the state evaluations and the first accepted step's move limit."""
 
-    alpha: np.ndarray
-    design: fem.DesignField
-    f: np.ndarray          # class-mean node forces the axis was fitted to
-    g: np.ndarray
-    z1: np.ndarray         # coordinates of the class rows at the final design
-    z0: np.ndarray
+    state: OptimizerState
     j_history: list
     iterations: int
     converged_by: str      # "eps_J" | "eps_x" | "max_iters"
-    state_evals: int = 0
-    g_final: float = 0.0   # G at the final design, a diagnostic
-    dx_first_accept: float | None = None  # move limit of the first accepted
-                                          # step, None without one
+    state_evals: int
+    dx_first_accept: float | None  # None without an accepted step
 
 
 def mean_forces(gray1: np.ndarray, gray0: np.ndarray,
@@ -319,8 +315,6 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             limit *= min(high, max(low, t))
 
     cfg.check_design(state.design)
-    return AxisResult(alpha=state.alpha, design=state.design, f=f, g=g,
-                      z1=state.z1, z0=state.z0, j_history=j_history,
+    return AxisResult(state=state, j_history=j_history,
                       iterations=accepted, converged_by=converged_by,
-                      state_evals=evals, g_final=state.g0,
-                      dx_first_accept=dx_first_accept)
+                      state_evals=evals, dx_first_accept=dx_first_accept)

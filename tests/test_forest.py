@@ -140,7 +140,7 @@ class TestGenerateAxes:
         assert len(bundle.provenance) == 1
         assert bundle.provenance[0]["m0"] == 10
         assert bundle.provenance[0]["m1"] == 10
-        assert bundle.provenance[0]["g_final"] == results[0].g_final
+        assert bundle.provenance[0]["g_final"] == results[0].state.g0
         assert bundle.provenance[0]["state_evals"] == results[0].state_evals
         # js[k] is the trial of uppers[k - 1]
         first = next(k for k in range(1, len(js)) if js[k] < js[0])
@@ -242,11 +242,55 @@ class TestGenerateAxes:
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
         cold = optimizer_mod.optimize(g1, g0, mesh4, cfg)
         one = generate_axes(gray, labels, 1, cfg, mesh4)
-        assert one.axes[0].tobytes() == cold.alpha.tobytes()
+        assert one.axes[0].tobytes() == cold.state.alpha.tobytes()
         assert one.provenance[0]["start"] == "uniform"
         # a longer forest grows the same first axis
         two = generate_axes(gray, labels, 2, cfg, mesh4)
-        assert two.axes[0].tobytes() == cold.alpha.tobytes()
+        assert two.axes[0].tobytes() == cold.state.alpha.tobytes()
+
+    @pytest.mark.parametrize("forced, overrides, warned", [
+        (True, dict(), 4),
+        (False, dict(), 0),
+        (True, dict(max_iters=0), 0),
+        (True, dict(eps_x=0.01), 0),
+    ], ids=["all_rejected", "unforced", "max_iters_0", "spent_limit"])
+    def test_an_axis_that_accepts_no_step_is_warned(
+            self, mesh4, monkeypatch, caplog, forced, overrides, warned):
+        # With ``forced`` every trial is worse than its axis's start, so an
+        # axis that tries a step accepts none; one that tries no step (no
+        # accepted step allowed, or a first move limit at most eps_x) is
+        # not warned about.
+        seen = []
+
+        def state(design, gray1, *args):
+            st = compute_state(design, gray1, *args)
+            if seen and seen[-1][0] is gray1:   # a trial of the same axis
+                if forced:
+                    st.j0 = seen[-1][1] + 1.0
+            else:
+                seen.append((gray1, st.j0))
+            return st
+
+        monkeypatch.setattr(optimizer_mod, "compute_state", state)
+        # the data of test_child_axes_start_from_their_parent_design
+        rng = np.random.default_rng(0)
+        gray = rng.random((40, mesh4.ne))
+        gray[20:, :4] += 0.3
+        labels = np.array([0] * 20 + [1] * 20)
+        cfg = OptimizerConfig(**{"tolp": 0.1, "tolq": 0.1, "max_iters": 3,
+                                 **overrides})
+        with caplog.at_level("WARNING", logger="meip.forest"):
+            bundle = generate_axes(gray, labels, 4, cfg, mesh4)
+        assert bundle.n_axes == 4
+        expect = [f"axis {k} on a ({p['m0']}, {p['m1']}) subset accepted "
+                  f"no step (start: {p['start']})"
+                  for k, p in enumerate(bundle.provenance)
+                  if p["iterations"] == 0 and p["state_evals"] > 1]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "meip.forest"] == expect
+        assert len(expect) == warned
+        if forced:
+            assert all(p["iterations"] == 0 for p in bundle.provenance)
 
     def test_swapping_the_labels_negates_every_axis(self, mesh4):
         # Each axis negates (see the optimizer's class-swap test), so a

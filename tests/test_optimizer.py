@@ -306,9 +306,9 @@ class TestOptimize:
         a = optimize(g1, g0, mesh, OptimizerConfig())
         b = optimize(g0, g1, mesh, OptimizerConfig())
         assert a.iterations > 0
-        assert b.alpha.tobytes() == (-a.alpha).tobytes()
-        assert b.design.p.tobytes() == a.design.p.tobytes()
-        assert b.design.q.tobytes() == a.design.q.tobytes()
+        assert b.state.alpha.tobytes() == (-a.state.alpha).tobytes()
+        assert b.state.design.p.tobytes() == a.state.design.p.tobytes()
+        assert b.state.design.q.tobytes() == a.state.design.q.tobytes()
         assert b.j_history == a.j_history
         assert (b.iterations, b.state_evals) == (a.iterations, a.state_evals)
 
@@ -470,7 +470,7 @@ class TestOptimize:
         cold = optimize(g1, g0, mesh4, cfg)
         uniform = fem.uniform_design(mesh4, cfg.tolp, cfg.tolq)
         same = optimize(g1, g0, mesh4, cfg, start=uniform)
-        assert same.alpha.tobytes() == cold.alpha.tobytes()
+        assert same.state.alpha.tobytes() == cold.state.alpha.tobytes()
         assert same.state_evals == cold.state_evals
 
         # any other start is the first state, with the same first move
@@ -505,6 +505,24 @@ class TestOptimize:
                                 q=start.q)
         with pytest.raises(ValueError, match="mesh's 16 elements"):
             optimize(g1, g0, mesh4, cfg, start=short)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_result_state_is_the_final_design_state(self, mesh4, warm):
+        # the returned state is the one compute_state gives at the returned
+        # design, bit for bit, and its J ends the history
+        rng = np.random.default_rng(13)
+        g1, g0 = blob_grays(mesh4, 16, rng)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
+        start = random_design(mesh4, rng, 0.1, 0.1) if warm else None
+        res = optimize(g1, g0, mesh4, cfg, start=start)
+        assert res.iterations >= 1
+        again = compute_state(res.state.design, g1, g0, mesh4, cfg,
+                              *mean_forces(g1, g0, mesh4))
+        for name in ("alpha", "z1", "z0"):
+            assert (getattr(res.state, name).tobytes()
+                    == getattr(again, name).tobytes()), name
+        assert (res.state.j0, res.state.g0) == (again.j0, again.g0)
+        assert res.j_history[-1] == res.state.j0
 
     def test_empty_s_side_is_tolerated(self, mesh4):
         # identical rows inside a class put every projection exactly at the
@@ -549,7 +567,7 @@ class TestOptimize:
             cfg = OptimizerConfig(tolp=0.1, tolq=0.1, ref_kind=ref,
                                   max_iters=3)
             res = optimize(g1, g0, mesh4, cfg)
-            assert res.alpha.shape == (mesh4.n_nodes,)
+            assert res.state.alpha.shape == (mesh4.n_nodes,)
 
     def test_non_finite_gray_rejected_before_assembly(self, mesh4,
                                                       monkeypatch):

@@ -1,11 +1,15 @@
 """Run the 28x28 glyph probes of ROADMAP.md and print what each costs.
 
-    python tools/paper_probe.py [--rev REV]
+    python tools/paper_probe.py [--rev REV] [PROBE ...]
 
-Generates two datasets with ``bench/glyphs.py``: the paper-scale probe
-(digits 0 vs 2 at 28x28, seed 11, 12,000 training and 2,000 test images,
-``n_axes = 60``) and the three-forest probe (``one_vs_rest = 0,1,2`` at
-28x28, seed 12, 9,000 and 2,000 images, ``n_axes = 10``); every other
+Generates the named probes' datasets with ``bench/glyphs.py``, all at
+28x28: the paper-scale probe (digits 0 vs 2, seed 11, 12,000 training and
+2,000 test images, ``n_axes = 60``), the three-forest probe
+(``one_vs_rest = 0,1,2``, seed 12, 9,000 and 2,000 images,
+``n_axes = 10``) and the full-shape probe of the opt-in full criterion-4
+run (``one_vs_rest = 0,1,2,3,4``, seed 13, 30,000 and 2,000 images,
+``n_axes = 120``, ``svd_k = 60``; about half a minute and 0.5 GB).  With
+no name it runs the two quick probes, the first two.  Every other
 setting is the default.  On each it runs ``python -m meip.cli pipeline``
 in a child process with one BLAS thread, on the working tree's ``src`` or,
 with ``--rev``, on ``REV:src`` exported with ``git archive`` as
@@ -39,12 +43,18 @@ from compare_outputs import ROOT, export_src
 import glyphs  # bench/glyphs.py
 import run  # bench/run.py
 
-# name -> (seed, digits, config line naming them, training and test
-# images, n_axes)
+# name -> (seed, digits, config lines naming them and the other settings,
+# training and test images)
 PROBES = {
-    "paper_scale": (11, (0, 2), "class_pairs = 0:2", 12000, 2000, 60),
-    "three_forest": (12, (0, 1, 2), "one_vs_rest = 0,1,2", 9000, 2000, 10),
+    "paper_scale": (11, (0, 2), ("class_pairs = 0:2", "n_axes = 60"),
+                    12000, 2000),
+    "three_forest": (12, (0, 1, 2), ("one_vs_rest = 0,1,2", "n_axes = 10"),
+                     9000, 2000),
+    "full_shape": (13, (0, 1, 2, 3, 4), ("one_vs_rest = 0,1,2,3,4",
+                                         "n_axes = 120", "svd_k = 60"),
+                   30000, 2000),
 }
+QUICK = ("paper_scale", "three_forest")  # the probes run when none is named
 SIDE = 28
 
 
@@ -53,11 +63,11 @@ def make_probe(name: str, dest: Path) -> Path:
     the config path."""
     import numpy as np  # here, so that only the spawned process loads it
 
-    seed, digits, classes, n_train, n_test, n_axes = PROBES[name]
+    seed, digits, settings, n_train, n_test = PROBES[name]
     rng = np.random.default_rng(seed)
     bank = glyphs.make_bank(rng, SIDE)
     paths = glyphs.write_dataset(dest, rng, bank, digits, n_train, n_test)
-    lines = [f"n1 = {SIDE}", f"n2 = {SIDE}", classes, f"n_axes = {n_axes}"]
+    lines = [f"n1 = {SIDE}", f"n2 = {SIDE}", *settings]
     lines += [f"{key} = {p.name}" for key, p in paths.items()]
     cfg = dest / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n")
@@ -84,7 +94,14 @@ def main(argv: list[str]) -> int:
         description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="run REV:src instead of the working "
                         "tree's src")
+    parser.add_argument("probes", nargs="*", metavar="PROBE",
+                        help=f"one of {', '.join(PROBES)} (default: "
+                        f"{' '.join(QUICK)})")
     args = parser.parse_args(argv)
+    names = args.probes or list(QUICK)
+    for name in names:
+        if name not in PROBES:
+            parser.error(f"unknown probe {name!r}")
     with tempfile.TemporaryDirectory(prefix="paper_probe-") as tmp:
         tmp = Path(tmp)
         src = ROOT / "src"
@@ -96,8 +113,8 @@ def main(argv: list[str]) -> int:
         print(f"meip from {args.rev + ':src' if args.rev else src}")
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             cfgs = pool.starmap(make_probe,
-                                [(name, tmp / name) for name in PROBES])
-        for name, cfg in zip(PROBES, cfgs):
+                                [(name, tmp / name) for name in names])
+        for name, cfg in zip(names, cfgs):
             out = tmp / name / "out"
             code, wall, rss = run_child(
                 [sys.executable, "-m", "meip.cli", "pipeline", "--config",
