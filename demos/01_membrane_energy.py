@@ -19,7 +19,7 @@ print(f"mesh: {mesh.n1}x{mesh.n2} elements, {mesh.n_nodes} nodes, "
       f"{len(mesh.boundary_nodes)} boundary nodes")
 
 design = fem.uniform_design(mesh, tolp=0.2, tolq=0.2)
-op = fem.assemble_stiffness(mesh, design, sigma0=1e5)
+op = fem.assemble_stiffness(mesh, design, fem.SIGMA0)
 
 # The solver keeps only K's upper band: K[i, i+d] sits at ab[bw - d, i+d].
 # Unfold it into a dense symmetric matrix for display and the spectrum.

@@ -29,6 +29,9 @@ __all__ = [
     "grayscale_to_force",
 ]
 
+# the boundary penalty that fixes the membrane's edge (Babuska 1973)
+SIGMA0 = 1e5
+
 # The 4x4 element coefficient matrices, from their integer numerators: the
 # elastic term carries denominator 24, the support term denominator 36.
 KP = np.array(

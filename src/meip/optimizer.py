@@ -62,7 +62,6 @@ class OptimizerConfig:
     tolq: float = 2.0
     p_min: float = 1e-3
     q_min: float = 1e-3
-    sigma0: float = 1e5
     eps_x: float = 8e-4
     eps_j: float = 1e-7
     max_iters: int = 500
@@ -71,7 +70,7 @@ class OptimizerConfig:
     def validate(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        for name in ("tolp", "tolq", "p_min", "q_min", "sigma0"):
+        for name in ("tolp", "tolq", "p_min", "q_min"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         # an infinite threshold is a rule that stops at its first test
@@ -168,7 +167,7 @@ def compute_state(design: fem.DesignField, gray1: np.ndarray,
 
     ``f`` and ``g`` are the class-mean forces of ``mean_forces``.
     """
-    op = fem.assemble_stiffness(mesh, design, cfg.sigma0)
+    op = fem.assemble_stiffness(mesh, design, fem.SIGMA0)
     u, v = op.solve(np.column_stack([f, g])).T
 
     if cfg.ref_kind == "u":

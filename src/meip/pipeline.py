@@ -67,18 +67,17 @@ class PipelineConfig(OptimizerConfig):
     The fields are the config schema: every field but ``base_dir``,
     ``source`` and ``origin`` is a config key of the field's name and type
     (``lam`` is spelled ``lambda``).  The optimizer settings (``lam``, the
-    budgets and bounds, ``sigma0``, the stopping rules and ``ref_kind``)
-    and their defaults are inherited from ``OptimizerConfig``; here
-    ``ref_kind`` is a comma list that grows one forest per kind, so the
-    pipeline never calls the inherited ``validate()`` and checks each
-    kind's ``optimizer_config`` instead.  ``source`` is the path of the config
+    budgets and bounds, the stopping rules and ``ref_kind``) and their
+    defaults are inherited from ``OptimizerConfig``; here ``ref_kind`` is a
+    comma list that grows one forest per kind, so the pipeline never calls
+    the inherited ``validate()`` and checks each kind's
+    ``optimizer_config`` instead.  ``source`` is the path of the config
     file, and ``origin`` maps each key read from it to its ``path:line``.
     """
 
     n1: int = 28
     n2: int = 28
     n_axes: int = 1
-    ridge: float = 1e-6
     svd_k: int = 0
     class_pairs: str = ""           # one pair a:b, e.g. "0:1" or "3:4"
     one_vs_rest: str = ""           # e.g. "0,1,2,3,4"
@@ -141,8 +140,6 @@ class PipelineConfig(OptimizerConfig):
             raise ValueError("must be at least 1")
         if attr == "svd_k" and value < 0:
             raise ValueError("must not be negative")
-        if attr == "ridge" and not 0 <= value < np.inf:
-            raise ValueError("must be finite and not negative")
         if attr in ("class_pairs", "one_vs_rest") and value:
             PipelineConfig(**{attr: value}).classes()
         if attr == "ref_kind" and not self.ref_kinds():
@@ -227,6 +224,14 @@ def load_config(path) -> PipelineConfig:
             f"{path}: the first move limit min(tolp, tolq) / (n1 * n2) = "
             f"{first!r} is at most eps_x = {cfg.eps_x!r} ("
             f"{where('tolp', 'tolq', 'n1', 'n2', 'eps_x')})")
+    # Each forest grows at most n_axes axes; a pool that runs out of
+    # subsets first depends on the data and is capped at run time.
+    forests = len(cfg.ref_kinds()) * (len(cfg.classes()) if cfg.one_vs_rest
+                                      else 1)
+    if cfg.svd_k > cfg.n_axes * forests:
+        raise ValueError(
+            f"{path}: svd_k = {cfg.svd_k} exceeds n_axes * forests = "
+            f"{cfg.n_axes} * {forests} ({where('svd_k', 'n_axes')})")
     return cfg
 
 
@@ -654,8 +659,11 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
     for name, ref, ybin in _forests(cfg, data.labels):
         log.info("forest %s: %d samples (%d/%d per class)", name, len(ybin),
                  int((ybin == 0).sum()), int((ybin == 1).sum()))
-        b = forest.generate_axes(data.gray, ybin, cfg.n_axes,
-                                 cfg.optimizer_config(ref), mesh)
+        try:
+            b = forest.generate_axes(data.gray, ybin, cfg.n_axes,
+                                     cfg.optimizer_config(ref), mesh)
+        except RuntimeError as exc:   # an axis that failed
+            raise RuntimeError(f"forest {name}: {exc}") from exc
         save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
         provenance += [{"forest": name, **prov} for prov in b.provenance]
         bundles.append(b)
@@ -710,7 +718,7 @@ def _fit(cfg: PipelineConfig, bundle: forest.AxisBundle, bundle_sha256: str,
     ``data``."""
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
-    model = classifier.fit(z, targets, len(cfg.classes()), ridge=cfg.ridge)
+    model = classifier.fit(z, targets, len(cfg.classes()))
     bundle_ref = os.path.relpath(Path(bundle_path).resolve(), out.resolve())
     save_model(out / "model.txt", model, bundle_ref, bundle_sha256,
                cfg.echo_items())

@@ -109,6 +109,17 @@ def bar_images(n: int, count: int, rng: np.random.Generator,
     return images, labels
 
 
+def separable_grays(ne: int):
+    """Six class-0 rows, then six class-1 rows, with disjoint supports in
+    the first 16 elements: one axis separates them, so a forest's pool
+    runs out of subsets after it.  Returns (gray, labels)."""
+    rng = np.random.default_rng(3)
+    g1, g0 = np.zeros((6, ne)), np.zeros((6, ne))
+    g1[:, :8] = rng.random((6, 8)) + 1.0
+    g0[:, 8:16] = rng.random((6, 8)) + 1.0
+    return np.vstack([g0, g1]), np.array([0] * 6 + [1] * 6)
+
+
 def blob_grays(mesh: fem.GridMesh, count: int, rng: np.random.Generator,
                spread: float = 0.6):
     """Two overlapping blob classes directly as unit-norm gray matrices."""

@@ -1,7 +1,8 @@
 """The difference report of tools/compare_outputs.py: the keys of JSON
 outputs, the first differing line of any other file with the number of
 lines only in each side, whether two files differ only in numbers, and
-the state evaluations and j_final ratios of two axis provenances."""
+the state evaluations, j_final ratios and stopping rules of two axis
+provenances."""
 
 import json
 import subprocess
@@ -63,31 +64,35 @@ NUMBER_CASES = {
 
 
 
-def axis(forest, evals, j, iterations=1):
+def axis(forest, evals, j, iterations=1, stop="eps_x"):
     return {"forest": forest, "state_evals": evals, "j_final": j,
-            "iterations": iterations}
+            "iterations": iterations, "converged_by": stop}
 
 
 # (base state evaluations, working tree's, base zero-progress axes, working
 # tree's, j_final ratios working tree / base of the axes matched by forest
-# and index, forests in name order)
+# and index, forests in name order, base axes per stopping rule, working
+# tree's)
 PROVENANCE_CASES = {
     "matched": ([axis("a", 9, 2.0), axis("a", 5, 4.0), axis("b", 7, 1.0)],
                 [axis("a", 6, 1.0), axis("a", 4, 5.0), axis("b", 7, 1.5)],
-                [21, 17, 0, 0, [0.5, 1.25, 1.5]]),
+                [21, 17, 0, 0, [0.5, 1.25, 1.5], {"eps_x": 3},
+                 {"eps_x": 3}]),
     "forest_order": ([axis("b", 3, 2.0), axis("a", 4, 1.0)],
                      [axis("a", 2, 3.0), axis("b", 5, 1.0)],
-                     [7, 7, 0, 0, [3.0, 0.5]]),
+                     [7, 7, 0, 0, [3.0, 0.5], {"eps_x": 2}, {"eps_x": 2}]),
     "unmatched": ([axis("a", 9, 2.0), axis("c", 1, 1.0)],
                   [axis("a", 6, 1.0), axis("a", 8, 1.0), axis("b", 3, 1.0)],
-                  [10, 17, 0, 0, [0.5]]),
+                  [10, 17, 0, 0, [0.5], {"eps_x": 2}, {"eps_x": 3}]),
     "zero_base": ([axis("a", 2, 0.0), axis("a", 3, -2.0)],
                   [axis("a", 2, 1.0), axis("a", 3, -1.0)],
-                  [5, 5, 0, 0, [0.5]]),
-    "zero_progress": ([axis("a", 9, 2.0), axis("a", 4, 1.0, iterations=0)],
-                      [axis("a", 5, 2.0, iterations=0),
+                  [5, 5, 0, 0, [0.5], {"eps_x": 2}, {"eps_x": 2}]),
+    "zero_progress": ([axis("a", 9, 2.0, stop="eps_J"),
                        axis("a", 4, 1.0, iterations=0)],
-                      [13, 9, 1, 2, [1.0, 1.0]]),
+                      [axis("a", 5, 2.0, iterations=0),
+                       axis("a", 4, 1.0, iterations=0, stop="max_iters")],
+                      [13, 9, 1, 2, [1.0, 1.0], {"eps_J": 1, "eps_x": 1},
+                       {"eps_x": 1, "max_iters": 1}]),
 }
 
 # compare_outputs imports bench/run.py, which must pin the BLAS threads

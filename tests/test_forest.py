@@ -10,7 +10,7 @@ from meip.forest import (AxisBundle, SubsetNode, generate_axes,
                          orthonormalize, pick_subset, split_subset)
 from meip.lp import solve_move_limit_lp
 from meip.optimizer import OptimizerConfig, compute_state, element_projection
-from conftest import blob_grays
+from conftest import blob_grays, separable_grays
 
 
 def make_node(indices, labels):
@@ -317,13 +317,7 @@ class TestGenerateAxes:
 
     def test_pool_exhaustion_flag(self, mesh4):
         # perfectly separable data exhausts the pool after one axis
-        rng = np.random.default_rng(3)
-        g1 = np.zeros((6, mesh4.ne))
-        g0 = np.zeros((6, mesh4.ne))
-        g1[:, :8] = rng.random((6, 8)) + 1.0
-        g0[:, 8:16] = rng.random((6, 8)) + 1.0
-        gray = np.vstack([g0, g1])
-        labels = np.array([0] * 6 + [1] * 6)
+        gray, labels = separable_grays(mesh4.ne)
         cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
         bundle = generate_axes(gray, labels, 5, cfg, mesh4)
         assert bundle.pool_exhausted

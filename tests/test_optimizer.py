@@ -22,7 +22,7 @@ from test_fem import gamma
 
 def frozen_objective(design, state, mesh, cfg):
     """J at a design with the S-subsets (hence h) held fixed."""
-    op = fem.assemble_stiffness(mesh, design, cfg.sigma0)
+    op = fem.assemble_stiffness(mesh, design, fem.SIGMA0)
     u = op.solve(state.f)
     v = op.solve(state.g)
     w = op.solve(state.h)

@@ -21,7 +21,7 @@ from meip.dataset import (Dataset, load_idx_images, load_idx_labels,
 from meip.forest import AxisBundle
 from meip.optimizer import REF_KINDS, OptimizerConfig
 from artifact_readers import read_confusion_csv, read_field_csv
-from conftest import bar_images
+from conftest import bar_images, separable_grays
 
 
 class TestConfig:
@@ -30,12 +30,10 @@ class TestConfig:
         cfg_file.write_text(
             "# comment line\n"
             "lambda = 0.25\n"
-            "class_pairs = 0:1\n"
-            "sigma0 = 2e4\n\n"
+            "class_pairs = 0:1\n\n"
             "n_axes = 7   # trailing comment\n")
         cfg = pipeline.load_config(cfg_file)
         assert cfg.lam == 0.25
-        assert cfg.sigma0 == 2e4
         assert cfg.n_axes == 7
         assert cfg.n1 == 28  # untouched default
         assert cfg.tolp == 2.0
@@ -48,6 +46,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key 'n_axis'"):
             pipeline.load_config(cfg_file)
 
+    def test_a_line_without_equals_names_its_line(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("n1 = 6\nclass_pairs 0:1\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg_file}:2: expected 'key = value'")):
+            pipeline.load_config(cfg_file)
+
     def test_seed_is_not_a_key(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("class_pairs = 0:1\nseed = 0\n")
@@ -56,10 +61,14 @@ class TestConfig:
             pipeline.load_config(cfg_file)
 
     # every image is scaled to unit l2 norm, every axis starts at the
-    # uniform element value of the smaller budget, and a rejection shrinks
-    # the move limit within a fixed interval; none is a setting
-    @pytest.mark.parametrize("line", ["norm = l2", "norm = l7",
-                                      "dx_max = 0.08", "gamma = 0.7"])
+    # uniform element value of the smaller budget, a rejection shrinks the
+    # move limit within a fixed interval, the boundary penalty is
+    # fem.SIGMA0 and the covariance ridge is classifier.fit's; none is a
+    # setting
+    @pytest.mark.parametrize("line", [
+        "norm = l2", "norm = l7", "dx_max = 0.08", "gamma = 0.7",
+        "sigma0 = 1e5", "sigma0 = inf", "ridge = 1e-6", "ridge = nan",
+        "ridge = -5"])
     def test_removed_key_is_not_a_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"class_pairs = 0:1\n{line}\n")
@@ -98,8 +107,7 @@ class TestConfig:
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
         "class_pairs = 3", "class_pairs = 3:3", "class_pairs = 3:7,7:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
-        "class_pairs = 2:256", "sigma0 = inf", "tolp = inf", "tolp = nan",
-        "ridge = nan", "ridge = -5", "max_iters = -1",
+        "class_pairs = 2:256", "tolp = inf", "tolp = nan", "max_iters = -1",
     ])
     def test_bad_value_names_file_line_and_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
@@ -187,6 +195,30 @@ class TestConfig:
         cfg_file.write_text(text)
         pipeline.load_config(cfg_file)
 
+    @pytest.mark.parametrize("lines, where, total", [
+        (["class_pairs = 3:7", "ref_kind = u", "n_axes = 1", "svd_k = 2"],
+         "svd_k on line 4, n_axes on line 3", "1 * 1"),
+        (["one_vs_rest = 0,1,2", "ref_kind = u,v", "svd_k = 7"],
+         "svd_k on line 3", "1 * 6"),
+    ], ids=["pair", "one_vs_rest"])
+    def test_svd_k_above_the_forest_total_fails_at_load(self, tmp_path, lines,
+                                                        where, total):
+        # the data keys name files that do not exist: no data is read
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\n".join(lines + [
+            f"{key} = missing.idx" for key in ("train_images", "train_labels",
+                                               "test_images", "test_labels")]))
+        svd_k = lines[-1].split("=")[1].strip()
+        with pytest.raises(ValueError) as err:
+            pipeline.load_config(cfg_file)
+        assert str(err.value) == (
+            f"{cfg_file}: svd_k = {svd_k} exceeds n_axes * forests = {total} "
+            f"({where})")
+        # one fewer is the forest total, which loads
+        cfg_file.write_text(cfg_file.read_text().replace(
+            f"svd_k = {svd_k}", f"svd_k = {int(svd_k) - 1}"))
+        assert pipeline.load_config(cfg_file).svd_k == int(svd_k) - 1
+
     def test_optimizer_defaults_have_one_source(self):
         for kind in REF_KINDS:
             got = pipeline.PipelineConfig().optimizer_config(kind)
@@ -267,6 +299,16 @@ class TestModelFormat:
             assert np.array_equal(orig.b, back.b)
             assert orig.c == back.c
             assert orig.log_det == back.log_det
+
+    def test_an_echo_line_without_equals_names_its_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        _save_model(path, np.random.default_rng(5))
+        lines = path.read_text().splitlines(keepends=True)
+        i = lines.index("seed = 0\n")
+        path.write_text("".join(lines[:i] + ["seed 0\n"] + lines[i + 1:]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{i + 1}: expected 'key = value', got 'seed 0'")):
+            pipeline.load_model(path)
 
     def test_classes_row_needs_the_word_dim(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -576,6 +618,8 @@ class TestFieldsFormat:
 @pytest.mark.parametrize("text, message", [
     ("MEIP-AXES 1\n0 3 4 1\n0 0 0 0\n",
      "2: expected a mesh of at least 1x1, got 0x3"),
+    ("MEIP-AXES 1\n6 6 48 1\n" + "0 " * 47 + "0\n",
+     "2: expected 49 nodes for a 6x6 mesh, got 48"),
     ("MEIP-FIELDS 1\n0 0 1\naxis 0\nf 0\ng 0\np\nq\n",
      "2: expected a mesh of at least 1x1, got 0x0"),
     ("MEIP-FIELDS 1\n2 2 0\n", "2: expected at least 1 axis, got 0"),
@@ -585,7 +629,8 @@ class TestFieldsFormat:
     (f"MEIP-MODEL 2\nbundle axes.txt\nbundle_sha256 {'0' * 64}\nconfig 0\n"
      "classes 1 dim 0\nclass 0\nprior 1\nmean\n",
      "5: expected at least 1 dimension, got 0"),
-], ids=["axes", "fields", "fields_no_axis", "model", "model_no_dim"])
+], ids=["axes", "axes_nodes", "fields", "fields_no_axis", "model",
+        "model_no_dim"])
 def test_artifact_with_an_empty_shape_is_rejected(tmp_path, text, message):
     path = tmp_path / "artifact.txt"
     path.write_text(text)
@@ -889,6 +934,47 @@ class TestCommands:
         assert str(err.value) == (f"{cfg_path}:{line}: svd_k: k=2 exceeds "
                                   "the numerical rank 1")
 
+    def test_an_exhausted_pool_caps_svd_k(self, tmp_path, caplog):
+        # the pool runs out of subsets after 1 of the 5 axes asked for
+        data = Dataset(*separable_grays(16))
+        cfg = pipeline.PipelineConfig(n1=4, n2=4, class_pairs="0:1",
+                                      n_axes=5, svd_k=3, tolp=0.1, tolq=0.1,
+                                      max_iters=2)
+        with caplog.at_level(logging.WARNING, logger="meip.pipeline"):
+            pipeline.cmd_train_axes(cfg, data, tmp_path)
+        assert "svd_k=3 capped to 1 available axes" in caplog.text
+        bundle = pipeline.load_axes(tmp_path / "axes.txt")
+        assert bundle.n_axes == 1
+        assert abs(bundle.axes[0] @ bundle.axes[0] - 1.0) <= 1e-10
+
+    def test_a_failed_axis_names_its_forest(self, bars_workspace, capsys,
+                                            monkeypatch):
+        # the axis of the second forest fails; (m0, m1) is its subset
+        subsets = []
+        real = forest.optimize
+
+        def optimize(gray1, gray0, *args, **kwargs):
+            subsets.append((len(gray0), len(gray1)))
+            if len(subsets) == 2:
+                raise FloatingPointError("no trial")
+            return real(gray1, gray0, *args, **kwargs)
+
+        monkeypatch.setattr(forest, "optimize", optimize)
+        cfg_path = bars_workspace / "run.cfg"
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "n_axes = 2", "n_axes = 1") + "ref_kind = u,v\n")
+        cfg = pipeline.load_config(cfg_path)
+        with pytest.raises(RuntimeError) as err:
+            pipeline.cmd_train_axes(cfg, pipeline.load_split(cfg, "train"),
+                                    bars_workspace / "out")
+        assert isinstance(err.value.__cause__.__cause__, FloatingPointError)
+        m0, m1 = subsets[1]
+        subsets.clear()
+        assert cli.main(["train-axes", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"[train-axes] error: forest 3v7_v: axis 1 of 1 failed on a "
+            f"({m0}, {m1}) subset: no trial\n")
+
     def test_axis_count_without_svd(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()
         (bars_workspace / "run3.cfg").write_text(
@@ -1100,7 +1186,9 @@ class TestCommands:
         # same digits, swapped order: every class index would swap
         ({"class_pairs": "7:3"},
          "model was trained on classes [7, 3], config says [3, 7]"),
-    ], ids=["digit_order"])
+        ({"class_pairs": "3:3"},
+         "config echo: expected two different digits, got '3:3'"),
+    ], ids=["digit_order", "unreadable"])
     def test_model_echo_checked_against_config(self, bars_workspace, echo,
                                                message):
         cfg, out = self._echo_model(bars_workspace, echo)
@@ -1113,14 +1201,17 @@ class TestCommands:
         assert (out / "confusion_test.csv").read_bytes() == scored
 
     def test_model_echo_of_norm_l2_still_scores(self, bars_workspace):
-        # an echo key this meip does not know is ignored
-        cfg, out = self._echo_model(bars_workspace, {"norm": "l2"})
-        scored = {name: (out / name).read_bytes() for name in
-                  ("confusion_test.csv", "predictions_test.csv")}
-        pipeline.cmd_eval(cfg, out / "model.txt",
-                          pipeline.load_split(cfg, "test"), "test", out)
-        for name, data in scored.items():
-            assert (out / name).read_bytes() == data, name
+        # an echo key this meip does not know is ignored: norm, and the
+        # sigma0 and ridge that models echoed while they were settings
+        for echo in ({"norm": "l2"},
+                     {"ridge": "9.9999999999999995e-07", "sigma0": "100000"}):
+            cfg, out = self._echo_model(bars_workspace, echo)
+            scored = {name: (out / name).read_bytes() for name in
+                      ("confusion_test.csv", "predictions_test.csv")}
+            pipeline.cmd_eval(cfg, out / "model.txt",
+                              pipeline.load_split(cfg, "test"), "test", out)
+            for name, data in scored.items():
+                assert (out / name).read_bytes() == data, name
 
     def test_mesh_dimension_mismatch(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()

@@ -26,11 +26,13 @@ both sides wrote ``axes_provenance.json``, three more give the total
 ``state_evals`` of each side, the zero-progress axes of each side (those
 with no accepted step, ``iterations`` 0) and the median ratio of
 ``j_final``, working tree over base, of the axes matched by forest and
-index, in total and per workload.  Exits 1 on any difference.
+index, in total and per workload, and a fourth counts each side's axes
+by their stopping rule (``converged_by``).  Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import collections
 import difflib
 import io
 import itertools
@@ -169,13 +171,13 @@ def drift_note(drift: tuple[int, float] | None) -> str:
             f"{d:.1e} of the line's largest")
 
 
-def provenance_stats(a: bytes,
-                     b: bytes) -> tuple[int, int, int, int, list[float]]:
+def provenance_stats(a: bytes, b: bytes) -> tuple:
     """(state evaluations of the base, of the working tree, zero-progress
     axes of the base, of the working tree, ``j_final`` ratios working tree
-    / base) of two ``axes_provenance.json`` files; the ratios pair the i-th
-    axis of a forest on both sides, forests in name order, and skip a base
-    axis whose ``j_final`` is 0."""
+    / base, axes per ``converged_by`` of the base, of the working tree) of
+    two ``axes_provenance.json`` files; the ratios pair the i-th axis of a
+    forest on both sides, forests in name order, and skip a base axis
+    whose ``j_final`` is 0."""
     da, db = json.loads(a), json.loads(b)
 
     def j_by_forest(records: list) -> dict:
@@ -190,7 +192,9 @@ def provenance_stats(a: bytes,
     return (sum(r["state_evals"] for r in da),
             sum(r["state_evals"] for r in db),
             sum(r["iterations"] == 0 for r in da),
-            sum(r["iterations"] == 0 for r in db), ratios)
+            sum(r["iterations"] == 0 for r in db), ratios,
+            *(collections.Counter(r["converged_by"] for r in d)
+              for d in (da, db)))
 
 
 def median_text(ratios: list[float]) -> str:
@@ -198,6 +202,11 @@ def median_text(ratios: list[float]) -> str:
         return "no matched axes"
     return (f"{statistics.median(ratios):.4f} over {len(ratios)} "
             + ("axis" if len(ratios) == 1 else "axes"))
+
+
+def stops_text(counts: collections.Counter) -> str:
+    text = " + ".join(f"{rule} {n}" for rule, n in sorted(counts.items()))
+    return text or "no axes"
 
 
 def report_of(out: Path) -> Path:
@@ -249,7 +258,8 @@ def main(argv: list[str]) -> int:
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         total, diffs, deltas, drifts = 0, [], [], []
         # workload -> [base state evaluations, working tree's, base
-        # zero-progress axes, working tree's, j ratios]
+        # zero-progress axes, working tree's, j ratios, base stopping rule
+        # counts, working tree's]
         axes = {}
         for wl, seeds in DATASETS.items():
             workload = run.WORKLOADS[wl]
@@ -272,7 +282,9 @@ def main(argv: list[str]) -> int:
                     if all(p.is_file() for p in prov):
                         stats = provenance_stats(
                             *(p.read_bytes() for p in prov))
-                        acc = axes.setdefault(wl, [0, 0, 0, 0, []])
+                        acc = axes.setdefault(wl, [
+                            0, 0, 0, 0, [], collections.Counter(),
+                            collections.Counter()])
                         for k, value in enumerate(stats):
                             acc[k] += value
     for line in diffs:
@@ -297,6 +309,12 @@ def main(argv: list[str]) -> int:
                   f"{sum(a[k + 1] for a in axes.values())} ("
                   + ", ".join(f"{wl} {a[k]} vs {a[k + 1]}"
                               for wl, a in axes.items()) + ")")
+        print(f"stopping rules, {rev} vs working tree: "
+              + " vs ".join(stops_text(sum((a[k] for a in axes.values()),
+                                           collections.Counter()))
+                            for k in (5, 6)) + " ("
+              + ", ".join(f"{wl} {stops_text(a[5])} vs {stops_text(a[6])}"
+                          for wl, a in axes.items()) + ")")
         ratios = [r for a in axes.values() for r in a[4]]
         print("median j_final ratio, working tree / "
               f"{rev}: {median_text(ratios)} ("
