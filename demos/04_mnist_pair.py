@@ -42,7 +42,6 @@ train_images = {mnist / FILES[0]}
 train_labels = {mnist / FILES[1]}
 test_images = {mnist / FILES[2]}
 test_labels = {mnist / FILES[3]}
-out_dir = {workdir / 'out'}
 """)
 
 cfg = pipeline.load_config(cfg_path)

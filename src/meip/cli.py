@@ -59,7 +59,7 @@ def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, metavar="PATH",
                    help="key = value configuration file")
     p.add_argument("--out", metavar="DIR", default=None,
-                   help="output directory (default: out_dir from the config)")
+                   help="output directory (default: out next to the config)")
 
 
 @functools.cache
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
             return 0
 
         cfg = pipeline.load_config(args.config)
-        out = Path(args.out) if args.out else cfg.resolve(cfg.out_dir)
+        out = Path(args.out) if args.out else cfg.resolve("out")
         if stage != "pipeline":  # eval reads --split, the others train
             data = pipeline.load_split(cfg, getattr(args, "split", "train"))
         if stage == "train-axes":

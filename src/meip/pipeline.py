@@ -85,7 +85,6 @@ class PipelineConfig(OptimizerConfig):
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    out_dir: str = "out"
     base_dir: Path = field(default_factory=Path)
     source: str = field(default="config", compare=False, repr=False)
     origin: dict = field(default_factory=dict, compare=False, repr=False)
@@ -289,10 +288,10 @@ class _Reader:
 
 @contextmanager
 def _text_file(path, data: bytes | None = None):
-    """``open(path)``, or the text of ``data`` already read from it, where
-    a byte that is not UTF-8 names the file."""
+    """``path`` open as UTF-8 text, or the text of ``data`` already read
+    from it, where a byte that is not UTF-8 names the file."""
     try:
-        with (open(path) if data is None else
+        with (open(path, encoding="utf-8") if data is None else
               io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as f:
             yield f
     except UnicodeDecodeError as exc:
@@ -348,7 +347,7 @@ def load_axes(path, data: bytes | None = None) -> forest.AxisBundle:
 def save_model(path, model: list[classifier.ClassGaussian],
                bundle_ref: str, bundle_sha256: str,
                config_items: list[tuple[str, str]]) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(MODEL_MAGIC + "\n")
         f.write(_fmt([[bundle_ref]], "bundle"))
         f.write(_fmt([[bundle_sha256]], "bundle_sha256"))
@@ -407,7 +406,7 @@ def load_model(path):
 
 def save_fields(path, n1: int, n2: int, records: list[dict]) -> None:
     """Per-axis mean forces and final designs of one forest."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(FIELDS_MAGIC + "\n")
         f.write(_fmt([[n1, n2, len(records)]]))
         for i, rec in enumerate(records):
@@ -449,7 +448,7 @@ def write_pgm(path, grid: np.ndarray) -> None:
 
 def write_field_csv(path, name: str, grid: np.ndarray) -> None:
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(_fmt([[name, *grid.shape]], FIELD_MAGIC, ","))
         f.write(_fmt(grid, sep=","))
 
@@ -466,7 +465,7 @@ def element_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
 def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
                         class_names: list[str]) -> None:
     """Confusion matrix with precision/recall margins and total accuracy."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(_fmt([[*(f"target_{c}" for c in class_names), "precision"]],
                      CONFUSION_MAGIC, ","))
         f.write(_fmt([(f"output_{c}", *cm.counts[i], cm.precision[i])
@@ -528,7 +527,7 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
     names = [f"count_{j}" for j in range(n_classes)]
     # each edge formatted once: bin b's bin_hi is bin b+1's bin_lo
     edge_text = [line.split(",") for line in _fmt(edges, sep=",").split()]
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(_fmt([["bin", "bin_lo", "bin_hi", *names]], HIST_MAGIC, ","))
         f.write(_fmt([(j, b, e[b], e[b + 1], *c[b])
                       for j, (e, c) in enumerate(zip(edge_text, counts))
@@ -650,12 +649,16 @@ def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
 def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
                    out_dir) -> tuple[forest.AxisBundle, str]:
     """Grow every configured forest on ``data``; write the axis bundle to
-    ``<out_dir>/axes.txt`` and return it with the SHA-256 hex digest of
-    the file's bytes."""
+    ``<out>/axes.txt`` and return it with the SHA-256 hex digest of the
+    file's bytes.
+
+    Nothing is written until every forest has grown and ``svd_k`` has
+    compressed the bundle, so a run that fails leaves the files of an
+    earlier run there as they were."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
-    bundles, provenance = [], []
+    bundles, provenance = {}, []
     for name, ref, ybin in _forests(cfg, data.labels):
         log.info("forest %s: %d samples (%d/%d per class)", name, len(ybin),
                  int((ybin == 0).sum()), int((ybin == 1).sum()))
@@ -664,11 +667,10 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
                                      cfg.optimizer_config(ref), mesh)
         except RuntimeError as exc:   # an axis that failed
             raise RuntimeError(f"forest {name}: {exc}") from exc
-        save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
         provenance += [{"forest": name, **prov} for prov in b.provenance]
-        bundles.append(b)
+        bundles[name] = b
 
-    axes = np.vstack([b.axes for b in bundles])
+    axes = np.vstack([b.axes for b in bundles.values()])
     combined = forest.AxisBundle(axes=axes, n1=cfg.n1, n2=cfg.n2)
     if cfg.svd_k > 0:
         # Exhausted pools can leave fewer axes than requested; compress to
@@ -683,9 +685,12 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
             raise ValueError(f"{cfg.origin.get('svd_k', cfg.source)}: svd_k: "
                              f"{exc}") from None
 
+    for name, b in bundles.items():
+        save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
     sha256 = save_axes(out / "axes.txt", combined)
     (out / "axes_provenance.json").write_text(
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+        json.dumps(provenance, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
     return combined, sha256
 
 
@@ -769,7 +774,8 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
 
     names = [str(d) for d in cfg.classes()]
     write_confusion_csv(out / f"confusion_{split}.csv", cm, names)
-    with open(out / f"predictions_{split}.csv", "w") as f:
+    with open(out / f"predictions_{split}.csv", "w",
+              encoding="utf-8") as f:
         f.write(_fmt([["index", "target", "output",
                        *(f"posterior_{c}" for c in names)]], "MEIP-PRED 1",
                      ","))
@@ -779,7 +785,8 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
 
     report = RunReport(config=dict(cfg.echo_items()), n_axes=z.shape[1],
                        **{f"{split}_confusion": _confusion_dict(cm)})
-    (out / f"report_{split}.json").write_text(report.to_json())
+    (out / f"report_{split}.json").write_text(report.to_json(),
+                                                encoding="utf-8")
     return report
 
 
@@ -849,9 +856,10 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
                        n_axes=train_report.n_axes,
                        train_confusion=train_report.train_confusion,
                        test_confusion=test_report.test_confusion)
-    (out / "report.json").write_text(report.to_json())
+    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     # Timing is useful but non-reproducible, so it lives outside the report.
     (out / "timing.txt").write_text(
         f"load {t1 - t0:.3f}s\ntrain_axes {t2 - t1:.3f}s\n"
-        f"train {t3 - t2:.3f}s\neval {t4 - t3:.3f}s\ntotal {t4 - t0:.3f}s\n")
+        f"train {t3 - t2:.3f}s\neval {t4 - t3:.3f}s\ntotal {t4 - t0:.3f}s\n",
+        encoding="utf-8")
     return report

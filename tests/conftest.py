@@ -160,6 +160,5 @@ def bars_workspace(tmp_path):
         "n1 = 6\nn2 = 6\nclass_pairs = 3:7\nn_axes = 2\n"
         "tolp = 0.1\ntolq = 0.1\n"
         "train_images = train-img.idx\ntrain_labels = train-lab.idx\n"
-        "test_images = test-img.idx\ntest_labels = test-lab.idx\n"
-        "out_dir = out\n")
+        "test_images = test-img.idx\ntest_labels = test-lab.idx\n")
     return tmp_path

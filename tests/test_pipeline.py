@@ -63,12 +63,12 @@ class TestConfig:
     # every image is scaled to unit l2 norm, every axis starts at the
     # uniform element value of the smaller budget, a rejection shrinks the
     # move limit within a fixed interval, the boundary penalty is
-    # fem.SIGMA0 and the covariance ridge is classifier.fit's; none is a
-    # setting
+    # fem.SIGMA0, the covariance ridge is classifier.fit's and the output
+    # directory is the CLI's --out; none is a setting
     @pytest.mark.parametrize("line", [
         "norm = l2", "norm = l7", "dx_max = 0.08", "gamma = 0.7",
         "sigma0 = 1e5", "sigma0 = inf", "ridge = 1e-6", "ridge = nan",
-        "ridge = -5"])
+        "ridge = -5", "out_dir = out"])
     def test_removed_key_is_not_a_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"class_pairs = 0:1\n{line}\n")
@@ -975,6 +975,43 @@ class TestCommands:
             f"[train-axes] error: forest 3v7_v: axis 1 of 1 failed on a "
             f"({m0}, {m1}) subset: no trial\n")
 
+    @pytest.mark.parametrize("failure", ["forest_2", "svd_k"])
+    def test_a_failed_rerun_leaves_the_outputs_untouched(
+            self, bars_workspace, capsys, monkeypatch, failure):
+        cfg_path = bars_workspace / "run.cfg"
+        text = cfg_path.read_text().replace("n_axes = 2", "n_axes = 1")
+        if failure == "svd_k":  # the two forests' axes negate each other
+            text = text.replace("class_pairs = 3:7", "one_vs_rest = 3,7")
+        else:
+            text += "ref_kind = u,v\n"
+        cfg_path.write_text(text)
+        argv = ["train-axes", "--config", str(cfg_path)]
+        assert cli.main(argv) == 0
+        out = bars_workspace / "out"
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(first) == 4
+        # the rerun's lambda grows other axes in every forest
+        cfg_path.write_text(text + "lambda = 0.9\n" + (
+            "svd_k = 2\n" if failure == "svd_k" else ""))
+        real, calls = forest.optimize, []
+
+        def optimize(*args, **kwargs):
+            calls.append(1)
+            if failure == "forest_2" and len(calls) == 2:
+                raise FloatingPointError("no trial")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "optimize", optimize)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert len(calls) == 2
+        assert capsys.readouterr().err.startswith(
+            "[train-axes] error: forest 3v7_v: axis 1 of 1 failed"
+            if failure == "forest_2" else
+            f"[train-axes] error: {cfg_path}:{len(text.splitlines()) + 2}: "
+            "svd_k: k=2 exceeds the numerical rank 1")
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
     def test_axis_count_without_svd(self, bars_workspace):
         cfg_text = (bars_workspace / "run.cfg").read_text()
         (bars_workspace / "run3.cfg").write_text(
@@ -1202,9 +1239,11 @@ class TestCommands:
 
     def test_model_echo_of_norm_l2_still_scores(self, bars_workspace):
         # an echo key this meip does not know is ignored: norm, and the
-        # sigma0 and ridge that models echoed while they were settings
+        # sigma0, ridge and out_dir that models echoed while they were
+        # settings
         for echo in ({"norm": "l2"},
-                     {"ridge": "9.9999999999999995e-07", "sigma0": "100000"}):
+                     {"ridge": "9.9999999999999995e-07", "sigma0": "100000"},
+                     {"out_dir": "out"}):
             cfg, out = self._echo_model(bars_workspace, echo)
             scored = {name: (out / name).read_bytes() for name in
                       ("confusion_test.csv", "predictions_test.csv")}
@@ -1344,6 +1383,20 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "train accuracy" in out
+
+    def test_the_default_output_is_out_next_to_the_config(
+            self, bars_workspace, capsys, monkeypatch, tmp_path_factory):
+        monkeypatch.chdir(tmp_path_factory.mktemp("cwd"))
+        common = ["--config", str(bars_workspace / "run.cfg")]
+        out = bars_workspace / "out"
+        for argv, name in ((["train-axes"], "axes.txt"),
+                           (["train"], "model.txt"),
+                           (["eval"], "report_test.json"),
+                           (["pipeline"], "report.json")):
+            assert cli.main(argv + common) == 0
+            assert (out / name).exists(), name
+        capsys.readouterr()
+        assert not any(Path.cwd().iterdir())
 
     def test_bad_config_exit_nonzero(self, bars_workspace, capsys):
         bad = bars_workspace / "broken.cfg"
@@ -1496,6 +1549,43 @@ def test_import_path_loads_no_scipy_sparse():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_text_files_are_utf_8_in_an_ascii_locale(tmp_path):
+    # Under the C locale, with coercion and UTF-8 mode off, open() decodes
+    # and encodes ASCII: a config with a UTF-8 comment, and a model whose
+    # echo holds a non-ASCII path, must still load and round-trip.
+    (tmp_path / "run.cfg").write_text(
+        "# \u03bb\nclass_pairs = 0:1\ntrain_images = donn\u00e9es/a.idx\n",
+        encoding="utf-8")
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """if True:
+        import locale, sys
+        from pathlib import Path
+        import numpy as np
+        from meip import classifier, pipeline
+        print(locale.getpreferredencoding(False))
+        if "utf" not in locale.getpreferredencoding(False).lower():
+            tmp = Path(sys.argv[1])
+            cfg = pipeline.load_config(tmp / "run.cfg")
+            model = [classifier.gaussian_from_moments(
+                np.full(2, float(j)), np.eye(2), 0.5) for j in range(2)]
+            pipeline.save_model(tmp / "model.txt", model, "axes.txt",
+                                "0" * 64, cfg.echo_items())
+            echo = pipeline.load_model(tmp / "model.txt")[3]
+            assert echo == cfg.echo_items()
+    """
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    if "utf" in run.stdout.lower():
+        pytest.skip(f"the C locale still encodes {run.stdout.strip()}")
+    assert run.returncode == 0, run.stderr
+    assert "train_images = donn\u00e9es/a.idx\n" in \
+        (tmp_path / "model.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
