@@ -18,11 +18,11 @@ Every axis starts at the move limit L0 = min(tolp, tolq) / Ne, the
 uniform element value of the smaller budget (a scaled initial trust
 region; Sartenaer 1997, SIAM J. Sci. Comput. 18(6)).  The loop stops on a
 step of at most eps_x (with no LP once the move limit itself is at most
-eps_x), on |dJ| <= eps_j or after max_iters accepted steps.  Rejections
-need no cap: a step is at most the move limit, which never grows and
-shrinks by a factor of at most 0.7 per rejection, so
-ceil(log(eps_x / L0) / log(0.7)) rejections (9 at 12x12 and 4 at 28x28
-with the defaults) bring the limit down to eps_x.
+eps_x), or on one of two fixed caps, not settings: |dJ| <= EPS_J or
+MAX_ITERS accepted steps.  Rejections need no cap: a step is at most the
+move limit, which never grows and shrinks by a factor of at most 0.7 per
+rejection, so ceil(log(eps_x / L0) / log(0.7)) rejections (9 at 12x12
+and 4 at 28x28 with the defaults) bring the limit down to eps_x.
 
 A state evaluation factors K once and makes two banded solves and no
 band product: J and G = u'K v are read off the solved right-hand sides
@@ -51,11 +51,14 @@ log = logging.getLogger(__name__)
 REF_KINDS = ("u", "v", "u_minus_v")
 # the least and largest factor a rejected trial shrinks the move limit by
 SHRINK = (0.1, 0.7)
+# the safety caps: a |dJ| that stops the loop, and the most accepted steps
+EPS_J = 1e-7
+MAX_ITERS = 500
 
 
 @dataclass
 class OptimizerConfig:
-    """Weights, budgets, move limits and stopping rules of the axis loop."""
+    """Weights, budgets, move limits and step threshold of the axis loop."""
 
     lam: float = 0.3
     tolp: float = 2.0
@@ -63,8 +66,6 @@ class OptimizerConfig:
     p_min: float = 1e-3
     q_min: float = 1e-3
     eps_x: float = 8e-4
-    eps_j: float = 1e-7
-    max_iters: int = 500
     ref_kind: str = "u_minus_v"
 
     def validate(self) -> None:
@@ -73,12 +74,8 @@ class OptimizerConfig:
         for name in ("tolp", "tolq", "p_min", "q_min"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        # an infinite threshold is a rule that stops at its first test
-        for name in ("eps_x", "eps_j"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must not be negative")
+        if not self.eps_x > 0:
+            raise ValueError("eps_x must be positive")
         if self.ref_kind not in REF_KINDS:
             raise ValueError(f"ref_kind must be one of {REF_KINDS}")
 
@@ -133,7 +130,8 @@ class AxisResult:
     """The loop's final ``state`` (axis, design, forces, coordinates and G
     as ``state.g0``) and the record that only the loop knows: J at the
     start and after each accepted step, the accepted steps, the stopping
-    rule, the state evaluations and the first accepted step's move limit."""
+    rule (``eps_x``, or the cap ``EPS_J`` or ``MAX_ITERS``), the state
+    evaluations and the first accepted step's move limit."""
 
     state: OptimizerState
     j_history: list
@@ -270,7 +268,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
     # One trial per pass.  Gradients are taken only at a new state: the
     # first, and each accepted one; a rejected trial keeps the state and
     # retries with a shrunken move limit.
-    while accepted < cfg.max_iters:
+    while accepted < MAX_ITERS:
         # a step is at most the move limit, so a spent limit needs no LP
         if limit <= cfg.eps_x:
             converged_by = "eps_x"
@@ -301,7 +299,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             accepted += 1
             grads = None
             j_history.append(state.j0)
-        if abs(dj) <= cfg.eps_j:
+        if abs(dj) <= EPS_J:
             converged_by = "eps_J"
             break
         if rejected:

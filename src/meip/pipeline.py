@@ -67,11 +67,11 @@ class PipelineConfig(OptimizerConfig):
     The fields are the config schema: every field but ``base_dir``,
     ``source`` and ``origin`` is a config key of the field's name and type
     (``lam`` is spelled ``lambda``).  The optimizer settings (``lam``, the
-    budgets and bounds, the stopping rules and ``ref_kind``) and their
-    defaults are inherited from ``OptimizerConfig``; here ``ref_kind`` is a
-    comma list that grows one forest per kind, so the pipeline never calls
-    the inherited ``validate()`` and checks each kind's
-    ``optimizer_config`` instead.  ``source`` is the path of the config
+    budgets and bounds, the step threshold ``eps_x`` and ``ref_kind``) and
+    their defaults are inherited from ``OptimizerConfig``; here
+    ``ref_kind`` is a comma list that grows one forest per kind, so the
+    pipeline never calls the inherited ``validate()`` and checks each
+    kind's ``optimizer_config`` instead.  ``source`` is the path of the config
     file, and ``origin`` maps each key read from it to its ``path:line``.
     """
 
@@ -177,7 +177,8 @@ def load_config(path) -> PipelineConfig:
     with _text_file(path) as f:
         text = f.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a '#' opens a comment at the start of a line or after a blank
+        line = re.split(r"(?:^|[ \t])#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -289,10 +290,11 @@ class _Reader:
 @contextmanager
 def _text_file(path, data: bytes | None = None):
     """``path`` open as UTF-8 text, or the text of ``data`` already read
-    from it, where a byte that is not UTF-8 names the file."""
+    from it, where a byte that is not UTF-8 names the file.  A leading
+    byte-order mark is dropped."""
     try:
-        with (open(path, encoding="utf-8") if data is None else
-              io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as f:
+        with (open(path, encoding="utf-8-sig") if data is None else
+              io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")) as f:
             yield f
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -132,7 +132,8 @@ class TestGenerateAxes:
         monkeypatch.setattr(forest_mod, "optimize", counting)
         monkeypatch.setattr(optimizer_mod, "solve_move_limit_lp", solve)
         monkeypatch.setattr(optimizer_mod, "compute_state", state)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 2)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         bundle = generate_axes(gray, labels, 1, cfg, mesh4)
         assert len(calls) == 1
         assert calls[0] == (10, 10)
@@ -147,12 +148,13 @@ class TestGenerateAxes:
         assert bundle.provenance[0]["dx_first_accept"] == uppers[first - 1]
         assert len(bundle.fields) == 1
 
-    def test_multiple_axes_and_determinism(self, mesh4):
+    def test_multiple_axes_and_determinism(self, mesh4, monkeypatch):
         rng = np.random.default_rng(2)
         g1, g0 = blob_grays(mesh4, 20, rng, spread=1.2)
         gray = np.vstack([g0, g1])
         labels = np.array([0] * 20 + [1] * 20)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 3)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         b1 = generate_axes(gray, labels, 3, cfg, mesh4)
         b2 = generate_axes(gray, labels, 3, cfg, mesh4)
         assert b1.n_axes <= 3
@@ -187,7 +189,8 @@ class TestGenerateAxes:
         gray = rng.random((40, mesh4.ne))
         gray[20:, :4] += 0.3
         labels = np.array([0] * 20 + [1] * 20)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 3)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         firsts = self._first_designs(monkeypatch)
         bundle = generate_axes(gray, labels, 4, cfg, mesh4)
         assert bundle.n_axes == 4 and len(firsts) == 4
@@ -209,7 +212,8 @@ class TestGenerateAxes:
         gray = rng.random((40, mesh4.ne))
         gray[20:, :4] += 0.3
         labels = np.array([0] * 20 + [1] * 20)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 3)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         splits = []
         split = forest_mod.split_subset
 
@@ -239,7 +243,8 @@ class TestGenerateAxes:
         g1, g0 = blob_grays(mesh4, 20, rng, spread=1.2)
         gray = np.vstack([g0, g1])
         labels = np.array([0] * 20 + [1] * 20)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 3)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         cold = optimizer_mod.optimize(g1, g0, mesh4, cfg)
         one = generate_axes(gray, labels, 1, cfg, mesh4)
         assert one.axes[0].tobytes() == cold.state.alpha.tobytes()
@@ -248,14 +253,15 @@ class TestGenerateAxes:
         two = generate_axes(gray, labels, 2, cfg, mesh4)
         assert two.axes[0].tobytes() == cold.state.alpha.tobytes()
 
-    @pytest.mark.parametrize("forced, overrides, warned", [
-        (True, dict(), 4),
-        (False, dict(), 0),
-        (True, dict(max_iters=0), 0),
-        (True, dict(eps_x=0.01), 0),
+    @pytest.mark.parametrize("forced, max_iters, overrides, warned", [
+        (True, 3, dict(), 4),
+        (False, 3, dict(), 0),
+        (True, 0, dict(), 0),
+        (True, 3, dict(eps_x=0.01), 0),
     ], ids=["all_rejected", "unforced", "max_iters_0", "spent_limit"])
     def test_an_axis_that_accepts_no_step_is_warned(
-            self, mesh4, monkeypatch, caplog, forced, overrides, warned):
+            self, mesh4, monkeypatch, caplog, forced, max_iters, overrides,
+            warned):
         # With ``forced`` every trial is worse than its axis's start, so an
         # axis that tries a step accepts none; one that tries no step (no
         # accepted step allowed, or a first move limit at most eps_x) is
@@ -277,8 +283,8 @@ class TestGenerateAxes:
         gray = rng.random((40, mesh4.ne))
         gray[20:, :4] += 0.3
         labels = np.array([0] * 20 + [1] * 20)
-        cfg = OptimizerConfig(**{"tolp": 0.1, "tolq": 0.1, "max_iters": 3,
-                                 **overrides})
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", max_iters)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, **overrides)
         with caplog.at_level("WARNING", logger="meip.forest"):
             bundle = generate_axes(gray, labels, 4, cfg, mesh4)
         assert bundle.n_axes == 4
@@ -292,7 +298,7 @@ class TestGenerateAxes:
         if forced:
             assert all(p["iterations"] == 0 for p in bundle.provenance)
 
-    def test_swapping_the_labels_negates_every_axis(self, mesh4):
+    def test_swapping_the_labels_negates_every_axis(self, mesh4, monkeypatch):
         # Each axis negates (see the optimizer's class-swap test), so a
         # split makes the same two children, left and right trading places,
         # and each starts from the same design.  As the children join the
@@ -303,7 +309,8 @@ class TestGenerateAxes:
         gray = rng.random((40, mesh4.ne))
         gray[20:, :4] += 0.3
         labels = np.array([0] * 20 + [1] * 20)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=3)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 3)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         a = generate_axes(gray, labels, 6, cfg, mesh4)
         b = generate_axes(gray, 1 - labels, 6, cfg, mesh4)
         starts = [prov["start"] for prov in a.provenance]
@@ -315,10 +322,11 @@ class TestGenerateAxes:
             assert fb["p"].tobytes() == fa["p"].tobytes()
             assert fb["q"].tobytes() == fa["q"].tobytes()
 
-    def test_pool_exhaustion_flag(self, mesh4):
+    def test_pool_exhaustion_flag(self, mesh4, monkeypatch):
         # perfectly separable data exhausts the pool after one axis
         gray, labels = separable_grays(mesh4.ne)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
+        monkeypatch.setattr(optimizer_mod, "MAX_ITERS", 2)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         bundle = generate_axes(gray, labels, 5, cfg, mesh4)
         assert bundle.pool_exhausted
         assert bundle.n_axes < 5

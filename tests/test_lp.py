@@ -214,9 +214,9 @@ def optimizer_problems(monkeypatch):
     monkeypatch.setattr(optimizer, "solve_move_limit_lp", record)
     mesh = fem.build_mesh(4, 4)
     g1, g0 = blob_grays(mesh, 12, np.random.default_rng(31))
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 6)
     optimizer.optimize(g1, g0, mesh,
-                       optimizer.OptimizerConfig(tolp=0.15, tolq=0.15,
-                                                 max_iters=6))
+                       optimizer.OptimizerConfig(tolp=0.15, tolq=0.15))
     return captured
 
 

@@ -267,10 +267,11 @@ class TestGradients:
 
 
 class TestOptimize:
-    def test_infinite_eps_j_single_iteration(self, mesh4):
+    def test_infinite_eps_j_single_iteration(self, mesh4, monkeypatch):
         rng = np.random.default_rng(12)
         g1, g0 = blob_grays(mesh4, 16, rng)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, eps_j=np.inf)
+        monkeypatch.setattr(optimizer, "EPS_J", np.inf)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         res = optimize(g1, g0, mesh4, cfg)
         assert res.iterations == 1
         assert res.converged_by == "eps_J"
@@ -312,11 +313,12 @@ class TestOptimize:
         assert b.j_history == a.j_history
         assert (b.iterations, b.state_evals) == (a.iterations, a.state_evals)
 
-    def test_max_iters_flag(self, mesh4):
+    def test_max_iters_flag(self, mesh4, monkeypatch):
         rng = np.random.default_rng(14)
         g1, g0 = blob_grays(mesh4, 16, rng)
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=1,
-                              eps_j=1e-30, eps_x=1e-12)
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+        monkeypatch.setattr(optimizer, "EPS_J", 1e-30)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, eps_x=1e-12)
         res = optimize(g1, g0, mesh4, cfg)
         assert res.iterations <= 1
 
@@ -370,15 +372,15 @@ class TestOptimize:
         assert uppers and min(uppers) > cfg.eps_x
 
     @pytest.mark.parametrize(
-        "seed, overrides, reason, iterations, evals, ends_on_accept", [
+        "seed, caps, reason, iterations, evals, ends_on_accept", [
             (3, dict(), "eps_x", 5, 7, False),
             (2, dict(), "eps_x", 13, 14, False),
-            (1, dict(eps_j=3.0), "eps_J", 4, 5, True),
-            (13, dict(eps_j=3.0), "eps_J", 3, 5, False),
-            (3, dict(max_iters=3), "max_iters", 3, 4, True),
+            (1, dict(EPS_J=3.0), "eps_J", 4, 5, True),
+            (13, dict(EPS_J=3.0), "eps_J", 3, 5, False),
+            (3, dict(MAX_ITERS=3), "max_iters", 3, 4, True),
         ], ids=["eps_x_after_reject", "eps_x", "eps_J_after_accept",
                 "eps_J_after_reject", "max_iters"])
-    def test_stopping_rules(self, mesh4, monkeypatch, seed, overrides,
+    def test_stopping_rules(self, mesh4, monkeypatch, seed, caps,
                             reason, iterations, evals, ends_on_accept):
         # state_evals counts the start and every trial; gradients are taken
         # at the start and at each accepted state the loop steps on from
@@ -389,8 +391,10 @@ class TestOptimize:
             return gradients(state, mesh)
 
         monkeypatch.setattr(optimizer, "gradients", counting)
+        for name, value in caps.items():
+            monkeypatch.setattr(optimizer, name, value)
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(seed))
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, **overrides)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         res = optimize(g1, g0, mesh4, cfg)
         assert res.converged_by == reason
         assert (res.iterations, res.state_evals) == (iterations, evals)
@@ -524,7 +528,7 @@ class TestOptimize:
         assert (res.state.j0, res.state.g0) == (again.j0, again.g0)
         assert res.j_history[-1] == res.state.j0
 
-    def test_empty_s_side_is_tolerated(self, mesh4):
+    def test_empty_s_side_is_tolerated(self, mesh4, monkeypatch):
         # identical rows inside a class put every projection exactly at the
         # class mean, so the strict inequalities select nothing
         rng = np.random.default_rng(15)
@@ -532,7 +536,8 @@ class TestOptimize:
         row0 = rng.random(mesh4.ne)
         g1 = np.tile(row1, (4, 1))
         g0 = np.tile(row0, (4, 1))
-        cfg = OptimizerConfig(tolp=0.1, tolq=0.1, max_iters=2)
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 2)
+        cfg = OptimizerConfig(tolp=0.1, tolq=0.1)
         design = fem.uniform_design(mesh4, 0.1, 0.1)
         st = compute_state(design, g1, g0, mesh4, cfg,
                            *mean_forces(g1, g0, mesh4))
@@ -560,12 +565,12 @@ class TestOptimize:
         res = optimize(g1, g0, mesh4, OptimizerConfig(tolp=0.1, tolq=0.1))
         assert res.state_evals > 1
 
-    def test_ref_kind_variants(self, mesh4):
+    def test_ref_kind_variants(self, mesh4, monkeypatch):
         rng = np.random.default_rng(16)
         g1, g0 = blob_grays(mesh4, 12, rng)
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 3)
         for ref in ("u", "v"):
-            cfg = OptimizerConfig(tolp=0.1, tolq=0.1, ref_kind=ref,
-                                  max_iters=3)
+            cfg = OptimizerConfig(tolp=0.1, tolq=0.1, ref_kind=ref)
             res = optimize(g1, g0, mesh4, cfg)
             assert res.state.alpha.shape == (mesh4.n_nodes,)
 

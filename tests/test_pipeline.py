@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meip import classifier, cli, fem, forest, pipeline
+from meip import classifier, cli, fem, forest, optimizer, pipeline
 from meip.classifier import confusion_from_predictions, fit
 from meip.dataset import (Dataset, load_idx_images, load_idx_labels,
                           write_idx_images, write_idx_labels)
@@ -38,7 +38,31 @@ class TestConfig:
         assert cfg.n1 == 28  # untouched default
         assert cfg.tolp == 2.0
         assert cfg.eps_x == 8e-4
-        assert cfg.eps_j == 1e-7
+        assert optimizer.EPS_J == 1e-7
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        text = "lambda = 0.25\nclass_pairs = 0:1\nn1 = 6\n"
+        (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.cfg").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert (pipeline.load_config(tmp_path / "bom.cfg")
+                == pipeline.load_config(tmp_path / "plain.cfg"))
+
+    def test_a_hash_inside_a_value_is_kept(self, bars_workspace):
+        # a '#' opens a comment only at the start of a line or after a
+        # space or tab
+        (bars_workspace / "train-img.idx").rename(
+            bars_workspace / "train#img.idx")
+        cfg_path = bars_workspace / "run.cfg"
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "train_images = train-img.idx",
+            "train_images = train#img.idx").replace(
+            "n_axes = 2", "n_axes = 7   # trailing comment").replace(
+            "n1 = 6", "n1 = 6\t# after a tab"))
+        cfg = pipeline.load_config(cfg_path)
+        assert cfg.train_images == "train#img.idx"
+        assert (cfg.n_axes, cfg.n1) == (7, 6)
+        assert len(pipeline.load_split(cfg, "train")) == 80
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -64,11 +88,13 @@ class TestConfig:
     # uniform element value of the smaller budget, a rejection shrinks the
     # move limit within a fixed interval, the boundary penalty is
     # fem.SIGMA0, the covariance ridge is classifier.fit's and the output
-    # directory is the CLI's --out; none is a setting
+    # directory is the CLI's --out, and the |dJ| and accepted-step caps of
+    # the axis loop are optimizer.EPS_J and MAX_ITERS; none is a setting
     @pytest.mark.parametrize("line", [
         "norm = l2", "norm = l7", "dx_max = 0.08", "gamma = 0.7",
         "sigma0 = 1e5", "sigma0 = inf", "ridge = 1e-6", "ridge = nan",
-        "ridge = -5", "out_dir = out"])
+        "ridge = -5", "out_dir = out", "eps_j = 1e-7", "eps_j = inf",
+        "max_iters = 500", "max_iters = -1"])
     def test_removed_key_is_not_a_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"class_pairs = 0:1\n{line}\n")
@@ -100,14 +126,15 @@ class TestConfig:
         echo = dict(cfg.echo_items())
         assert float(echo["lambda"]) == cfg.lam
         assert echo["class_pairs"] == "0:1"
-        assert int(echo["max_iters"]) == cfg.max_iters
+        assert optimizer.MAX_ITERS == 500
+        assert "max_iters" not in echo and "eps_j" not in echo
 
     @pytest.mark.parametrize("line", [
         "svd_k = -2", "n_axes = 0", "lambda = 7", "lambda = abc",
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
         "class_pairs = 3", "class_pairs = 3:3", "class_pairs = 3:7,7:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
-        "class_pairs = 2:256", "tolp = inf", "tolp = nan", "max_iters = -1",
+        "class_pairs = 2:256", "tolp = inf", "tolp = nan",
     ])
     def test_bad_value_names_file_line_and_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
@@ -934,12 +961,13 @@ class TestCommands:
         assert str(err.value) == (f"{cfg_path}:{line}: svd_k: k=2 exceeds "
                                   "the numerical rank 1")
 
-    def test_an_exhausted_pool_caps_svd_k(self, tmp_path, caplog):
+    def test_an_exhausted_pool_caps_svd_k(self, tmp_path, caplog,
+                                          monkeypatch):
         # the pool runs out of subsets after 1 of the 5 axes asked for
         data = Dataset(*separable_grays(16))
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 2)
         cfg = pipeline.PipelineConfig(n1=4, n2=4, class_pairs="0:1",
-                                      n_axes=5, svd_k=3, tolp=0.1, tolq=0.1,
-                                      max_iters=2)
+                                      n_axes=5, svd_k=3, tolp=0.1, tolq=0.1)
         with caplog.at_level(logging.WARNING, logger="meip.pipeline"):
             pipeline.cmd_train_axes(cfg, data, tmp_path)
         assert "svd_k=3 capped to 1 available axes" in caplog.text
@@ -1239,11 +1267,12 @@ class TestCommands:
 
     def test_model_echo_of_norm_l2_still_scores(self, bars_workspace):
         # an echo key this meip does not know is ignored: norm, and the
-        # sigma0, ridge and out_dir that models echoed while they were
-        # settings
+        # sigma0, ridge, out_dir, eps_j and max_iters that models echoed
+        # while they were settings
         for echo in ({"norm": "l2"},
                      {"ridge": "9.9999999999999995e-07", "sigma0": "100000"},
-                     {"out_dir": "out"}):
+                     {"out_dir": "out"},
+                     {"eps_j": "9.9999999999999995e-08", "max_iters": "500"}):
             cfg, out = self._echo_model(bars_workspace, echo)
             scored = {name: (out / name).read_bytes() for name in
                       ("confusion_test.csv", "predictions_test.csv")}

@@ -15,8 +15,9 @@ in a child process with one BLAS thread, on the working tree's ``src`` or,
 with ``--rev``, on ``REV:src`` exported with ``git archive`` as
 ``tools/compare_outputs.py`` does.  Per probe it prints the wall seconds
 of the child, the lines of its ``timing.txt``, the child's peak RSS (from
-``os.wait4``), the total ``state_evals`` of ``axes_provenance.json`` and
-its zero-progress axes (no accepted step, ``iterations`` 0), the test
+``os.wait4``), the total ``state_evals`` of ``axes_provenance.json``, its
+axes per stopping rule (``converged_by``) and its zero-progress axes (no
+accepted step, ``iterations`` 0), the test
 accuracy, and a SHA-256 digest over every output but
 ``timing.txt``, which is equal on two trees exactly when their outputs
 are byte-identical.  The datasets are generated in a spawned process, so
@@ -27,6 +28,7 @@ process that starts a child in the child's peak RSS.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import multiprocessing
 import os
@@ -38,7 +40,7 @@ from pathlib import Path
 
 # compare_outputs puts bench/ and the working tree's src on sys.path and
 # pins the BLAS threads before numpy is imported
-from compare_outputs import ROOT, export_src
+from compare_outputs import ROOT, export_src, stops_text
 
 import glyphs  # bench/glyphs.py
 import run  # bench/run.py
@@ -131,6 +133,8 @@ def main(argv: list[str]) -> int:
             report = json.loads((out / "report.json").read_text())
             print(f"{name}: wall {wall:.2f}s, peak RSS {rss:.1f} MB, "
                   f"state_evals {sum(r['state_evals'] for r in records)}, "
+                  "stops: " + stops_text(collections.Counter(
+                      r["converged_by"] for r in records)) + ", "
                   "zero-progress axes "
                   f"{sum(r['iterations'] == 0 for r in records)}, "
                   "test accuracy "
