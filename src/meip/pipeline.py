@@ -10,6 +10,11 @@ separator (a space, or a comma in the CSVs); a missing, extra or
 malformed row fails to load with ``ValueError("<path>:<line>: expected
 ...")``.  Reports are JSON and deterministic: rerunning a config
 byte-reproduces them (wall-clock timing goes to a separate file).
+
+Each artifact is formatted whole and then written once, by ``_write``.  A
+rerun replaces an existing file instead of rewriting it: a hard link to
+an old output keeps its bytes, and a write-protected old output in a
+writable directory is replaced.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ log = logging.getLogger(__name__)
 
 AXES_MAGIC = "MEIP-AXES 1"
 MODEL_MAGIC = "MEIP-MODEL 2"
+ECHO_LINE = 5   # of a model's first config item, after its count
 FIELDS_MAGIC = "MEIP-FIELDS 1"
 FIELD_MAGIC = "MEIP-FIELD 1"
 CONFUSION_MAGIC = "MEIP-CONFUSION 1"
@@ -320,14 +326,21 @@ def _reading(path, magic: str, kind: str, sep: str | None = None,
             raise r.error("expected end of file")
 
 
+def _write(path, data: str | bytes) -> None:
+    """Replace ``path`` by a new file holding ``data``, a ``str`` encoded as
+    UTF-8: an existing file is unlinked first, not rewritten."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+
+
 def save_axes(path, bundle: forest.AxisBundle) -> str:
     """Write ``bundle``; returns the SHA-256 hex digest of the bytes."""
     data = "".join([AXES_MAGIC + "\n",
                     _fmt([[bundle.n1, bundle.n2, bundle.axes.shape[1],
                            bundle.n_axes]]),
                     _fmt(bundle.axes)]).encode()
-    with open(path, "wb") as f:
-        f.write(data)
+    _write(path, data)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -349,27 +362,25 @@ def load_axes(path, data: bytes | None = None) -> forest.AxisBundle:
 def save_model(path, model: list[classifier.ClassGaussian],
                bundle_ref: str, bundle_sha256: str,
                config_items: list[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(MODEL_MAGIC + "\n")
-        f.write(_fmt([[bundle_ref]], "bundle"))
-        f.write(_fmt([[bundle_sha256]], "bundle_sha256"))
-        f.write(_fmt([[len(config_items)]], "config"))
-        f.write(_fmt(config_items, sep=" = "))
-        f.write(_fmt([[len(model), "dim", model[0].mean.shape[0]]], "classes"))
-        for j, g in enumerate(model):
-            f.write(_fmt([[j]], "class"))
-            f.write(_fmt([[g.prior]], "prior"))
-            f.write(_fmt(g.mean[None], "mean"))
-            f.write(_fmt(g.cov, "cov"))
+    parts = [MODEL_MAGIC + "\n", _fmt([[bundle_ref]], "bundle"),
+             _fmt([[bundle_sha256]], "bundle_sha256"),
+             _fmt([[len(config_items)]], "config"),
+             _fmt(config_items, sep=" = "),
+             _fmt([[len(model), "dim", model[0].mean.shape[0]]], "classes")]
+    for j, g in enumerate(model):
+        parts += [_fmt([[j]], "class"), _fmt([[g.prior]], "prior"),
+                  _fmt(g.mean[None], "mean"), _fmt(g.cov, "cov")]
+    _write(path, "".join(parts))
 
 
 def load_model(path):
     """Load a model file; returns (model, bundle_ref, bundle_sha256,
     config_items).
 
-    The bundle reference and config values are read verbatim (paths may
-    hold spaces).  The discriminant terms are recomputed from the stored
-    moments, which reproduces the fitted parameters bit for bit.
+    The bundle reference (line 2) and config values (item i on line
+    ``ECHO_LINE + i``) are read verbatim (paths may hold spaces).  The
+    discriminant terms are recomputed from the stored moments, which
+    reproduces the fitted parameters bit for bit.
     """
     with _reading(path, MODEL_MAGIC, "a model file") as r:
         bundle_ref = r.text("bundle")
@@ -408,12 +419,11 @@ def load_model(path):
 
 def save_fields(path, n1: int, n2: int, records: list[dict]) -> None:
     """Per-axis mean forces and final designs of one forest."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(FIELDS_MAGIC + "\n")
-        f.write(_fmt([[n1, n2, len(records)]]))
-        for i, rec in enumerate(records):
-            f.write(_fmt([[i]], "axis"))
-            f.writelines(_fmt([rec[name]], name) for name in "fgpq")
+    parts = [FIELDS_MAGIC + "\n", _fmt([[n1, n2, len(records)]])]
+    for i, rec in enumerate(records):
+        parts += [_fmt([[i]], "axis"),
+                  *(_fmt([rec[name]], name) for name in "fgpq")]
+    _write(path, "".join(parts))
 
 
 def load_fields(path):
@@ -441,18 +451,15 @@ def write_pgm(path, grid: np.ndarray) -> None:
         scaled = np.rint((grid - lo) / (hi - lo) * 255.0)
     else:
         scaled = np.full_like(grid, 128.0)
-    data = scaled.clip(0, 255).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    pixels = scaled.clip(0, 255).astype(np.uint8)
+    h, w = pixels.shape
+    _write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def write_field_csv(path, name: str, grid: np.ndarray) -> None:
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_fmt([[name, *grid.shape]], FIELD_MAGIC, ","))
-        f.write(_fmt(grid, sep=","))
+    _write(path, _fmt([[name, *grid.shape]], FIELD_MAGIC, ",")
+           + _fmt(grid, sep=","))
 
 
 def node_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -467,12 +474,12 @@ def element_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
 def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
                         class_names: list[str]) -> None:
     """Confusion matrix with precision/recall margins and total accuracy."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_fmt([[*(f"target_{c}" for c in class_names), "precision"]],
-                     CONFUSION_MAGIC, ","))
-        f.write(_fmt([(f"output_{c}", *cm.counts[i], cm.precision[i])
-                      for i, c in enumerate(class_names)], sep=","))
-        f.write(_fmt([[*cm.recall, cm.accuracy]], "recall", ","))
+    _write(path, "".join([
+        _fmt([[*(f"target_{c}" for c in class_names), "precision"]],
+             CONFUSION_MAGIC, ","),
+        _fmt([(f"output_{c}", *cm.counts[i], cm.precision[i])
+              for i, c in enumerate(class_names)], sep=","),
+        _fmt([[*cm.recall, cm.accuracy]], "recall", ",")]))
 
 
 def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
@@ -529,11 +536,10 @@ def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
     names = [f"count_{j}" for j in range(n_classes)]
     # each edge formatted once: bin b's bin_hi is bin b+1's bin_lo
     edge_text = [line.split(",") for line in _fmt(edges, sep=",").split()]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_fmt([["bin", "bin_lo", "bin_hi", *names]], HIST_MAGIC, ","))
-        f.write(_fmt([(j, b, e[b], e[b + 1], *c[b])
-                      for j, (e, c) in enumerate(zip(edge_text, counts))
-                      for b in range(bins)], sep=","))
+    _write(path, _fmt([["bin", "bin_lo", "bin_hi", *names]], HIST_MAGIC, ",")
+           + _fmt([(j, b, e[b], e[b + 1], *c[b])
+                   for j, (e, c) in enumerate(zip(edge_text, counts))
+                   for b in range(bins)], sep=","))
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +593,13 @@ def _read_input(cfg: PipelineConfig, key: str, load):
     try:
         return path, load(path)
     except OSError as exc:
-        raise ValueError(f"{where}: {key}: "
-                         f"{(exc.strerror or str(exc)).lower()} "
-                         f"{str(path)!r}") from None
+        raise _unreadable(where, key, path, exc) from None
+
+
+def _unreadable(where: str, key: str, path, exc: OSError) -> ValueError:
+    """``exc`` from reading ``path``, named by ``key`` at ``where``."""
+    return ValueError(f"{where}: {key}: {(exc.strerror or str(exc)).lower()} "
+                      f"{str(path)!r}")
 
 
 def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
@@ -690,9 +700,8 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
     for name, b in bundles.items():
         save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
     sha256 = save_axes(out / "axes.txt", combined)
-    (out / "axes_provenance.json").write_text(
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write(out / "axes_provenance.json",
+           json.dumps(provenance, indent=2, sort_keys=True) + "\n")
     return combined, sha256
 
 
@@ -741,18 +750,25 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     if len(model) != len(cfg.classes()):
         raise ValueError(f"{model_path}: model has {len(model)} classes, "
                          f"config says {len(cfg.classes())}")
+    line = {key: i for i, (key, _) in enumerate(echo, start=ECHO_LINE)}
     echo = dict(echo)
     trained = PipelineConfig(**{k: echo.get(k, "") for k in
                                 ("class_pairs", "one_vs_rest")})
     try:
         digits = trained.classes()
-    except ValueError as exc:
-        raise ValueError(f"{model_path}: config echo: {exc}") from None
+    except ValueError as exc:   # classes() reads one_vs_rest if it is set
+        key = "one_vs_rest" if trained.one_vs_rest else "class_pairs"
+        where = f"{model_path}:{line[key]}" if key in line else model_path
+        raise ValueError(f"{where}: config echo: {key}: {exc}") from None
     if digits != cfg.classes():
         raise ValueError(f"{model_path}: model was trained on classes "
                          f"{digits}, config says {cfg.classes()}")
     bundle_path = Path(model_path).parent / bundle_ref
-    bundle, sha256 = _load_bundle(cfg, bundle_path)
+    try:
+        bundle, sha256 = _load_bundle(cfg, bundle_path)
+    except OSError as exc:
+        raise _unreadable(f"{model_path}:2", "bundle", bundle_path,
+                          exc) from None
     if sha256 != bundle_sha256:
         raise ValueError(f"{model_path}: model was fitted on a bundle of "
                          f"SHA-256 {bundle_sha256}, but {bundle_path} has "
@@ -776,19 +792,16 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
 
     names = [str(d) for d in cfg.classes()]
     write_confusion_csv(out / f"confusion_{split}.csv", cm, names)
-    with open(out / f"predictions_{split}.csv", "w",
-              encoding="utf-8") as f:
-        f.write(_fmt([["index", "target", "output",
-                       *(f"posterior_{c}" for c in names)]], "MEIP-PRED 1",
-                     ","))
-        f.write(_fmt(zip(range(len(targets)), targets.tolist(),
-                         outputs.tolist(), *post.T.tolist()), sep=","))
+    _write(out / f"predictions_{split}.csv",
+           _fmt([["index", "target", "output",
+                  *(f"posterior_{c}" for c in names)]], "MEIP-PRED 1", ",")
+           + _fmt(zip(range(len(targets)), targets.tolist(),
+                      outputs.tolist(), *post.T.tolist()), sep=","))
     write_histogram_csv(out / f"hist_{split}.csv", z, targets, len(model))
 
     report = RunReport(config=dict(cfg.echo_items()), n_axes=z.shape[1],
                        **{f"{split}_confusion": _confusion_dict(cm)})
-    (out / f"report_{split}.json").write_text(report.to_json(),
-                                                encoding="utf-8")
+    _write(out / f"report_{split}.json", report.to_json())
     return report
 
 
@@ -858,10 +871,10 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
                        n_axes=train_report.n_axes,
                        train_confusion=train_report.train_confusion,
                        test_confusion=test_report.test_confusion)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    _write(out / "report.json", report.to_json())
     # Timing is useful but non-reproducible, so it lives outside the report.
-    (out / "timing.txt").write_text(
-        f"load {t1 - t0:.3f}s\ntrain_axes {t2 - t1:.3f}s\n"
-        f"train {t3 - t2:.3f}s\neval {t4 - t3:.3f}s\ntotal {t4 - t0:.3f}s\n",
-        encoding="utf-8")
+    _write(out / "timing.txt",
+           f"load {t1 - t0:.3f}s\ntrain_axes {t2 - t1:.3f}s\n"
+           f"train {t3 - t2:.3f}s\neval {t4 - t3:.3f}s\n"
+           f"total {t4 - t0:.3f}s\n")
     return report

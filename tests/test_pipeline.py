@@ -915,11 +915,34 @@ class TestCommands:
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         pipeline.cmd_pipeline(cfg, bars_workspace / "o1")
         pipeline.cmd_pipeline(cfg, bars_workspace / "o2")
-        for name in ("report.json", "axes.txt", "model.txt",
-                     "confusion_test.csv", "predictions_train.csv"):
-            b1 = (bars_workspace / "o1" / name).read_bytes()
+        names = ("report.json", "axes.txt", "model.txt",
+                 "confusion_test.csv", "predictions_train.csv")
+        b1 = {name: (bars_workspace / "o1" / name).read_bytes()
+              for name in names}
+        # a third run replaces the files of the first
+        pipeline.cmd_pipeline(cfg, bars_workspace / "o1")
+        for name in names:
             b2 = (bars_workspace / "o2" / name).read_bytes()
-            assert b1 == b2, name
+            b3 = (bars_workspace / "o1" / name).read_bytes()
+            assert b1[name] == b2 == b3, name
+
+    def test_a_rerun_leaves_hard_links_to_old_outputs(self, bars_workspace):
+        cfg_path, out = bars_workspace / "run.cfg", bars_workspace / "out"
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
+        names = ("model.txt", "predictions_test.csv")
+        links = {name: bars_workspace / f"old_{name}" for name in names}
+        for name, link in links.items():
+            os.link(out / name, link)
+        first = {name: link.read_bytes() for name, link in links.items()}
+        # the rerun's lambda grows other axes, so it writes another model
+        other = bars_workspace / "other.cfg"
+        other.write_text(cfg_path.read_text() + "lambda = 0.9\n")
+        assert cli.main(["pipeline", "--config", str(other),
+                         "--out", str(out)]) == 0
+        assert (out / "model.txt").read_bytes() != first["model.txt"]
+        for name, link in links.items():
+            assert not os.path.samefile(out / name, link), name
+            assert link.read_bytes() == first[name], name
 
     def test_inputs_never_mutated(self, bars_workspace):
         digests = {}
@@ -1207,6 +1230,21 @@ class TestCommands:
             f"of SHA-256 {fitted}, but {out / 'axes.txt'} has SHA-256 "
             f"{rewritten}\n")
 
+    def test_a_missing_bundle_names_the_model_line(self, bars_workspace,
+                                                   capsys):
+        cfg_path, out = bars_workspace / "run.cfg", bars_workspace / "out"
+        pipeline.cmd_pipeline(pipeline.load_config(cfg_path), out)
+        lines = (out / "model.txt").read_text().splitlines(keepends=True)
+        assert lines[1] == "bundle axes.txt\n"
+        (out / "model.txt").write_text("".join(
+            [lines[0], "bundle nowhere.txt\n", *lines[2:]]))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"[eval] error: {out / 'model.txt'}:2: bundle: no such file or "
+            f"directory {str(out / 'nowhere.txt')!r}\n")
+
     def test_a_version_1_model_names_its_version(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
@@ -1247,19 +1285,30 @@ class TestCommands:
                             sorted({**dict(items), **echo}.items()))
         return cfg, out
 
-    @pytest.mark.parametrize("echo, message", [
+    @pytest.mark.parametrize("echo, line_of, message", [
         # same digits, swapped order: every class index would swap
-        ({"class_pairs": "7:3"},
+        ({"class_pairs": "7:3"}, None,
          "model was trained on classes [7, 3], config says [3, 7]"),
-        ({"class_pairs": "3:3"},
-         "config echo: expected two different digits, got '3:3'"),
-    ], ids=["digit_order", "unreadable"])
+        ({"class_pairs": "3:3"}, "class_pairs",
+         "config echo: class_pairs: expected two different digits, got "
+         "'3:3'"),
+        # one_vs_rest is empty too
+        ({"class_pairs": ""}, "class_pairs",
+         "config echo: class_pairs: expected a digit pair 'a:b', got ''"),
+        ({"one_vs_rest": "3,300"}, "one_vs_rest",
+         "config echo: one_vs_rest: digit 300 outside 0..255"),
+    ], ids=["digit_order", "unreadable", "no_classes", "bad_one_vs_rest"])
     def test_model_echo_checked_against_config(self, bars_workspace, echo,
-                                               message):
+                                               line_of, message):
         cfg, out = self._echo_model(bars_workspace, echo)
         scored = (out / "confusion_test.csv").read_bytes()
+        where = out / "model.txt"
+        if line_of:  # the line of the echo item that fails
+            keys = [line.partition(" =")[0]
+                    for line in where.read_text().splitlines()]
+            where = f"{where}:{keys.index(line_of) + 1}"
         with pytest.raises(ValueError, match=re.escape(
-                f"{out / 'model.txt'}: {message}")):
+                f"{where}: {message}")):
             pipeline.cmd_eval(cfg, out / "model.txt",
                               pipeline.load_split(cfg, "test"), "test", out)
         # rejected before scoring: the earlier confusion CSV is untouched

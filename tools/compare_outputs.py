@@ -27,7 +27,13 @@ both sides wrote ``axes_provenance.json``, three more give the total
 with no accepted step, ``iterations`` 0) and the median ratio of
 ``j_final``, working tree over base, of the axes matched by forest and
 index, in total and per workload, and a fourth counts each side's axes
-by their stopping rule (``converged_by``).  Exits 1 on any difference.
+by their stopping rule (``converged_by``).
+
+After the fresh runs of the first dataset of each workload, the working
+tree runs once more into its existing output directory, and every file
+but ``timing.txt`` whose bytes that rerun changed (or that only one of
+the two runs left) is printed.  Exits 1 on any difference, between the
+sides or between a run and its rerun.
 """
 
 from __future__ import annotations
@@ -220,21 +226,26 @@ def accuracy_of(out: Path) -> float:
     return report["test_confusion"]["accuracy"]
 
 
+def snapshot(out: Path) -> dict:
+    """The bytes of every output file under ``out`` but the skipped ones."""
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name not in SKIPPED}
+
+
 def compare(base: Path, head: Path, name: str,
             drifts: list) -> tuple[int, list[str]]:
     """(files compared, difference lines) of one dataset's two outputs;
     appends the ``number_drift`` of each file that differs on both sides
     to ``drifts``."""
-    files = {p.relative_to(d) for d in (base, head) for p in d.rglob("*")
-             if p.is_file() and p.name not in SKIPPED}
+    a, b = snapshot(base), snapshot(head)
+    files = a.keys() | b.keys()
     lines = []
     for rel in sorted(files):
-        a, b = base / rel, head / rel
-        if not a.is_file() or not b.is_file():
-            side = "base" if a.is_file() else "working tree"
+        if rel not in a or rel not in b:
+            side = "base" if rel in a else "working tree"
             lines.append(f"{name}/{rel}: only in the {side}")
             continue
-        x, y = a.read_bytes(), b.read_bytes()
+        x, y = a[rel], b[rel]
         if x != y:
             drifts.append(number_drift(x, y))
             detail = ": " + (json_key_diff(x, y) if rel.suffix == ".json"
@@ -257,6 +268,7 @@ def main(argv: list[str]) -> int:
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         total, diffs, deltas, drifts = 0, [], [], []
+        rerun_files, rerun_diffs = 0, []
         # workload -> [base state evaluations, working tree's, base
         # zero-progress axes, working tree's, j ratios, base stopping rule
         # counts, working tree's]
@@ -271,8 +283,9 @@ def main(argv: list[str]) -> int:
                     for side, src in sides.items():
                         run_meip(src, cfg, outs[side],
                                  bool(workload.bundle_axes))
-                    n, lines = compare(outs["base"], outs["head"],
-                                       f"{wl}/seed{seed}/data{i}", drifts)
+                    name = f"{wl}/seed{seed}/data{i}"
+                    n, lines = compare(outs["base"], outs["head"], name,
+                                       drifts)
                     total += n
                     diffs += lines
                     deltas.append(accuracy_of(outs["head"])
@@ -287,7 +300,17 @@ def main(argv: list[str]) -> int:
                             collections.Counter()])
                         for k, value in enumerate(stats):
                             acc[k] += value
-    for line in diffs:
+                    if seed == seeds[0] and i == 0:
+                        before = snapshot(outs["head"])
+                        run_meip(sides["head"], cfg, outs["head"],
+                                 bool(workload.bundle_axes))
+                        after = snapshot(outs["head"])
+                        rerun_files += len(before.keys() | after.keys())
+                        rerun_diffs += [
+                            f"{name}/{rel}: changed by the rerun"
+                            for rel in sorted(before.keys() | after.keys())
+                            if before.get(rel) != after.get(rel)]
+    for line in diffs + rerun_diffs:
         print(line)
     print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
           f"(without {', '.join(sorted(SKIPPED))}), {len(diffs)} differ")
@@ -320,7 +343,10 @@ def main(argv: list[str]) -> int:
               f"{rev}: {median_text(ratios)} ("
               + ", ".join(f"{wl} {median_text(a[4])}"
                           for wl, a in axes.items()) + ")")
-    return 1 if diffs else 0
+    print(f"working tree rerun into its existing output directory: "
+          f"{len(DATASETS)} datasets, {rerun_files} files (without "
+          f"{', '.join(sorted(SKIPPED))}), {len(rerun_diffs)} changed")
+    return 1 if diffs or rerun_diffs else 0
 
 
 if __name__ == "__main__":
