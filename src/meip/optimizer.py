@@ -31,6 +31,18 @@ enforced: this departs from the paper's model, whose LP carries the
 linearized row G <= 0.  On the benchmark's glyph data G lay between 15
 and 82 at every iterate, so that row could act only through a big-M
 penalty, which picked steps that then failed the J test.
+
+The move-limit LP of a step with move limit L is
+
+    min  grad_p' x_p + grad_q' x_q
+    s.t. sum(x_p) = tolp - sum(p),  sum(x_q) = tolq - sum(q)
+         max(p_min - p, -L) <= x_p <= L,  max(q_min - q, -L) <= x_q <= L
+
+The two blocks share no row, so the LP is two continuous knapsacks
+(Dantzig 1957, Oper. Res. 5(2)), each solved by sort-and-fill: every
+entry starts at its lower bound and the budget goes out in ascending
+order of cost.  The sort is stable, so tied costs fill the lowest index
+first and the solve is deterministic.
 """
 
 from __future__ import annotations
@@ -41,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from meip import fem
-from meip.lp import MoveLimitLp, solve_move_limit_lp
 
-__all__ = ["OptimizerConfig", "OptimizerState", "AxisResult",
-           "mean_forces", "compute_state", "gradients", "optimize"]
+__all__ = ["OptimizerConfig", "OptimizerState", "AxisResult", "LpSolution",
+           "mean_forces", "compute_state", "gradients",
+           "solve_move_limit_lp", "optimize"]
 
 log = logging.getLogger(__name__)
 
@@ -219,16 +231,45 @@ def gradients(state: OptimizerState, mesh: fem.GridMesh):
     return grad_p, grad_q
 
 
-def _build_lp(state: OptimizerState, grads, cfg: OptimizerConfig,
-              limit: float) -> MoveLimitLp:
-    design = state.design
-    return MoveLimitLp(
-        c_p=grads[0], c_q=grads[1],
-        tolx_p=cfg.tolp - design.p.sum(),
-        tolx_q=cfg.tolq - design.q.sum(),
-        lower_p=np.maximum(cfg.p_min - design.p, -limit),
-        lower_q=np.maximum(cfg.q_min - design.q, -limit),
-        upper=limit)
+@dataclass
+class LpSolution:
+    """Optimal increments of one move-limit LP and their objective."""
+
+    x_p: np.ndarray
+    x_q: np.ndarray
+    objective: float
+    # no row can be violated, so always 0; the benchmark's tracer reads it
+    slack_used: float = 0.0
+
+
+def fill(c: np.ndarray, lower: np.ndarray, upper: float,
+         total: float) -> np.ndarray:
+    """One block's continuous knapsack: the x in [lower, upper] with
+    sum(x) = total that minimizes c'x.  Each entry rises from ``lower``
+    toward ``upper`` in ascending order of ``c`` until the budget
+    total - sum(lower) is out."""
+    budget = total - lower.sum()
+    order = c.argsort(kind="stable")
+    lo = lower[order]
+    cap = upper - lo
+    before = np.zeros_like(cap)   # budget already placed before each entry
+    cap[:-1].cumsum(out=before[1:])
+    take = np.minimum(np.maximum(budget - before, 0.0), cap)
+    x = np.empty_like(lower)
+    x[order] = np.where(take >= cap, upper, lo + take)
+    return x
+
+
+def solve_move_limit_lp(design: fem.DesignField, grads,
+                        cfg: OptimizerConfig, limit: float) -> LpSolution:
+    """The move-limit LP at ``design`` with the gradients ``grads`` of J
+    and the move limit ``limit``: one ``fill`` per design field."""
+    x_p, x_q = (fill(c, np.maximum(bound - d, -limit), limit, tol - d.sum())
+                for c, d, bound, tol in zip(grads, (design.p, design.q),
+                                            (cfg.p_min, cfg.q_min),
+                                            (cfg.tolp, cfg.tolq)))
+    return LpSolution(x_p=x_p, x_q=x_q,
+                      objective=float(grads[0] @ x_p + grads[1] @ x_q))
 
 
 def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
@@ -275,7 +316,7 @@ def optimize(gray1: np.ndarray, gray0: np.ndarray, mesh: fem.GridMesh,
             break
         if grads is None:
             grads = gradients(state, mesh)
-        sol = solve_move_limit_lp(_build_lp(state, grads, cfg, limit))
+        sol = solve_move_limit_lp(state.design, grads, cfg, limit)
         step = max(np.abs(sol.x_p).max(initial=0.0),
                    np.abs(sol.x_q).max(initial=0.0))
         if step <= cfg.eps_x:

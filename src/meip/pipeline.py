@@ -328,8 +328,11 @@ def _reading(path, magic: str, kind: str, sep: str | None = None,
 
 def _write(path, data: str | bytes) -> None:
     """Replace ``path`` by a new file holding ``data``, a ``str`` encoded as
-    UTF-8: an existing file is unlinked first, not rewritten."""
+    UTF-8: an existing file is unlinked first, not rewritten.  A missing
+    directory is made, so a run that fails before its first write leaves
+    no output directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
     path.write_bytes(data.encode() if isinstance(data, str) else data)
 
@@ -593,12 +596,13 @@ def _read_input(cfg: PipelineConfig, key: str, load):
     try:
         return path, load(path)
     except OSError as exc:
-        raise _unreadable(where, key, path, exc) from None
+        raise _unreadable(f"{where}: {key}", path, exc) from None
 
 
-def _unreadable(where: str, key: str, path, exc: OSError) -> ValueError:
-    """``exc`` from reading ``path``, named by ``key`` at ``where``."""
-    return ValueError(f"{where}: {key}: {(exc.strerror or str(exc)).lower()} "
+def _unreadable(name: str, path, exc: OSError) -> ValueError:
+    """``exc`` from reading ``path``, named by ``name``: a config key at
+    its line, or a command-line option."""
+    return ValueError(f"{name}: {(exc.strerror or str(exc)).lower()} "
                       f"{str(path)!r}")
 
 
@@ -668,7 +672,6 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
     compressed the bundle, so a run that fails leaves the files of an
     earlier run there as they were."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
     bundles, provenance = {}, []
     for name, ref, ybin in _forests(cfg, data.labels):
@@ -721,8 +724,10 @@ def cmd_train(cfg: PipelineConfig, bundle_path, data: Dataset,
               out_dir) -> Path:
     """Fit the per-class Gaussian model on the training split ``data``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bundle, sha256 = _load_bundle(cfg, bundle_path)
+    try:
+        bundle, sha256 = _load_bundle(cfg, bundle_path)
+    except OSError as exc:
+        raise _unreadable("--bundle", bundle_path, exc) from None
     _fit(cfg, bundle, sha256, bundle_path, data, out)
     return out / "model.txt"
 
@@ -745,8 +750,10 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
              out_dir) -> RunReport:
     """Evaluate a model on the ``split`` ``data``; writes CSVs and a report."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model, bundle_ref, bundle_sha256, echo = load_model(model_path)
+    try:
+        model, bundle_ref, bundle_sha256, echo = load_model(model_path)
+    except OSError as exc:
+        raise _unreadable("--model", model_path, exc) from None
     if len(model) != len(cfg.classes()):
         raise ValueError(f"{model_path}: model has {len(model)} classes, "
                          f"config says {len(cfg.classes())}")
@@ -767,7 +774,7 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
     try:
         bundle, sha256 = _load_bundle(cfg, bundle_path)
     except OSError as exc:
-        raise _unreadable(f"{model_path}:2", "bundle", bundle_path,
+        raise _unreadable(f"{model_path}:2: bundle", bundle_path,
                           exc) from None
     if sha256 != bundle_sha256:
         raise ValueError(f"{model_path}: model was fitted on a bundle of "
@@ -837,7 +844,6 @@ def cmd_inspect(path, out_dir) -> list[Path]:
         raise ValueError(f"{path}:1: unrecognized artifact header {header!r}")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for stem, grid, raster in grids:
         if raster:
@@ -854,7 +860,6 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     The bundle, the model and the training features pass from step to
     step in memory; the files they are written to are not read back."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     train, test = load_split(cfg, "train"), load_split(cfg, "test")
     t1 = time.perf_counter()

@@ -1,9 +1,13 @@
-"""Reference for the move-limit LP solver: one sort-and-fill per budget block.
+"""The move-limit LP in the tests: the generic problem, meip's solver for
+it, and a separately written reference.
 
-This is a separately written form of ``meip.lp.solve_move_limit_lp``, which
-also fills each budget block once.  The solver must agree with it bit for
-bit (same stable order, same per-block cumsum, same clip), so it serves as
-a differential oracle.
+``MoveLimitLp`` states one LP with any costs, budgets and bounds, and
+``solve`` solves it with ``meip.optimizer.fill``, once per budget block,
+as ``meip.optimizer.solve_move_limit_lp`` does for the LPs of the axis
+loop; ``move_limit_lp`` states such an LP from the loop's arguments.
+``fill_reference_solve`` is a separately written form of the same fill.
+``solve`` must agree with it bit for bit (same stable order, same
+per-block cumsum, same clip), so it serves as a differential oracle.
 ``certificate`` is the dual certificate of a solution, rebuilt here from
 the problem and the solution x.
 """
@@ -14,14 +18,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from meip.lp import LpInfeasibleError, MoveLimitLp
+from meip.optimizer import LpSolution, fill
+
+
+class LpInfeasibleError(RuntimeError):
+    """A budget equality row cannot be met within the move-limit boxes."""
 
 
 @dataclass
-class ReferenceSolution:
-    x_p: np.ndarray
-    x_q: np.ndarray
-    objective: float
+class MoveLimitLp:
+    """Coefficients of one move-limit LP instance."""
+
+    c_p: np.ndarray      # objective gradient w.r.t. p increments
+    c_q: np.ndarray      # objective gradient w.r.t. q increments
+    tolx_p: float        # required sum of p increments
+    tolx_q: float        # required sum of q increments
+    lower_p: np.ndarray  # per-variable lower bounds (<= 0 at feasible point)
+    lower_q: np.ndarray
+    upper: float         # move limit, shared upper bound
+
+
+def move_limit_lp(design, grads, cfg, limit: float) -> MoveLimitLp:
+    """The LP that ``solve_move_limit_lp(design, grads, cfg, limit)``
+    solves."""
+    return MoveLimitLp(
+        c_p=grads[0], c_q=grads[1],
+        tolx_p=cfg.tolp - design.p.sum(), tolx_q=cfg.tolq - design.q.sum(),
+        lower_p=np.maximum(cfg.p_min - design.p, -limit),
+        lower_q=np.maximum(cfg.q_min - design.q, -limit), upper=limit)
+
+
+def solve(problem: MoveLimitLp) -> LpSolution:
+    """``problem`` solved by meip's fill, once per budget block."""
+    x_p = fill(problem.c_p, problem.lower_p, problem.upper, problem.tolx_p)
+    x_q = fill(problem.c_q, problem.lower_q, problem.upper, problem.tolx_q)
+    return LpSolution(x_p=x_p, x_q=x_q,
+                      objective=float(problem.c_p @ x_p + problem.c_q @ x_q))
 
 
 def certificate(problem: MoveLimitLp, x: np.ndarray):
@@ -54,7 +86,7 @@ def _fill(key: np.ndarray, lower: np.ndarray, upper: float,
     return x
 
 
-def fill_reference_solve(problem: MoveLimitLp) -> ReferenceSolution:
+def fill_reference_solve(problem: MoveLimitLp) -> LpSolution:
     """Solve the move-limit LP with one ``_fill`` call per budget block."""
     ne_p = problem.c_p.size
     c = np.concatenate([problem.c_p, problem.c_q], dtype=np.float64)
@@ -81,6 +113,6 @@ def fill_reference_solve(problem: MoveLimitLp) -> ReferenceSolution:
     x = np.concatenate([_fill(c[blk], lower[blk], upper, budget)
                         for blk, budget in zip(blocks, budgets)])
     x_p, x_q = x[:ne_p].copy(), x[ne_p:].copy()
-    return ReferenceSolution(
+    return LpSolution(
         x_p=x_p, x_q=x_q,
         objective=float(problem.c_p @ x_p + problem.c_q @ x_q))

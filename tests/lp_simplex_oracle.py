@@ -1,7 +1,8 @@
 """Reference solver for the move-limit LP: a bounded-variable simplex.
 
-This is the general-purpose solver that ``meip.lp.solve_move_limit_lp``
-replaced.  It works on the LP as stated, with no use of its structure:
+This is the general-purpose solver that the sort-and-fill of
+``meip.optimizer.solve_move_limit_lp`` replaced.  It works on the LP as
+stated, with no use of its structure:
 
     min  c_p' x_p + c_q' x_q
     s.t. sum(x_p) = tolx_p,  sum(x_q) = tolx_q
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from meip.lp import LpInfeasibleError, LpSolution, MoveLimitLp
+from lp_fill_reference import LpInfeasibleError, MoveLimitLp
+from meip.optimizer import LpSolution
 
 _AT_LOWER = 0
 _AT_UPPER = 1

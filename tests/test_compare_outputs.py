@@ -2,7 +2,7 @@
 outputs, the first differing line of any other file with the number of
 lines only in each side, whether two files differ only in numbers, and
 the state evaluations, j_final ratios and stopping rules of two axis
-provenances."""
+provenances, and the line count of a source tree."""
 
 import json
 import subprocess
@@ -144,3 +144,17 @@ def test_number_drift(diffs, name):
 @pytest.mark.parametrize("name", PROVENANCE_CASES)
 def test_provenance_stats(diffs, name):
     assert diffs[3][name] == PROVENANCE_CASES[name][2]
+
+
+def test_src_lines(tmp_path):
+    # the Python files of src/meip only, counted as wc -l does
+    (tmp_path / "meip").mkdir()
+    (tmp_path / "meip" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "meip" / "b.py").write_text("z = 3")
+    (tmp_path / "meip" / "notes.txt").write_text("not code\n")
+    (tmp_path / "top.py").write_text("w = 4\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from compare_outputs import "
+         "src_lines; print(src_lines(sys.argv[1]))", str(tmp_path)],
+        cwd=TOOLS, capture_output=True, text=True, check=True)
+    assert proc.stdout == "3\n"

@@ -8,8 +8,8 @@ import meip.optimizer as optimizer_mod
 from meip import fem
 from meip.forest import (AxisBundle, SubsetNode, generate_axes,
                          orthonormalize, pick_subset, split_subset)
-from meip.lp import solve_move_limit_lp
-from meip.optimizer import OptimizerConfig, compute_state, element_projection
+from meip.optimizer import (OptimizerConfig, compute_state, element_projection,
+                            solve_move_limit_lp)
 from conftest import blob_grays, separable_grays
 
 
@@ -120,9 +120,9 @@ class TestGenerateAxes:
             results.append(real(g1_, g0_, mesh_, cfg_, start=start))
             return results[-1]
 
-        def solve(prob):
-            uppers.append(prob.upper)
-            return solve_move_limit_lp(prob)
+        def solve(design, grads, cfg, limit):
+            uppers.append(limit)
+            return solve_move_limit_lp(design, grads, cfg, limit)
 
         def state(*args):
             st = compute_state(*args)

@@ -5,11 +5,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import meip.forest as forest_mod
 from conftest import blob_grays
-from lp_fill_reference import certificate, fill_reference_solve
+from lp_fill_reference import (MoveLimitLp, certificate, fill_reference_solve,
+                               move_limit_lp, solve)
 from lp_simplex_oracle import simplex_solve
 from meip import fem, optimizer
-from meip.lp import LpInfeasibleError, MoveLimitLp, solve_move_limit_lp
 
 
 def enumerate_vertices(prob: MoveLimitLp):
@@ -64,7 +65,7 @@ class TestHandSolvableInstances:
             tolx_p=0.0, tolx_q=0.0,
             lower_p=np.array([-1.0, -1.0]), lower_q=np.array([0.0]),
             upper=1.0)
-        sol = solve_move_limit_lp(prob)
+        sol = solve(prob)
         assert sol.objective == pytest.approx(-3.0, abs=1e-12)
         assert np.allclose(sol.x_p, [-1.0, 1.0], atol=1e-12)
 
@@ -74,7 +75,7 @@ class TestOracle:
         rng = np.random.default_rng(2024)
         for trial in range(200):
             prob = random_feasible_problem(rng)
-            sol = solve_move_limit_lp(prob)
+            sol = solve(prob)
             ref = enumerate_vertices(prob)
             assert sol.objective == pytest.approx(ref, abs=1e-9, rel=1e-9), \
                 f"trial {trial}"
@@ -84,7 +85,7 @@ class TestOracle:
         rng = np.random.default_rng(7)
         for _ in range(50):
             prob = random_feasible_problem(rng)
-            sol = solve_move_limit_lp(prob)
+            sol = solve(prob)
             x = np.concatenate([sol.x_p, sol.x_q])
             lo = np.concatenate([prob.lower_p, prob.lower_q])
             assert np.all(x >= lo - 1e-12)
@@ -98,7 +99,7 @@ class TestOptimalityCertificate:
         rng = np.random.default_rng(11)
         for _ in range(30):
             prob = random_feasible_problem(rng)
-            sol = solve_move_limit_lp(prob)
+            sol = solve(prob)
             d, at_upper, basic = certificate(
                 prob, np.concatenate([sol.x_p, sol.x_q]))
             for j in range(d.size):
@@ -114,8 +115,8 @@ class TestDeterminism:
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(5)
         prob = random_feasible_problem(rng)
-        s1 = solve_move_limit_lp(prob)
-        s2 = solve_move_limit_lp(prob)
+        s1 = solve(prob)
+        s2 = solve(prob)
         assert np.array_equal(s1.x_p, s2.x_p)
         assert np.array_equal(s1.x_q, s2.x_q)
         assert s1.objective == s2.objective
@@ -130,31 +131,12 @@ class TestDeterminism:
             c_p=np.tile([0.0, 1.0], n // 2), c_q=np.zeros(1),
             tolx_p=n * -0.3 + 2.5 * 0.38, tolx_q=-0.3,
             lower_p=np.full(n, -0.3), lower_q=np.full(1, -0.3), upper=0.08)
-        sol = solve_move_limit_lp(prob)
+        sol = solve(prob)
         assert np.all(sol.x_p[[0, 2]] == 0.08)
         assert sol.x_p[4] == pytest.approx(-0.3 + 0.19, abs=1e-12)
         rest = np.delete(sol.x_p, [0, 2, 4])
         assert np.all(rest == -0.3)
         assert sol.x_q[0] == -0.3
-
-
-class TestInfeasibleAndPenalty:
-    def test_equality_row_infeasible(self):
-        prob = MoveLimitLp(
-            c_p=np.zeros(2), c_q=np.zeros(2),
-            tolx_p=10.0,  # beyond 2 * upper
-            tolx_q=0.0,
-            lower_p=-np.ones(2), lower_q=-np.ones(2), upper=1.0)
-        with pytest.raises(LpInfeasibleError, match="p budget row"):
-            solve_move_limit_lp(prob)
-
-    def test_empty_box(self):
-        prob = MoveLimitLp(
-            c_p=np.zeros(1), c_q=np.zeros(1),
-            tolx_p=0.0, tolx_q=0.0,
-            lower_p=np.array([0.5]), lower_q=np.array([0.0]), upper=0.1)
-        with pytest.raises(LpInfeasibleError):
-            solve_move_limit_lp(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +185,36 @@ def degenerate_problems(rng):
         [1.0], [2.0], [-0.5], [-0.5], up, 0.0, 1.0)
 
 
-def optimizer_problems(monkeypatch):
-    """LPs that a short real optimize run hands to the solver."""
+def record_lps(monkeypatch):
+    """Patch the loop's LP solve to record (arguments, solution) of each
+    call into the returned list."""
     captured = []
+    real = optimizer.solve_move_limit_lp
 
-    def record(prob, *args, **kwargs):
-        captured.append(prob)
-        return solve_move_limit_lp(prob, *args, **kwargs)
+    def record(*args):
+        captured.append((args, real(*args)))
+        return captured[-1][1]
 
     monkeypatch.setattr(optimizer, "solve_move_limit_lp", record)
+    return captured
+
+
+def optimizer_problems(monkeypatch):
+    """LPs that a short real optimize run hands to the solver; the loop's
+    solution of each is bit-equal to ``solve`` of its stated problem."""
+    captured = record_lps(monkeypatch)
     mesh = fem.build_mesh(4, 4)
     g1, g0 = blob_grays(mesh, 12, np.random.default_rng(31))
     monkeypatch.setattr(optimizer, "MAX_ITERS", 6)
     optimizer.optimize(g1, g0, mesh,
                        optimizer.OptimizerConfig(tolp=0.15, tolq=0.15))
-    return captured
+    problems = [move_limit_lp(*args) for args, _ in captured]
+    for k, (prob, (_, sol)) in enumerate(zip(problems, captured)):
+        ref = solve(prob)
+        assert sol.x_p.tobytes() == ref.x_p.tobytes(), f"LP {k}"
+        assert sol.x_q.tobytes() == ref.x_q.tobytes(), f"LP {k}"
+        assert sol.objective == ref.objective, f"LP {k}"
+    return problems
 
 
 class TestAgainstSimplex:
@@ -226,7 +223,7 @@ class TestAgainstSimplex:
         for trial in range(120):
             n_p, n_q = rng.integers(1, 9, size=2)
             prob = random_feasible_problem(rng, n_p=n_p, n_q=n_q)
-            sol, ref = solve_move_limit_lp(prob), simplex_solve(prob)
+            sol, ref = solve(prob), simplex_solve(prob)
             assert sol.objective == pytest.approx(
                 ref.objective, rel=1e-9, abs=1e-9), f"trial {trial}"
             _assert_feasible(prob, sol)
@@ -234,7 +231,7 @@ class TestAgainstSimplex:
     def test_degenerate_instances(self):
         rng = np.random.default_rng(302)
         for name, prob in degenerate_problems(rng):
-            sol, ref = solve_move_limit_lp(prob), simplex_solve(prob)
+            sol, ref = solve(prob), simplex_solve(prob)
             assert sol.objective == pytest.approx(
                 ref.objective, rel=1e-9, abs=1e-9), name
             _assert_feasible(prob, sol)
@@ -243,7 +240,7 @@ class TestAgainstSimplex:
         problems = optimizer_problems(monkeypatch)
         assert len(problems) >= 3
         for k, prob in enumerate(problems):
-            sol, ref = solve_move_limit_lp(prob), simplex_solve(prob)
+            sol, ref = solve(prob), simplex_solve(prob)
             scale = max(1.0, abs(ref.objective))
             assert sol.objective <= ref.objective + 1e-9 * scale, f"LP {k}"
             _assert_feasible(prob, sol)
@@ -270,7 +267,7 @@ def fill_reference_problems(rng):
 
 
 def _assert_bit_equal(prob, label):
-    sol, ref = solve_move_limit_lp(prob), fill_reference_solve(prob)
+    sol, ref = solve(prob), fill_reference_solve(prob)
     assert sol.x_p.tobytes() == ref.x_p.tobytes(), label
     assert sol.x_q.tobytes() == ref.x_q.tobytes(), label
     assert sol.objective == ref.objective, label
@@ -278,7 +275,7 @@ def _assert_bit_equal(prob, label):
 
 
 class TestAgainstFillReference:
-    """The one-pass fill of both blocks against one fill per block."""
+    """meip's fill against the separately written one."""
 
     def test_random_instances(self):
         rng = np.random.default_rng(304)
@@ -296,19 +293,56 @@ class TestAgainstFillReference:
             _assert_bit_equal(prob, f"LP {k}")
 
 
-class TestNonFiniteInput:
-    @pytest.mark.parametrize("field, value", [
-        ("c_p", np.nan), ("c_q", np.inf), ("lower_p", np.nan),
-        ("lower_q", -np.inf), ("tolx_p", np.inf), ("tolx_q", np.nan),
-        ("upper", np.inf)])
-    def test_rejected(self, field, value):
-        prob = random_feasible_problem(np.random.default_rng(17))
-        old = getattr(prob, field)
-        if np.ndim(old):
-            new = old.copy()
-            new[1] = value
-        else:
-            new = value
-        setattr(prob, field, new)
-        with pytest.raises(ValueError, match="non-finite"):
-            solve_move_limit_lp(prob)
+class TestLoopInstances:
+    """The loop's LPs are feasible with finite data, which the solver
+    does not check: the loop keeps its design within the bounds and
+    budgets, and solves no LP once the move limit is at most eps_x."""
+
+    @staticmethod
+    def _assert_fit(prob: MoveLimitLp, label):
+        for name, c, lower, total in (
+                ("p", prob.c_p, prob.lower_p, prob.tolx_p),
+                ("q", prob.c_q, prob.lower_q, prob.tolx_q)):
+            where = f"{label}, {name}"
+            assert np.isfinite(c).all() and np.isfinite(lower).all(), where
+            assert np.isfinite([total, prob.upper]).all(), where
+            assert (lower <= prob.upper).all(), where
+            most = lower.size * prob.upper
+            tol = 1e-9 * max(1.0, abs(total), most)
+            assert lower.sum() - tol <= total <= most + tol, where
+
+    def test_cold_axis(self, monkeypatch):
+        captured = record_lps(monkeypatch)
+        mesh = fem.build_mesh(4, 4)
+        g1, g0 = blob_grays(mesh, 12, np.random.default_rng(31))
+        res = optimizer.optimize(g1, g0, mesh,
+                                 optimizer.OptimizerConfig(tolp=0.15,
+                                                           tolq=0.15))
+        assert res.iterations >= 1 and len(captured) >= 3
+        for k, (args, _) in enumerate(captured):
+            self._assert_fit(move_limit_lp(*args), f"LP {k}")
+
+    def test_warm_child_axes(self, monkeypatch):
+        # overlapping noise classes: both children of the first axis hold
+        # both classes, so axes 1 and 2 start from axis 0's final design
+        captured = record_lps(monkeypatch)
+        axis_of, optimize = [], forest_mod.optimize
+
+        def marking(*args, **kwargs):
+            axis_of.append(len(captured))
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(forest_mod, "optimize", marking)
+        mesh = fem.build_mesh(4, 4)
+        rng = np.random.default_rng(0)
+        gray = rng.random((40, mesh.ne))
+        gray[20:, :4] += 0.3
+        labels = np.array([0] * 20 + [1] * 20)
+        bundle = forest_mod.generate_axes(
+            gray, labels, 3, optimizer.OptimizerConfig(tolp=0.1, tolq=0.1),
+            mesh)
+        assert [p["start"] for p in bundle.provenance] == [
+            "uniform", "axis 0", "axis 0"]
+        assert axis_of[0] < axis_of[1] < axis_of[2] < len(captured)
+        for k, (args, _) in enumerate(captured):
+            self._assert_fit(move_limit_lp(*args), f"LP {k}")

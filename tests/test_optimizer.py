@@ -11,10 +11,9 @@ import scipy.linalg.blas
 
 import meip
 from meip import fem, optimizer
-from meip.lp import solve_move_limit_lp
 from meip.optimizer import (REF_KINDS, AxisResult, OptimizerConfig,
                             compute_state, element_projection, gradients,
-                            mean_forces, optimize)
+                            mean_forces, optimize, solve_move_limit_lp)
 from conftest import blob_grays, random_design
 from spectral_oracle import stiffness_matrix
 from test_fem import gamma
@@ -335,8 +334,8 @@ class TestOptimize:
             js.append(st.j0)
             return st
 
-        def solve(prob):
-            sol = solve_move_limit_lp(prob)
+        def solve(design, grads, cfg, limit):
+            sol = solve_move_limit_lp(design, grads, cfg, limit)
             sol.objective = abs(sol.objective)
             return sol
 
@@ -360,9 +359,9 @@ class TestOptimize:
         # eps_x without solving an LP whose limit is at most eps_x
         uppers = []
 
-        def solve(prob):
-            uppers.append(prob.upper)
-            return solve_move_limit_lp(prob)
+        def solve(design, grads, cfg, limit):
+            uppers.append(limit)
+            return solve_move_limit_lp(design, grads, cfg, limit)
 
         monkeypatch.setattr(optimizer, "solve_move_limit_lp", solve)
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(seed))
@@ -409,11 +408,11 @@ class TestOptimize:
         # which the "no_decrease" run forces by reporting |objective|.
         lps, js = [], []
 
-        def solve(prob):
-            sol = solve_move_limit_lp(prob)
+        def solve(design, grads, cfg, limit):
+            sol = solve_move_limit_lp(design, grads, cfg, limit)
             if predicted == "no_decrease":
                 sol.objective = abs(sol.objective)
-            lps.append((prob.upper, sol.objective))
+            lps.append((limit, sol.objective))
             return sol
 
         def state(*args):
@@ -459,9 +458,9 @@ class TestOptimize:
         # the uniform element value of the smaller budget
         uppers = []
 
-        def solve(prob):
-            uppers.append(prob.upper)
-            return solve_move_limit_lp(prob)
+        def solve(design, grads, cfg, limit):
+            uppers.append(limit)
+            return solve_move_limit_lp(design, grads, cfg, limit)
 
         monkeypatch.setattr(optimizer, "solve_move_limit_lp", solve)
         g1, g0 = blob_grays(mesh4, 16, np.random.default_rng(3))
@@ -481,9 +480,9 @@ class TestOptimize:
         # limit, and is left as it was
         uppers, designs = [], []
 
-        def solve(prob):
-            uppers.append(prob.upper)
-            return solve_move_limit_lp(prob)
+        def solve(design, grads, cfg, limit):
+            uppers.append(limit)
+            return solve_move_limit_lp(design, grads, cfg, limit)
 
         def state(design, *args):
             designs.append(design)

@@ -1392,9 +1392,7 @@ class TestCommands:
         with pytest.raises(ValueError, match=re.escape(
                 f"{labels_path}: no test images of configured digit(s)")):
             pipeline.cmd_pipeline(cfg, out)
-        assert not (out / "axes.txt").exists()
-        assert not (out / "report_train.json").exists()
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_pipeline_loads_each_split_once(self, bars_workspace,
                                             monkeypatch):
@@ -1507,6 +1505,31 @@ class TestCli:
                    "names no file")
         assert capsys.readouterr().err == (
             f"[pipeline] error: {cfg_path}:{i + 1}: {key}: {problem}\n")
+
+    @pytest.mark.parametrize("argv, name, problem", [
+        (["train", "--bundle"], "nowhere.txt", "no such file or directory"),
+        (["train", "--bundle"], "data", "is a directory"),
+        (["eval", "--model"], "nomodel.txt", "no such file or directory"),
+        (["pipeline"], "nowhere.idx", "no such file or directory")],
+        ids=["bundle_missing", "bundle_directory", "model_missing",
+             "pipeline_input_missing"])
+    def test_a_failed_run_names_its_file_and_makes_no_out(
+            self, bars_workspace, capsys, argv, name, problem):
+        cfg_path, out = bars_workspace / "run.cfg", bars_workspace / "run_out"
+        (bars_workspace / "data").mkdir()
+        path = bars_workspace / name
+        if argv == ["pipeline"]:
+            cfg_path.write_text(cfg_path.read_text().replace(
+                "train_images = train-img.idx", f"train_images = {name}"))
+            source, args = f"{cfg_path}:7: train_images", []
+        else:
+            source, args = argv[1], [str(path)]
+        capsys.readouterr()
+        assert cli.main([*argv, *args, "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"[{argv[0]}] error: {source}: {problem} {str(path)!r}\n")
+        assert not out.exists()
 
     def test_an_unset_input_names_the_config_file(self, bars_workspace,
                                                   capsys):

@@ -27,7 +27,9 @@ both sides wrote ``axes_provenance.json``, three more give the total
 with no accepted step, ``iterations`` 0) and the median ratio of
 ``j_final``, working tree over base, of the axes matched by forest and
 index, in total and per workload, and a fourth counts each side's axes
-by their stopping rule (``converged_by``).
+by their stopping rule (``converged_by``).  One more line gives the line
+count of the Python files in ``src/meip`` of both sides, as ``wc -l``
+counts them, for a change that means to shrink the code.
 
 After the fresh runs of the first dataset of each workload, the working
 tree runs once more into its existing output directory, and every file
@@ -69,6 +71,12 @@ def export_src(rev: str, dest: Path) -> None:
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
+
+
+def src_lines(src: Path) -> int:
+    """Lines of the Python files in ``src/meip``."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (Path(src) / "meip").glob("*.py"))
 
 
 def run_meip(src: Path, cfg: Path, out: Path, bundle: bool) -> None:
@@ -267,6 +275,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         export_src(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
+        src_sizes = [src_lines(src) for src in sides.values()]
         total, diffs, deltas, drifts = 0, [], [], []
         rerun_files, rerun_diffs = 0, []
         # workload -> [base state evaluations, working tree's, base
@@ -314,6 +323,8 @@ def main(argv: list[str]) -> int:
         print(line)
     print(f"{rev} vs working tree: {len(deltas)} datasets, {total} files "
           f"(without {', '.join(sorted(SKIPPED))}), {len(diffs)} differ")
+    print(f"src/meip lines, {rev} vs working tree: "
+          f"{src_sizes[0]} vs {src_sizes[1]}")
     numeric = [d for d in drifts if d is not None]
     print(f"of the files on both sides that differ: {len(numeric)} in "
           f"numbers only ({sum(k > 0 for k, _ in numeric)} with an integer "
