@@ -61,4 +61,4 @@ model = fit(z_train, train_y, 2, ridge=1e-6)
 
 for name, z, y in (("train", z_train, train_y), ("test", z_test, test_y)):
     cm = confusion_from_predictions(predict_batch(model, z), y, 2)
-    print(f"{name}: accuracy {cm.accuracy:.4f}, counts {cm.counts.tolist()}")
+    print(f"{name}: accuracy {cm['accuracy']:.4f}, counts {cm['counts']}")

@@ -48,8 +48,8 @@ cfg = pipeline.load_config(cfg_path)
 print(f"running the 0-vs-1 pipeline into {workdir / 'out'} ...")
 report = pipeline.cmd_pipeline(cfg, workdir / "out")
 
-print(f"train accuracy: {report.train_confusion['accuracy']:.4%}")
-print(f"test accuracy:  {report.test_confusion['accuracy']:.4%}")
-print(f"train confusion: {report.train_confusion['counts']}")
-print(f"test confusion:  {report.test_confusion['counts']}")
+print(f"train accuracy: {report['train_confusion']['accuracy']:.4%}")
+print(f"test accuracy:  {report['test_confusion']['accuracy']:.4%}")
+print(f"train confusion: {report['train_confusion']['counts']}")
+print(f"test confusion:  {report['test_confusion']['counts']}")
 print(f"artifacts: {sorted(p.name for p in (workdir / 'out').iterdir())}")

@@ -18,9 +18,9 @@ from meip import fem
 from meip.forest import AxisBundle
 from meip.optimizer import element_projection
 
-__all__ = ["ClassGaussian", "ConfusionMatrix", "features_from_gray",
-           "gaussian_from_moments", "fit", "discriminants", "softmax",
-           "predict_posterior", "predict_batch", "confusion_from_predictions"]
+__all__ = ["ClassGaussian", "features_from_gray", "gaussian_from_moments",
+           "fit", "discriminants", "softmax", "predict_posterior",
+           "predict_batch", "confusion_from_predictions"]
 
 
 @dataclass
@@ -34,17 +34,6 @@ class ClassGaussian:
     b: np.ndarray            # inv(cov) @ mean
     c: float                 # constant discriminant term
     log_det: float
-
-
-@dataclass
-class ConfusionMatrix:
-    """Counts with rows = output class, columns = target class."""
-
-    counts: np.ndarray
-    precision: np.ndarray    # per output row
-    recall: np.ndarray       # per target column
-    accuracy: float
-    total: int
 
 
 def features_from_gray(bundle: AxisBundle, gray: np.ndarray) -> np.ndarray:
@@ -81,7 +70,10 @@ def gaussian_from_moments(mean: np.ndarray, cov: np.ndarray,
     b = dpotrs(chol, mean, lower=1)[0]
     H = -dpotrs(chol, np.eye(dim), lower=1)[0]
     H = 0.5 * (H + H.T)
-    c = float(-0.5 * mean @ b - 0.5 * log_det + np.log(prior))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        c = float(-0.5 * mean @ b - 0.5 * log_det + np.log(prior))
+    if not np.isfinite(c):
+        raise OverflowError("moments overflow the discriminant terms")
     return ClassGaussian(mean=mean, cov=cov, prior=prior, H=H, b=b, c=c,
                          log_det=log_det)
 
@@ -117,10 +109,11 @@ def fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
         cov = cov + ridge * (np.trace(cov) / dim) * np.eye(dim)
         try:
             model.append(gaussian_from_moments(mean, cov, mj / n))
+        except OverflowError as exc:
+            raise OverflowError(f"class {j}: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(
-                f"class {j}: covariance not positive definite "
-                f"after ridging") from exc
+            raise ValueError(f"class {j}: covariance not positive definite "
+                             f"after ridging") from exc
     return model
 
 
@@ -158,8 +151,10 @@ def predict_batch(model: list[ClassGaussian], z: np.ndarray) -> np.ndarray:
 
 
 def confusion_from_predictions(outputs: np.ndarray, targets: np.ndarray,
-                               n_classes: int) -> ConfusionMatrix:
-    """Tabulate counts[output, target] with precision/recall margins."""
+                               n_classes: int) -> dict:
+    """Tabulate counts[output, target] with precision (per output row) and
+    recall (per target column), as the plain JSON object of a report:
+    ``counts``, ``precision``, ``recall``, ``accuracy`` and ``total``."""
     outputs = np.asarray(outputs)
     targets = np.asarray(targets)
     if outputs.shape != targets.shape:
@@ -175,6 +170,6 @@ def confusion_from_predictions(outputs: np.ndarray, targets: np.ndarray,
                        where=col_tot > 0)
     total = int(counts.sum())
     accuracy = float(diag.sum() / total) if total else 0.0
-    return ConfusionMatrix(counts=counts, precision=precision, recall=recall,
-                           accuracy=accuracy, total=total)
+    return {"counts": counts.tolist(), "precision": precision.tolist(),
+            "recall": recall.tolist(), "accuracy": accuracy, "total": total}
 

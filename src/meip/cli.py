@@ -125,13 +125,13 @@ def main(argv=None) -> int:
         elif stage == "eval":
             model = args.model or out / "model.txt"
             report = pipeline.cmd_eval(cfg, model, data, args.split, out)
-            cm = (report.train_confusion if args.split == "train"
-                  else report.test_confusion)
-            print(f"{args.split} accuracy: {cm['accuracy']:.6f}")
+            accuracy = report[f"{args.split}_confusion"]["accuracy"]
+            print(f"{args.split} accuracy: {accuracy:.6f}")
         elif stage == "pipeline":
             report = pipeline.cmd_pipeline(cfg, out)
-            print(f"train accuracy: {report.train_confusion['accuracy']:.6f}")
-            print(f"test accuracy: {report.test_confusion['accuracy']:.6f}")
+            for split in ("train", "test"):
+                accuracy = report[f"{split}_confusion"]["accuracy"]
+                print(f"{split} accuracy: {accuracy:.6f}")
     except Exception as exc:  # CLI boundary: attribute the failing stage
         print(f"[{stage}] error: {exc}", file=sys.stderr)
         return 1

@@ -86,6 +86,12 @@ class OptimizerConfig:
         for name in ("tolp", "tolq", "p_min", "q_min"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        # above the boundary penalty one element can outweigh the edge's
+        # penalty, and from 2**23 one ulp of a sum exceeds check_design's 1e-9
+        for name in ("tolp", "tolq"):
+            if getattr(self, name) > fem.SIGMA0:
+                raise ValueError(f"{name} must not exceed the boundary "
+                                 f"penalty fem.SIGMA0 = {fem.SIGMA0!r}")
         if not self.eps_x > 0:
             raise ValueError("eps_x must be positive")
         if self.ref_kind not in REF_KINDS:

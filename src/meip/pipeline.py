@@ -39,7 +39,7 @@ from meip.dataset import (BlankImageError, Dataset, load_idx_images,
                           load_idx_labels)
 from meip.optimizer import OptimizerConfig
 
-__all__ = ["PipelineConfig", "RunReport", "load_config", "save_axes",
+__all__ = ["PipelineConfig", "load_config", "save_axes",
            "load_axes", "save_model", "load_model", "write_pgm",
            "write_field_csv", "write_confusion_csv", "cmd_train_axes",
            "cmd_train", "cmd_eval", "cmd_inspect", "cmd_pipeline"]
@@ -128,6 +128,14 @@ class PipelineConfig(OptimizerConfig):
             raise ValueError(f"names more than one pair; one_vs_rest = {b},{a}"
                              f" grows the forests of both {a}:{b} and {b}:{a}")
         return [a, b]
+
+    def forests(self) -> list[tuple[str, str, int]]:
+        """(name, ref_kind, positive digit) of each forest, in config order."""
+        digits = self.classes()
+        views = ([(f"{d}vrest", d) for d in digits] if self.one_vs_rest
+                 else [(f"{digits[0]}v{digits[1]}", digits[1])])
+        return [(f"{stem}_{ref}", ref, positive) for stem, positive in views
+                for ref in self.ref_kinds()]
 
     def resolve(self, path: str) -> Path:
         p = Path(path)
@@ -232,8 +240,7 @@ def load_config(path) -> PipelineConfig:
             f"{where('tolp', 'tolq', 'n1', 'n2', 'eps_x')})")
     # Each forest grows at most n_axes axes; a pool that runs out of
     # subsets first depends on the data and is capped at run time.
-    forests = len(cfg.ref_kinds()) * (len(cfg.classes()) if cfg.one_vs_rest
-                                      else 1)
+    forests = len(cfg.forests())
     if cfg.svd_k > cfg.n_axes * forests:
         raise ValueError(
             f"{path}: svd_k = {cfg.svd_k} exceeds n_axes * forests = "
@@ -337,6 +344,11 @@ def _write(path, data: str | bytes) -> None:
     path.write_bytes(data.encode() if isinstance(data, str) else data)
 
 
+def _json(obj) -> str:
+    """The text of a JSON output: indented, with its keys sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save_axes(path, bundle: forest.AxisBundle) -> str:
     """Write ``bundle``; returns the SHA-256 hex digest of the bytes."""
     data = "".join([AXES_MAGIC + "\n",
@@ -415,7 +427,7 @@ def load_model(path):
             try:
                 model.append(
                     classifier.gaussian_from_moments(mean, cov, prior))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise r.error(f"expected a valid class {j}: {exc}") from None
     return model, bundle_ref, bundle_sha256, config_items
 
@@ -474,15 +486,14 @@ def element_grid(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return np.asarray(values).reshape((n2, n1)).T
 
 
-def write_confusion_csv(path, cm: classifier.ConfusionMatrix,
-                        class_names: list[str]) -> None:
-    """Confusion matrix with precision/recall margins and total accuracy."""
+def write_confusion_csv(path, cm: dict, class_names: list[str]) -> None:
+    """A report's confusion object with its margins and accuracy, as CSV."""
     _write(path, "".join([
         _fmt([[*(f"target_{c}" for c in class_names), "precision"]],
              CONFUSION_MAGIC, ","),
-        _fmt([(f"output_{c}", *cm.counts[i], cm.precision[i])
+        _fmt([(f"output_{c}", *cm["counts"][i], cm["precision"][i])
               for i, c in enumerate(class_names)], sep=","),
-        _fmt([[*cm.recall, cm.accuracy]], "recall", ",")]))
+        _fmt([[*cm["recall"], cm["accuracy"]]], "recall", ",")]))
 
 
 def write_histogram_csv(path, z: np.ndarray, targets: np.ndarray,
@@ -620,42 +631,8 @@ def _forests(cfg: PipelineConfig, labels: np.ndarray):
     Every forest grows on all the samples, so every label must be a
     configured digit, which for a pair config is one of the pair's two."""
     class_targets(cfg, labels)
-    if cfg.class_pairs:
-        a, b = cfg.classes()
-        views = [(f"{a}v{b}", b)]
-    else:
-        views = ((f"{d}vrest", d) for d in cfg.classes())
-    for stem, positive in views:
-        ybin = (labels == positive).astype(np.int64)
-        for ref in cfg.ref_kinds():
-            yield f"{stem}_{ref}", ref, ybin
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass
-class RunReport:
-    """Deterministic summary of a run; timing is reported separately."""
-
-    config: dict
-    n_axes: int = 0
-    train_confusion: dict | None = None
-    test_confusion: dict | None = None
-
-    def to_json(self) -> str:
-        # vars, not asdict: the fields are plain JSON values, and asdict
-        # deep-copies them
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
-
-
-def _confusion_dict(cm: classifier.ConfusionMatrix) -> dict:
-    return {"counts": cm.counts.tolist(),
-            "precision": [float(v) for v in cm.precision],
-            "recall": [float(v) for v in cm.recall],
-            "accuracy": cm.accuracy,
-            "total": cm.total}
+    for name, ref, positive in cfg.forests():
+        yield name, ref, (labels == positive).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +680,7 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
     for name, b in bundles.items():
         save_fields(out / f"fields_{name}.txt", cfg.n1, cfg.n2, b.fields)
     sha256 = save_axes(out / "axes.txt", combined)
-    _write(out / "axes_provenance.json",
-           json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    _write(out / "axes_provenance.json", _json(provenance))
     return combined, sha256
 
 
@@ -747,8 +723,8 @@ def _fit(cfg: PipelineConfig, bundle: forest.AxisBundle, bundle_sha256: str,
 
 
 def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
-             out_dir) -> RunReport:
-    """Evaluate a model on the ``split`` ``data``; writes CSVs and a report."""
+             out_dir) -> dict:
+    """Evaluate a model on the ``split`` ``data`` as ``_evaluate`` does."""
     out = Path(out_dir)
     try:
         model, bundle_ref, bundle_sha256, echo = load_model(model_path)
@@ -789,8 +765,10 @@ def cmd_eval(cfg: PipelineConfig, model_path, data: Dataset, split: str,
 
 def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
               z: np.ndarray, data: Dataset, split: str,
-              out: Path) -> RunReport:
-    """Score the features ``z`` of ``data``; writes CSVs and a report."""
+              out: Path) -> dict:
+    """Score the features ``z`` of ``data``; writes CSVs and the report
+    ``report_<split>.json`` and returns the report: ``config``, ``n_axes``,
+    and the split's confusion, the other split's being ``None``."""
     targets = class_targets(cfg, data.labels)
     beta = classifier.discriminants(model, z)
     # the argmax of beta, not of the posteriors: exp can merge near-ties
@@ -806,9 +784,10 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
                       outputs.tolist(), *post.T.tolist()), sep=","))
     write_histogram_csv(out / f"hist_{split}.csv", z, targets, len(model))
 
-    report = RunReport(config=dict(cfg.echo_items()), n_axes=z.shape[1],
-                       **{f"{split}_confusion": _confusion_dict(cm)})
-    _write(out / f"report_{split}.json", report.to_json())
+    report = {"config": dict(cfg.echo_items()), "n_axes": z.shape[1],
+              "train_confusion": None, "test_confusion": None,
+              f"{split}_confusion": cm}
+    _write(out / f"report_{split}.json", _json(report))
     return report
 
 
@@ -854,7 +833,7 @@ def cmd_inspect(path, out_dir) -> list[Path]:
     return written
 
 
-def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
+def cmd_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     """Load both splits, then train-axes, train, and eval on both.
 
     The bundle, the model and the training features pass from step to
@@ -872,11 +851,8 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     test_report = _evaluate(cfg, model, z_test, test, "test", out)
     t4 = time.perf_counter()
 
-    report = RunReport(config=dict(cfg.echo_items()),
-                       n_axes=train_report.n_axes,
-                       train_confusion=train_report.train_confusion,
-                       test_confusion=test_report.test_confusion)
-    _write(out / "report.json", report.to_json())
+    report = {**train_report, "test_confusion": test_report["test_confusion"]}
+    _write(out / "report.json", _json(report))
     # Timing is useful but non-reproducible, so it lives outside the report.
     _write(out / "timing.txt",
            f"load {t1 - t0:.3f}s\ntrain_axes {t2 - t1:.3f}s\n"

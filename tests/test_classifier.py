@@ -148,6 +148,13 @@ class TestFit:
                                             "positive definite after ridging")):
             fit(z, np.array([0, 0, 1, 1]), 2)
 
+    def test_overflowing_terms_named(self):
+        # the ridge of a tiny trace leaves b = cov^-1 mean too large
+        z = np.array([[1e150, 0.0], [1e150, 1e-150], [1.0, 2.0], [3.0, 5.0]])
+        with pytest.raises(OverflowError, match=re.escape(
+                "class 0: moments overflow the discriminant terms")):
+            fit(z, np.array([0, 0, 1, 1]), 2)
+
 
 class TestGaussianFromMoments:
     """The discriminant terms come from LAPACK's dpotrf/dpotrs directly;
@@ -177,6 +184,14 @@ class TestGaussianFromMoments:
     def test_non_finite_mean_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             gaussian_from_moments(np.array([0.0, np.inf]), np.eye(2), 0.5)
+
+    def test_overflowing_terms_rejected(self):
+        # finite moments whose constant term overflows: a model file whose
+        # mean reads 1e308 loaded and scored every sample nan
+        with pytest.raises(OverflowError, match="^moments overflow the "
+                                                "discriminant terms$"):
+            gaussian_from_moments(np.array([1e308, 0.0]), np.eye(2) * 1e-3,
+                                  0.5)
 
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValueError,
@@ -385,40 +400,41 @@ class TestConfusion:
             np.zeros(980, int), np.ones(2, int),
             np.ones(1133, int)])
         cm = confusion_from_predictions(outputs, targets, 2)
-        assert cm.counts.tolist() == [[980, 2], [0, 1133]]
-        assert cm.total == 2115
-        assert cm.accuracy == pytest.approx(2113 / 2115, rel=1e-15)
-        assert round(cm.accuracy, 4) == 0.9991
-        assert cm.precision[0] == pytest.approx(980 / 982, rel=1e-15)
-        assert cm.precision[1] == 1.0
-        assert cm.recall[0] == 1.0
-        assert cm.recall[1] == pytest.approx(1133 / 1135, rel=1e-15)
+        assert cm["counts"] == [[980, 2], [0, 1133]]
+        assert cm["total"] == 2115
+        assert cm["accuracy"] == pytest.approx(2113 / 2115, rel=1e-15)
+        assert round(cm["accuracy"], 4) == 0.9991
+        assert cm["precision"][0] == pytest.approx(980 / 982, rel=1e-15)
+        assert cm["precision"][1] == 1.0
+        assert cm["recall"][0] == 1.0
+        assert cm["recall"][1] == pytest.approx(1133 / 1135, rel=1e-15)
 
     def test_all_correct(self):
         outputs = np.array([0, 1, 2, 0, 1, 2])
         cm = confusion_from_predictions(outputs, outputs, 3)
-        assert np.array_equal(cm.counts, np.diag([2, 2, 2]))
-        assert cm.accuracy == 1.0
+        assert np.array_equal(cm["counts"], np.diag([2, 2, 2]))
+        assert cm["accuracy"] == 1.0
 
     def test_hand_tally(self):
         outputs = np.array([0, 0, 1, 1, 1, 0, 1, 0, 0, 1])
         targets = np.array([0, 1, 1, 1, 0, 0, 1, 1, 0, 0])
         cm = confusion_from_predictions(outputs, targets, 2)
         # manual count: rows output, columns target
-        assert cm.counts.tolist() == [[3, 2], [2, 3]]
-        assert cm.total == 10
-        assert cm.accuracy == pytest.approx(0.6)
+        assert cm["counts"] == [[3, 2], [2, 3]]
+        assert cm["total"] == 10
+        assert cm["accuracy"] == pytest.approx(0.6)
 
     def test_margins_consistent_with_counts(self):
         rng = np.random.default_rng(10)
         outputs = rng.integers(0, 3, 200)
         targets = rng.integers(0, 3, 200)
         cm = confusion_from_predictions(outputs, targets, 3)
-        assert cm.counts.sum() == 200
+        counts = np.array(cm["counts"])
+        assert counts.sum() == 200
         for i in range(3):
-            row, col = cm.counts[i].sum(), cm.counts[:, i].sum()
+            row, col = counts[i].sum(), counts[:, i].sum()
             if row:
-                assert cm.precision[i] == cm.counts[i, i] / row
+                assert cm["precision"][i] == counts[i, i] / row
             if col:
-                assert cm.recall[i] == cm.counts[i, i] / col
-        assert cm.accuracy == np.trace(cm.counts) / 200
+                assert cm["recall"][i] == counts[i, i] / col
+        assert cm["accuracy"] == np.trace(counts) / 200

@@ -134,7 +134,8 @@ class TestConfig:
         "ref_kind = bogus", "ref_kind = u,bogus", "ref_kind = ,",
         "class_pairs = 3", "class_pairs = 3:3", "class_pairs = 3:7,7:3",
         "one_vs_rest = 0,x", "one_vs_rest = 2,2", "one_vs_rest = 2,3,-1",
-        "class_pairs = 2:256", "tolp = inf", "tolp = nan",
+        "class_pairs = 2:256", "tolp = inf", "tolp = nan", "tolp = 1e8",
+        "tolq = 1e308",
     ])
     def test_bad_value_names_file_line_and_key(self, tmp_path, line):
         cfg_file = tmp_path / "c.cfg"
@@ -145,6 +146,11 @@ class TestConfig:
         with pytest.raises(ValueError,
                            match=re.escape(f"{cfg_file}:2: {key}: ")):
             pipeline.load_config(cfg_file)
+
+    def test_budget_at_the_boundary_penalty_loads(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n1 = 6\ntolq = 1e5\nclass_pairs = 0:1\n")
+        assert pipeline.load_config(cfg_file).tolq == fem.SIGMA0
 
     @pytest.mark.parametrize("lines, error", [
         ("ref_kind = u,u\nclass_pairs = 3:7\n", ":1: ref_kind: names u twice"),
@@ -475,10 +481,10 @@ class TestRasterAndCsv:
         path = tmp_path / "confusion.csv"
         pipeline.write_confusion_csv(path, cm, ["0", "1"])
         counts, precision, recall, accuracy = read_confusion_csv(path)
-        assert np.array_equal(counts, cm.counts)
-        assert accuracy == cm.accuracy
-        assert np.array_equal(precision, cm.precision)
-        assert np.array_equal(recall, cm.recall)
+        assert np.array_equal(counts, cm["counts"])
+        assert accuracy == cm["accuracy"]
+        assert np.array_equal(precision, cm["precision"])
+        assert np.array_equal(recall, cm["recall"])
         assert accuracy == np.trace(counts) / counts.sum()
 
     def test_node_and_element_grids(self):
@@ -885,7 +891,7 @@ class TestCommands:
             (out / "hist_test.csv").read_bytes()
         for split, n in (("train", 80), ("test", len(test))):
             by_axis = _histogram_by_axis(out / f"hist_{split}.csv",
-                                         report.n_axes, 2, 50)
+                                         report["n_axes"], 2, 50)
             for rows in by_axis:    # every sample in one bin of each axis
                 assert sum(int(c) for row in rows
                            for c in row.split(",")[3:]) == n
@@ -903,8 +909,8 @@ class TestCommands:
     def test_full_pipeline_separable(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         report = pipeline.cmd_pipeline(cfg, bars_workspace / "out")
-        assert report.train_confusion["accuracy"] == 1.0
-        assert report.test_confusion["accuracy"] == 1.0
+        assert report["train_confusion"]["accuracy"] == 1.0
+        assert report["test_confusion"]["accuracy"] == 1.0
         out = bars_workspace / "out"
         for name in ("axes.txt", "model.txt", "report.json",
                      "confusion_train.csv", "confusion_test.csv",
@@ -1075,11 +1081,20 @@ class TestCommands:
 
     def test_report_round_trip(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
-        report = pipeline.cmd_pipeline(cfg, bars_workspace / "out")
-        text = (bars_workspace / "out" / "report.json").read_text()
-        back = pipeline.RunReport(**json.loads(text))
-        assert back.to_json() == text
-        assert back.test_confusion == report.test_confusion
+        out, evals = bars_workspace / "out", bars_workspace / "evals"
+        report = pipeline.cmd_pipeline(cfg, out)
+        text = (out / "report.json").read_text()
+        assert report == json.loads(text)
+        assert pipeline._json(report) == text
+        for split in ("test", "train"):
+            report = pipeline.cmd_eval(cfg, out / "model.txt",
+                                       pipeline.load_split(cfg, split), split,
+                                       evals)
+            assert report == json.loads(
+                (evals / f"report_{split}.json").read_text()), split
+        cm = confusion_from_predictions(np.array([0, 1, 1]),
+                                        np.array([0, 1, 0]), 2)
+        assert json.loads(json.dumps(cm)) == cm
 
     def test_reports_hold_only_what_is_read(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
@@ -1099,7 +1114,7 @@ class TestCommands:
         report = pipeline.cmd_eval(cfg, model_path,
                                    pipeline.load_split(cfg, "test"), "test",
                                    bars_workspace / "mdl")
-        assert report.test_confusion["accuracy"] == 1.0
+        assert report["test_confusion"]["accuracy"] == 1.0
 
     def test_eval_train_split(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
@@ -1108,11 +1123,11 @@ class TestCommands:
         pipeline.cmd_train_axes(cfg, train, out)
         model_path = pipeline.cmd_train(cfg, out / "axes.txt", train, out)
         report = pipeline.cmd_eval(cfg, model_path, train, "train", out)
-        assert report.train_confusion is not None
-        assert report.test_confusion is None
+        assert report["train_confusion"] is not None
+        assert report["test_confusion"] is None
         counts, _, _, acc = read_confusion_csv(
             out / "confusion_train.csv")
-        assert acc == report.train_confusion["accuracy"]
+        assert acc == report["train_confusion"]["accuracy"]
         assert counts.sum() == 80
 
     def test_accuracy_reparse_oracle(self, bars_workspace):
@@ -1120,7 +1135,7 @@ class TestCommands:
         report = pipeline.cmd_pipeline(cfg, bars_workspace / "out")
         counts, _, _, acc = read_confusion_csv(
             bars_workspace / "out" / "confusion_test.csv")
-        assert acc == report.test_confusion["accuracy"]
+        assert acc == report["test_confusion"]["accuracy"]
         assert np.trace(counts) / counts.sum() == acc
 
     def test_inspect_axes_and_fields_and_model(self, bars_workspace):
@@ -1186,7 +1201,7 @@ class TestCommands:
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
         report = pipeline.cmd_pipeline(cfg, out)
-        z = np.random.default_rng(0).standard_normal((30, report.n_axes))
+        z = np.random.default_rng(0).standard_normal((30, report["n_axes"]))
         model_path = out / "model3.txt"
         pipeline.save_model(model_path, fit(z, np.arange(30) % 3, 3),
                             "axes.txt", _sha256(out / "axes.txt"),
@@ -1199,7 +1214,7 @@ class TestCommands:
     def test_model_dim_checked_against_bundle(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")
         out = bars_workspace / "out"
-        n_axes = pipeline.cmd_pipeline(cfg, out).n_axes
+        n_axes = pipeline.cmd_pipeline(cfg, out)["n_axes"]
         z = np.random.default_rng(0).standard_normal((30, n_axes + 1))
         model_path = out / "model_wide.txt"
         pipeline.save_model(model_path, fit(z, np.arange(30) % 2, 2),
