@@ -79,12 +79,14 @@ def gaussian_from_moments(mean: np.ndarray, cov: np.ndarray,
 
 
 def fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
-        ridge: float = 1e-6) -> list[ClassGaussian]:
+        ridge: float = 1e-6,
+        names: list[str] | None = None) -> list[ClassGaussian]:
     """Fit one Gaussian per class by maximum likelihood.
 
     The covariance uses the biased estimator (divisor M_j) and receives a
     relative ridge of ``ridge * trace/dim`` on the diagonal before
-    factorization.
+    factorization.  An error names class j as ``names[j]`` (default
+    ``class <j>``).
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -96,24 +98,32 @@ def fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     counts = np.bincount(labels, minlength=n_classes)
     if len(counts) > n_classes:
         raise ValueError("labels exceed the declared class count")
+    names = names or [f"class {j}" for j in range(n_classes)]
     model = []
     for j in range(n_classes):
-        mj = int(counts[j])
+        name, mj = names[j], int(counts[j])
         if mj < 2:
-            raise ValueError(f"class {j} has {mj} samples; need at least 2")
+            raise ValueError(f"{name} has {mj} samples; need at least 2")
         z = features[labels == j]
-        mean = z.mean(axis=0)
-        centered = z - mean
-        cov = centered.T @ centered / mj
-        cov = 0.5 * (cov + cov.T)
-        cov = cov + ridge * (np.trace(cov) / dim) * np.eye(dim)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            mean = z.mean(axis=0)
+            centered = z - mean
+            cov = centered.T @ centered / mj
+            cov = 0.5 * (cov + cov.T)
+            trace = np.trace(cov)
+            cov = cov + ridge * (trace / dim) * np.eye(dim)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise OverflowError(f"{name}: moments overflow float64 (largest "
+                                f"|feature| {np.abs(z).max():.3g})")
+        if trace == 0:
+            raise ValueError(f"{name}: every sample has the same features, "
+                             "a covariance of 0 that no relative ridge lifts")
         try:
             model.append(gaussian_from_moments(mean, cov, mj / n))
         except OverflowError as exc:
-            raise OverflowError(f"class {j}: {exc}") from exc
+            raise OverflowError(f"{name}: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"class {j}: covariance not positive definite "
-                             f"after ridging") from exc
+            raise ValueError(f"{name}: {exc} after ridging") from exc
     return model
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "load_idx_labels",
     "write_idx_images",
     "write_idx_labels",
-    "preprocess",
     "Dataset",
 ]
 
@@ -121,8 +120,9 @@ def _centroid_shifts(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _preprocess_stack(images: np.ndarray) -> np.ndarray:
-    """``preprocess`` of every image of a (count, n1, n2) stack, as the
-    rows of a (count, n1*n2) grayscale matrix."""
+    """The grayscale vectors of a (count, n1, n2) stack, as the rows of a
+    (count, n1*n2) matrix: each image centroid-aligned, scaled to [0, 1]
+    and then to unit l2 norm, in column-major pixel order."""
     n, n1, n2 = images.shape
     dr, dc = _centroid_shifts(images)
     # One slice assignment per distinct shift into a (column, row) stack;
@@ -143,16 +143,6 @@ def _preprocess_stack(images: np.ndarray) -> np.ndarray:
     # are >= 0 and an aligned image keeps a nonzero one: no scale is 0.
     gray /= np.sqrt(np.matmul(gray[:, None, :], gray[:, :, None]))[:, 0]
     return gray
-
-
-def preprocess(pixels: np.ndarray) -> np.ndarray:
-    """Centroid-align one image, scale it to [0, 1] and then to unit l2
-    norm; returns its grayscale vector of length n1*n2 in column-major
-    pixel order."""
-    pixels = np.asarray(pixels)
-    if pixels.ndim != 2:
-        raise ValueError("expected a 2-D pixel grid")
-    return _preprocess_stack(pixels[None])[0]
 
 
 class Dataset:

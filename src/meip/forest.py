@@ -108,14 +108,12 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
     axes = []
     provenance = []
     fields = []
-    exhausted = False
 
     while len(axes) < n_axes:
         k = pick_subset(pool)
         node = pool[k]
         m0, m1 = len(node.idx0), len(node.idx1)
         if min(m0, m1) == 0:
-            exhausted = True
             log.warning("axis pool exhausted after %d of %d axes",
                         len(axes), n_axes)
             break
@@ -158,7 +156,7 @@ def generate_axes(gray: np.ndarray, labels: np.ndarray, n_axes: int,
 
     return AxisBundle(axes=np.array(axes), n1=mesh.n1, n2=mesh.n2,
                       provenance=provenance, fields=fields,
-                      pool_exhausted=exhausted)
+                      pool_exhausted=len(axes) < n_axes)
 
 
 def orthonormalize(bundle: AxisBundle, k: int) -> AxisBundle:

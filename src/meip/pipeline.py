@@ -53,6 +53,7 @@ FIELDS_MAGIC = "MEIP-FIELDS 1"
 FIELD_MAGIC = "MEIP-FIELD 1"
 CONFUSION_MAGIC = "MEIP-CONFUSION 1"
 HIST_MAGIC = "MEIP-HIST 2"
+PRED_MAGIC = "MEIP-PRED 1"
 
 
 def _fmt(rows, tag: str | None = None, sep: str = " ") -> str:
@@ -223,13 +224,21 @@ def load_config(path) -> PipelineConfig:
                          if key in first_line)
 
     # Every element holds at least its lower bound, so the bounds alone
-    # must fit in the budget, or the first move-limit LP has no room.
+    # must fit in the budget, or the first move-limit LP has no room.  An
+    # element is at most the budget, and a trial that moves it down to a
+    # bound below one ulp of it, p + (p_min - p), can round to 0.
     for low, budget in (("p_min", "tolp"), ("q_min", "tolq")):
         floor = getattr(cfg, low) * cfg.n1 * cfg.n2
         if floor > getattr(cfg, budget):
             raise ValueError(
                 f"{path}: {low} * n1 * n2 = {floor!r} exceeds {budget} = "
                 f"{getattr(cfg, budget)!r} ({where(low, budget, 'n1', 'n2')})")
+        least = getattr(cfg, budget) * 2.0 ** -52
+        if getattr(cfg, low) < least:
+            raise ValueError(
+                f"{path}: {low} = {getattr(cfg, low)!r} is below {budget} * "
+                f"2**-52 = {least!r}, where rounding can take an element to "
+                f"0 ({where(low, budget)})")
     # A step is at most the first move limit, which must exceed eps_x, or
     # every axis stops before its first step.
     first = cfg.first_move_limit(cfg.n1 * cfg.n2)
@@ -587,6 +596,13 @@ def load_split(cfg: PipelineConfig, split: str) -> Dataset:
     if single and split == "train":
         raise ValueError(f"{lbl_path}: only 1 training image of configured "
                          f"digit(s) {single}; a class covariance needs 2")
+    # one image repeated has one feature vector, a covariance of 0
+    for d in digits if split == "train" else []:
+        idx = np.flatnonzero(labels == d)
+        if all(np.array_equal(images[i], images[idx[0]]) for i in idx[1:]):
+            raise ValueError(f"{img_path}: all {len(idx)} training images of "
+                             f"digit {d} are the same; a class covariance "
+                             "needs 2 that differ")
     keep = np.isin(labels, digits)
     try:
         return Dataset.from_arrays(images[keep], labels[keep])
@@ -625,16 +641,6 @@ def class_targets(cfg: PipelineConfig, labels: np.ndarray) -> np.ndarray:
     return match.argmax(axis=1)
 
 
-def _forests(cfg: PipelineConfig, labels: np.ndarray):
-    """Yield (name, ref_kind, 0/1 labels) for each forest, in config order.
-
-    Every forest grows on all the samples, so every label must be a
-    configured digit, which for a pair config is one of the pair's two."""
-    class_targets(cfg, labels)
-    for name, ref, positive in cfg.forests():
-        yield name, ref, (labels == positive).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -650,8 +656,12 @@ def cmd_train_axes(cfg: PipelineConfig, data: Dataset,
     earlier run there as they were."""
     out = Path(out_dir)
     mesh = fem.build_mesh(cfg.n1, cfg.n2)
+    # Every forest grows on all the samples, so every label must be a
+    # configured digit, which for a pair config is one of the pair's two.
+    class_targets(cfg, data.labels)
     bundles, provenance = {}, []
-    for name, ref, ybin in _forests(cfg, data.labels):
+    for name, ref, positive in cfg.forests():
+        ybin = (data.labels == positive).astype(np.int64)
         log.info("forest %s: %d samples (%d/%d per class)", name, len(ybin),
                  int((ybin == 0).sum()), int((ybin == 1).sum()))
         try:
@@ -715,7 +725,12 @@ def _fit(cfg: PipelineConfig, bundle: forest.AxisBundle, bundle_sha256: str,
     ``data``."""
     targets = class_targets(cfg, data.labels)
     z = classifier.features_from_gray(bundle, data.gray)
-    model = classifier.fit(z, targets, len(cfg.classes()))
+    try:
+        model = classifier.fit(z, targets, len(cfg.classes()),
+                               names=[f"digit {d}" for d in cfg.classes()])
+    except (ValueError, OverflowError) as exc:
+        raise type(exc)(f"{cfg.resolve(cfg.train_images)}: {exc} (features "
+                        f"on the axes of {bundle_path})") from None
     bundle_ref = os.path.relpath(Path(bundle_path).resolve(), out.resolve())
     save_model(out / "model.txt", model, bundle_ref, bundle_sha256,
                cfg.echo_items())
@@ -779,7 +794,7 @@ def _evaluate(cfg: PipelineConfig, model: list[classifier.ClassGaussian],
     write_confusion_csv(out / f"confusion_{split}.csv", cm, names)
     _write(out / f"predictions_{split}.csv",
            _fmt([["index", "target", "output",
-                  *(f"posterior_{c}" for c in names)]], "MEIP-PRED 1", ",")
+                  *(f"posterior_{c}" for c in names)]], PRED_MAGIC, ",")
            + _fmt(zip(range(len(targets)), targets.tolist(),
                       outputs.tolist(), *post.T.tolist()), sep=","))
     write_histogram_csv(out / f"hist_{split}.csv", z, targets, len(model))

@@ -142,11 +142,24 @@ class TestFit:
         assert np.isfinite(model[0].log_det)
 
     def test_overflowing_covariance_rejected(self):
-        z = np.array([[1e200], [-1e200], [3.0], [4.0]])  # cov[0, 0] is inf
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=re.escape("class 0: covariance not "
-                                            "positive definite after ridging")):
+        # cov[0, 0] is inf: named as an overflow, with no numpy warning
+        z = np.array([[1e200], [-1e200], [3.0], [4.0]])
+        with pytest.raises(OverflowError, match=re.escape(
+                "class 0: moments overflow float64 (largest |feature| "
+                "1e+200)")):
             fit(z, np.array([0, 0, 1, 1]), 2)
+
+    def test_constant_class_named_as_such(self):
+        z = np.array([[2.0, 1.0], [2.0, 1.0], [3.0, 1.0], [4.0, 5.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                "digit 3: every sample has the same features")):
+            fit(z, np.array([0, 0, 1, 1]), 2, names=["digit 3", "digit 7"])
+
+    def test_singular_covariance_without_ridge_keeps_its_cause(self):
+        z = np.array([[0.0, 0.0], [2.0, 2.0]])  # covariance [[1, 1], [1, 1]]
+        with pytest.raises(ValueError, match=re.escape(
+                "class 0: covariance not positive definite after ridging")):
+            fit(z, np.zeros(2, dtype=int), 1, ridge=0.0)
 
     def test_overflowing_terms_named(self):
         # the ridge of a tiny trace leaves b = cov^-1 mean too large

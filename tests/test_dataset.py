@@ -8,7 +8,7 @@ import pytest
 
 from meip.dataset import (BlankImageError, Dataset, IdxFormatError,
                           _centroid_shifts, load_idx_images, load_idx_labels,
-                          preprocess, write_idx_images, write_idx_labels)
+                          write_idx_images, write_idx_labels)
 import preprocess_oracle as oracle
 
 
@@ -16,6 +16,11 @@ def centroid_shift_of(pixels) -> tuple[int, int]:
     """The batched centroid shift of a one-image stack."""
     dr, dc = _centroid_shifts(np.asarray(pixels)[None])
     return int(dr[0]), int(dc[0])
+
+
+def gray_of(pixels) -> np.ndarray:
+    """One image's grayscale vector, by the batched path of ``load_split``."""
+    return Dataset.from_arrays(np.asarray(pixels)[None], [0]).gray[0]
 
 
 def pack_images(images: np.ndarray) -> bytes:
@@ -161,7 +166,7 @@ class TestPreprocess:
         img = np.zeros((28, 28))
         img[13:15, 13:15] = 200  # symmetric about the (13.5, 13.5) center
         assert centroid_shift_of(img) == (0, 0)
-        gray = preprocess(img)
+        gray = gray_of(img)
         assert gray.shape == (784,)
         assert np.linalg.norm(gray) == pytest.approx(1.0, abs=1e-12)
 
@@ -173,7 +178,7 @@ class TestPreprocess:
         expected_shift = int(np.floor((27 / 2 - 5) + 0.5))
         assert expected_shift == 9
         assert centroid_shift_of(img) == (9, 9)
-        gray = preprocess(img)
+        gray = gray_of(img)
         grid = gray.reshape((28, 28), order="F")
         assert grid[14, 14] == pytest.approx(1.0)
         assert np.linalg.norm(gray) == pytest.approx(1.0, abs=1e-12)
@@ -182,14 +187,14 @@ class TestPreprocess:
         rng = np.random.default_rng(3)
         for _ in range(10):
             img = rng.integers(0, 256, (28, 28))
-            gray = preprocess(img)
+            gray = gray_of(img)
             assert abs(np.linalg.norm(gray) - 1.0) <= 1e-12
 
     def test_idempotent_translation(self):
         rng = np.random.default_rng(4)
         img = np.zeros((28, 28))
         img[8:14, 6:12] = rng.integers(50, 255, (6, 6))
-        gray = preprocess(img)
+        gray = gray_of(img)
         # rescale the aligned image back to 8-bit and preprocess again
         grid = gray.reshape((28, 28), order="F")
         rescaled = np.rint(grid / grid.max() * 255).astype(np.uint8)
@@ -197,7 +202,7 @@ class TestPreprocess:
 
     def test_blank_image_rejected(self):
         with pytest.raises(BlankImageError, match="blank image"):
-            preprocess(np.zeros((28, 28)))
+            gray_of(np.zeros((28, 28)))
 
     def test_dropped_pixels_vanish(self):
         # mass near one corner plus a far outlier: the shift pushes the
@@ -206,7 +211,7 @@ class TestPreprocess:
         img[0, 0] = 200
         img[9, 9] = 10
         dr, dc = centroid_shift_of(img)
-        gray = preprocess(img)
+        gray = gray_of(img)
         grid = gray.reshape((10, 10), order="F")
         assert (grid > 0).sum() <= 2
 
@@ -217,7 +222,7 @@ class TestColumnMajorOrdering:
         # pixel (row, col) must be col*n1 + row
         img = np.zeros((5, 5))
         img[2, 2] = 255
-        gray = preprocess(img)
+        gray = gray_of(img)
         assert centroid_shift_of(img) == (0, 0)
         assert gray[2 * 5 + 2] == pytest.approx(1.0)
 
@@ -227,7 +232,7 @@ class TestColumnMajorOrdering:
         img[1, 3] = 255  # (row 1, col 3) paired to keep centroid centered
         img[3, 1] = 255
         assert centroid_shift_of(img) == (0, 0)
-        gray = preprocess(img)
+        gray = gray_of(img)
         nz = set(np.flatnonzero(gray).tolist())
         assert nz == {3 * 5 + 1, 2 * 5 + 2, 1 * 5 + 3}
 
@@ -245,7 +250,7 @@ class TestDataset:
         assert len(ds) == 6
         assert ds.gray.shape == (6, 36)
         assert ds.labels[2] == 0
-        assert np.array_equal(ds.gray[2], preprocess(images[2]))
+        assert np.array_equal(ds.gray[2], gray_of(images[2]))
 
     def test_count_mismatch_is_hard_error(self):
         rng = np.random.default_rng(6)
@@ -290,7 +295,7 @@ class TestBatchedPreprocess:
             got = Dataset.from_arrays(stack, labels).gray
             want = np.array([oracle.preprocess(img) for img in stack])
             assert np.array_equal(got, want), name
-            assert np.array_equal(got[0], preprocess(stack[0]))
+            assert np.array_equal(got[0], gray_of(stack[0]))
             for img in stack:
                 assert centroid_shift_of(img) == oracle.centroid_shift(img)
 
@@ -310,7 +315,7 @@ class TestBatchedPreprocess:
         with pytest.raises(BlankImageError):
             oracle.preprocess(stack[13])
         with pytest.raises(BlankImageError):
-            preprocess(stack[13])
+            gray_of(stack[13])
 
     # Smallest square side whose largest moment bound 255*n*n*n reaches
     # 2**24: single-precision sums of such a stack could round.

@@ -330,6 +330,10 @@ class TestGenerateAxes:
         bundle = generate_axes(gray, labels, 5, cfg, mesh4)
         assert bundle.pool_exhausted
         assert bundle.n_axes < 5
+        # asking for the axes the pool holds reaches n_axes: not exhausted
+        full = generate_axes(gray, labels, bundle.n_axes, cfg, mesh4)
+        assert not full.pool_exhausted
+        assert full.axes.tobytes() == bundle.axes.tobytes()
 
     def test_rejects_nonbinary_labels(self, mesh4):
         with pytest.raises(ValueError, match="binary"):

@@ -197,6 +197,33 @@ class TestConfig:
         assert f"{key} on line 3" in msg
         assert "n1 on line 1, n2 on line 2" in msg
 
+    @pytest.mark.parametrize("lines, low, budget, line", [
+        # bars-workspace budgets: these bounds loaded, then a trial
+        # rounded 17 elements to exactly 0 and axis 1 failed to factor K
+        (["p_min = 1e-20", "q_min = 1e-20"], "p_min", "tolp", 5),
+        (["p_min = 1e-4", "q_min = 1e-20"], "q_min", "tolq", 6),
+    ], ids=["p_min", "q_min"])
+    def test_bounds_below_the_budget_rounding_fail_at_load(
+            self, tmp_path, lines, low, budget, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\n".join(["n1 = 6", "n2 = 6", "tolp = 0.1",
+                                       "tolq = 0.1", *lines,
+                                       "class_pairs = 3:7\n"]))
+        with pytest.raises(ValueError) as err:
+            pipeline.load_config(cfg_file)
+        assert str(err.value) == (
+            f"{cfg_file}: {low} = 1e-20 is below {budget} * 2**-52 = "
+            f"{0.1 * 2.0 ** -52!r}, where rounding can take an element to 0 "
+            f"({low} on line {line}, {budget} on line {line - 2})")
+
+    @pytest.mark.parametrize("bound", ["1e-12", "1e-4", repr(0.1 * 2 ** -52)])
+    def test_bounds_the_budget_rounding_resolves_load(self, tmp_path, bound):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n1 = 6\nn2 = 6\ntolp = 0.1\ntolq = 0.1\n"
+                            f"p_min = {bound}\nq_min = {bound}\n"
+                            "class_pairs = 3:7\n")
+        assert pipeline.load_config(cfg_file).q_min == float(bound)
+
     @pytest.mark.parametrize("lines, first, where", [
         (["n1 = 50", "n2 = 50", "p_min = 1e-4", "q_min = 1e-4"], 2 / 2500,
          "n1 on line 1, n2 on line 2"),
@@ -1196,6 +1223,48 @@ class TestCommands:
                 f"{out / 'axes.txt'}: bundle is 8x8, config says 6x6")):
             pipeline.cmd_eval(cfg, out / "model.txt",
                               pipeline.load_split(cfg, "test"), "test", out)
+
+    @pytest.mark.parametrize("value, cause", [
+        (0.0, "every sample has the same features, a covariance of 0 that "
+              "no relative ridge lifts"),
+        (1e200, "moments overflow float64 (largest |feature| 3.44e+200)"),
+    ], ids=["zero_axes", "huge_axes"])
+    def test_a_failed_fit_names_the_digit_the_images_and_the_bundle(
+            self, bars_workspace, capsys, value, cause):
+        # well-formed bundles whose features no Gaussian fits; neither
+        # prints a numpy warning, which the test settings make an error
+        bundle = bars_workspace / "bundle.txt"
+        pipeline.save_axes(bundle, AxisBundle(axes=np.full((2, 49), value),
+                                              n1=6, n2=6))
+        assert cli.main(["train", "--bundle", str(bundle), "--config",
+                         str(bars_workspace / "run.cfg")]) == 1
+        assert capsys.readouterr().err == (
+            f"[train] error: {bars_workspace / 'train-img.idx'}: digit 3: "
+            f"{cause} (features on the axes of {bundle})\n")
+
+    def test_identical_training_images_fail_before_forests(
+            self, bars_workspace, capsys):
+        path = bars_workspace / "train-img.idx"
+        original = load_idx_images(path)
+        threes = np.flatnonzero(
+            load_idx_labels(bars_workspace / "train-lab.idx") == 3)
+        images = original.copy()
+        images[threes] = original[threes[0]]
+        write_idx_images(path, images)
+        cfg_path = bars_workspace / "run.cfg"
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"[pipeline] error: {path}: all 40 training images of digit 3 "
+            "are the same; a class covariance needs 2 that differ\n")
+        assert not (bars_workspace / "out").exists()
+        # one image that differs is enough, and an eval split may repeat one
+        images[threes[-1]] = original[threes[-1]]
+        write_idx_images(path, images)
+        write_idx_images(bars_workspace / "test-img.idx",
+                         np.repeat(original[:1], 30, axis=0))
+        cfg = pipeline.load_config(cfg_path)
+        assert len(pipeline.load_split(cfg, "train")) == 80
+        assert len(pipeline.load_split(cfg, "test")) == 30
 
     def test_model_class_count_checked_against_config(self, bars_workspace):
         cfg = pipeline.load_config(bars_workspace / "run.cfg")

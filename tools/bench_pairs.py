@@ -44,14 +44,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def export(rev: str, dest: Path) -> str:
-    """Extract the tree of ``rev`` into ``dest``; returns its commit."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                         check=True, capture_output=True).stdout
+def extract(tar: bytes, dest: Path) -> None:
+    """Unpack the tar archive ``tar`` into ``dest``, through the "data"
+    filter where this Python has it (from 3.10.12 and 3.11.4 on)."""
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
-        # the "data" filter exists from Python 3.10.12 on
         t.extractall(dest, **({"filter": "data"}
                               if hasattr(tarfile, "data_filter") else {}))
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract the tree of ``rev`` into ``dest``; returns its commit."""
+    extract(subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                           check=True, capture_output=True).stdout, dest)
     return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short",
                            f"{rev}^{{commit}}"], check=True,
                           capture_output=True, text=True).stdout.strip()

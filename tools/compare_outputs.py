@@ -3,7 +3,7 @@ file by file.
 
     python tools/compare_outputs.py BASE_REV
 
-Exports ``BASE_REV:src`` with ``git archive`` and generates datasets
+Exports ``BASE_REV`` with ``bench_pairs.export`` and generates datasets
 through ``bench/run.py``'s own ``setup``: the seed-7 and seed-31 datasets
 of the ``forest_pair`` and ``ovr_shallow`` benchmark workloads (24
 datasets), and the seed-7 dataset of ``classify_bulk`` (28x28 images and
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import collections
 import difflib
-import io
 import itertools
 import json
 import os
@@ -50,7 +49,6 @@ import re
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -59,18 +57,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 # run.py pins the BLAS threads to 1 in os.environ, before numpy is imported
 import run  # noqa: E402
+# the one exporter of a revision's tree, in tools/bench_pairs.py
+from bench_pairs import export  # noqa: E402
 
 # workload -> seeds of its datasets
 DATASETS = {"forest_pair": (7, 31), "ovr_shallow": (7, 31),
             "classify_bulk": (7,)}
 SKIPPED = {"timing.txt"}
-
-
-def export_src(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                         check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
-        t.extractall(dest, filter="data")
 
 
 def src_lines(src: Path) -> int:
@@ -273,7 +266,7 @@ def main(argv: list[str]) -> int:
     rev = argv[0]
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         tmp = Path(tmp)
-        export_src(rev, tmp / "base")
+        export(rev, tmp / "base")
         sides = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         src_sizes = [src_lines(src) for src in sides.values()]
         total, diffs, deltas, drifts = 0, [], [], []

@@ -8,11 +8,11 @@ Generates the named probes' datasets with ``bench/glyphs.py``, all at
 (``one_vs_rest = 0,1,2``, seed 12, 9,000 and 2,000 images,
 ``n_axes = 10``) and the full-shape probe of the opt-in full criterion-4
 run (``one_vs_rest = 0,1,2,3,4``, seed 13, 30,000 and 2,000 images,
-``n_axes = 120``, ``svd_k = 60``; about half a minute and 0.5 GB).  With
-no name it runs the two quick probes, the first two.  Every other
-setting is the default.  On each it runs ``python -m meip.cli pipeline``
+``n_axes = 120``, ``svd_k = 60``; 11.5 s and 474 MB on a shared 2-vCPU
+Intel Xeon host).  With no name it runs the two quick probes, the first
+two.  Every other setting is the default.  On each it runs ``python -m meip.cli pipeline``
 in a child process with one BLAS thread, on the working tree's ``src`` or,
-with ``--rev``, on ``REV:src`` exported with ``git archive`` as
+with ``--rev``, on ``REV:src`` exported by ``bench_pairs.export`` as
 ``tools/compare_outputs.py`` does.  Per probe it prints the wall seconds
 of the child, the lines of its ``timing.txt``, the child's peak RSS (from
 ``os.wait4``), the total ``state_evals`` of ``axes_provenance.json``, its
@@ -40,8 +40,9 @@ from pathlib import Path
 
 # compare_outputs puts bench/ and the working tree's src on sys.path and
 # pins the BLAS threads before numpy is imported
-from compare_outputs import ROOT, export_src, stops_text
+from compare_outputs import ROOT, stops_text
 
+from bench_pairs import export  # tools/bench_pairs.py
 import glyphs  # bench/glyphs.py
 import run  # bench/run.py
 
@@ -108,7 +109,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         src = ROOT / "src"
         if args.rev:
-            export_src(args.rev, tmp / "rev")
+            export(args.rev, tmp / "rev")
             src = tmp / "rev" / "src"
         env = {**os.environ, "PYTHONPATH": str(src),
                "OPENBLAS_NUM_THREADS": "1"}
