@@ -1,10 +1,15 @@
-"""The summary of tools/bench_pairs.py on a fixed list of pairs: medians,
-inclusive-quartile IQRs, the pairs the change won by each metric's
-``better``, and the bound flag; and its extraction of a revision's tree,
-which tools/compare_outputs.py and tools/paper_probe.py share."""
+"""tools/bench_pairs.py without a benchmark run: the summary of a fixed
+list of pairs (medians, inclusive-quartile IQRs, the pairs the change won
+by each metric's ``better``, and the bound flag), the parse-time checks,
+a probe's record, metrics and outputs check, the child runner's exit code
+and peak RSS, and the extraction of a revision's tree, which
+tools/compare_outputs.py shares."""
 
+import collections
 import io
 import json
+import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -14,7 +19,9 @@ import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
-from bench_pairs import extract, summary  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import (extract, outputs_check, probe_metrics,  # noqa: E402
+                         probe_record, summary)
 
 METRICS = [{"name": "pipeline_s", "better": "lower", "bound": 0.25},
            {"name": "eval_samples_per_s", "better": "higher", "bound": 0.25},
@@ -102,7 +109,7 @@ def test_extract_applies_the_data_filter(tmp_path):
 # os.environ, so the tools are imported in a fresh interpreter
 SCRIPT = """
 import json
-import bench_pairs, compare_outputs, paper_probe
+import bench_pairs, compare_outputs
 
 class Exported(Exception):
     pass
@@ -110,23 +117,163 @@ class Exported(Exception):
 def export(rev, dest):
     raise Exported(rev)
 
-shared = [tool.export is bench_pairs.export
-          for tool in (compare_outputs, paper_probe)]
-calls = []
-for tool, argv in ((compare_outputs, ["BASE"]),
-                   (paper_probe, ["--rev", "REV", "paper_scale"])):
-    tool.export = export
-    try:
-        tool.main(argv)
-    except Exported as exc:
-        calls.append(str(exc))
-print(json.dumps([shared, calls, hasattr(compare_outputs, "export_src")]))
+shared = compare_outputs.export is bench_pairs.export
+compare_outputs.export = export
+try:
+    compare_outputs.main(["BASE"])
+except Exported as exc:
+    call = str(exc)
+print(json.dumps([shared, call, hasattr(compare_outputs, "export_src")]))
 """
 
 
 def test_the_tools_share_one_export():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=TOOLS,
                           capture_output=True, text=True, check=True)
-    # both take the revision's tree from bench_pairs.export, before any
-    # dataset is generated
-    assert json.loads(proc.stdout) == [[True, True], ["BASE", "REV"], False]
+    # compare_outputs takes the revision's tree from bench_pairs.export,
+    # before any dataset is generated
+    assert json.loads(proc.stdout) == [True, "BASE", False]
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "0"],
+                                  ["--pairs", "1", "--workload", "nope"]])
+def test_bad_arguments_fail_before_any_export(argv, monkeypatch, capsys):
+    def export(rev, dest):
+        raise AssertionError(f"exported {rev}")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "HEAD", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # the usage line names every benchmark workload and probe
+    assert err.startswith("usage: ")
+    assert ("{forest_pair,ovr_shallow,classify_bulk,paper_scale,"
+            "three_forest,full_shape}") in err
+
+
+RUN_CHILD = """
+import json, os, sys
+from pathlib import Path
+from bench_pairs import run_child
+child = "import sys; x = b'x' * (int(sys.argv[1]) << 20); sys.exit(3)"
+print(json.dumps([run_child([sys.executable, "-c", child, str(mib)],
+                            dict(os.environ), Path(sys.argv[1]))
+                  for mib in (64, 128)]))
+"""
+
+
+def test_run_child_reports_exit_code_and_peak_rss(tmp_path):
+    # a child's peak includes the peak of the process that starts it, so
+    # the runner runs in a fresh interpreter, not in pytest
+    proc = subprocess.run([sys.executable, "-c", RUN_CHILD,
+                           str(tmp_path / "child.log")], cwd=TOOLS,
+                          capture_output=True, text=True, check=True)
+    (code64, wall64, rss64), (code128, wall128, rss128) = json.loads(
+        proc.stdout)
+    assert code64 == code128 == 3
+    assert wall64 > 0 and wall128 > 0
+    # both peaks lie above this interpreter's, which the child's peak
+    # includes, so they differ by the 64 MiB more that one child writes
+    assert 64 < rss64 < 128 < rss128
+    assert 62 <= rss128 - rss64 <= 66
+
+
+def test_the_tool_loads_no_numpy():
+    # a probe's peak RSS includes that of the process that starts it, so
+    # the tool and the run.py it loads import no numpy, nor the modules
+    # that would
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bench_pairs, run; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+         "('numpy', 'glyphs', 'meip')))"],
+        cwd=TOOLS, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """bench/run.py, which probe_record imports for its tree_digest.  It
+    refuses to load once numpy has, as numpy has in this process, and
+    pins the BLAS threads in os.environ, so it loads with numpy hidden,
+    and it and the pins are undone after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    numpy = sys.modules.pop("numpy")
+    try:
+        import run
+    finally:
+        sys.modules["numpy"] = numpy
+    yield run
+    del sys.modules["run"]
+
+
+def test_probe_record_of_a_pipeline_output(bars_workspace, bench_run):
+    from meip import pipeline
+
+    out = bars_workspace / "out"
+    pipeline.cmd_pipeline(pipeline.load_config(bars_workspace / "run.cfg"),
+                          out)
+    timing = (out / "timing.txt").read_text()
+    axes = json.loads((out / "axes_provenance.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    kept = shutil.copytree(out, bars_workspace / "kept")
+    (kept / "timing.txt").unlink()
+    record = probe_record(out, 1.5, 80.25)
+    assert record == {
+        "wall_s": 1.5,
+        "train_axes_s": float(re.search(r"^train_axes (\S+)s$", timing,
+                                        re.M)[1]),
+        "peak_rss_mb": 80.25,
+        "test_accuracy": report["test_confusion"]["accuracy"],
+        "state_evals": sum(a["state_evals"] for a in axes),
+        "zero_progress_axes": sum(a["iterations"] == 0 for a in axes),
+        "stops": dict(collections.Counter(a["converged_by"] for a in axes)),
+        "digest": bench_run.tree_digest(kept)}
+    assert axes and record["state_evals"] > 0
+    # timing.txt, which differs from run to run, is gone after the read
+    assert sorted(out.iterdir()) == sorted(out / p.name
+                                           for p in kept.iterdir())
+
+
+def test_probe_metrics_take_the_benchmark_bounds():
+    bench = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    bound = {m["name"]: m for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in probe_metrics(bench["end_to_end"])}
+    assert list(metrics) == ["wall_s", "train_axes_s", "peak_rss_mb",
+                             "test_accuracy", "state_evals"]
+    for name, like in (("wall_s", "pipeline_s"),
+                       ("train_axes_s", "pipeline_s"),
+                       ("peak_rss_mb", "peak_rss_mb"),
+                       ("test_accuracy", "test_accuracy")):
+        assert (metrics[name]["better"], metrics[name]["bound"]) == \
+            (bound[like]["better"], bound[like]["bound"])
+    # state_evals is reported, never marked worse
+    runs = [{"pair": 1, "parent": {"state_evals": 1}, "change":
+             {"state_evals": 10 ** 9}}]
+    s = summary(runs, probe_metrics(bench["end_to_end"]))
+    assert list(s) == ["state_evals"] and not s["state_evals"][
+        "worse_than_bound"]
+
+
+def probe_pairs(parent, change):
+    run = {"state_evals": 5, "zero_progress_axes": 1, "stops": {"eps_x": 2}}
+    return [{"pair": i, "first": "parent" if i % 2 else "change",
+             "parent": {**run, "digest": p}, "change": {**run, "digest": c}}
+            for i, (p, c) in enumerate(zip(parent, change), start=1)]
+
+
+def test_outputs_check_names_the_side_and_pairs_that_differ(capsys):
+    census = "state_evals 5, zero-progress axes 1, stops eps_x 2; outputs"
+    assert outputs_check("paper_scale", probe_pairs("aaa", "aaa"))
+    assert capsys.readouterr() == (
+        f"  parent: {census} a in pairs [1, 2, 3]\n"
+        f"  change: {census} a in pairs [1, 2, 3]\n"
+        "  outputs equal on both sides in 3/3 pairs\n", "")
+    assert not outputs_check("paper_scale", probe_pairs("aaa", "aba"))
+    assert capsys.readouterr() == (
+        f"  parent: {census} a in pairs [1, 2, 3]\n"
+        f"  change: {census} a in pairs [1, 3], b in pairs [2]\n"
+        "  outputs equal on both sides in 2/3 pairs\n",
+        "bench_pairs: paper_scale change outputs differ between pairs "
+        "[1, 3] and [2]\n")

@@ -52,13 +52,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-# bench/glyphs.py writes the datasets with the working tree's meip
-sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
-# run.py pins the BLAS threads to 1 in os.environ, before numpy is imported
-import run  # noqa: E402
-# the one exporter of a revision's tree, in tools/bench_pairs.py
-from bench_pairs import export  # noqa: E402
+# bench_pairs puts bench/ and the working tree's src on sys.path; run.py
+# pins the BLAS threads to 1 in os.environ, before numpy is imported
+from bench_pairs import ROOT, census, export, stops_text
+import run
 
 # workload -> seeds of its datasets
 DATASETS = {"forest_pair": (7, 31), "ovr_shallow": (7, 31),
@@ -196,12 +193,9 @@ def provenance_stats(a: bytes, b: bytes) -> tuple:
     ja, jb = j_by_forest(da), j_by_forest(db)
     ratios = [y / x for forest in sorted(ja.keys() & jb.keys())
               for x, y in zip(ja[forest], jb[forest]) if x]
-    return (sum(r["state_evals"] for r in da),
-            sum(r["state_evals"] for r in db),
-            sum(r["iterations"] == 0 for r in da),
-            sum(r["iterations"] == 0 for r in db), ratios,
-            *(collections.Counter(r["converged_by"] for r in d)
-              for d in (da, db)))
+    (evals_a, zero_a, stops_a), (evals_b, zero_b, stops_b) = map(
+        census, (da, db))
+    return evals_a, evals_b, zero_a, zero_b, ratios, stops_a, stops_b
 
 
 def median_text(ratios: list[float]) -> str:
@@ -209,11 +203,6 @@ def median_text(ratios: list[float]) -> str:
         return "no matched axes"
     return (f"{statistics.median(ratios):.4f} over {len(ratios)} "
             + ("axis" if len(ratios) == 1 else "axes"))
-
-
-def stops_text(counts: collections.Counter) -> str:
-    text = " + ".join(f"{rule} {n}" for rule, n in sorted(counts.items()))
-    return text or "no axes"
 
 
 def report_of(out: Path) -> Path:
